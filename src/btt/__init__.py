@@ -50,7 +50,6 @@ from .engine import (
     Scenario,
     TraceEvent,
     control_step,
-    init_engine,
     parallel_step,
     render_memory_dump,
     render_trace_event,

@@ -156,8 +156,3 @@ class Engine:
         self.memory[STATE_PREFIX + name] = result
         self.trace.append(TraceEvent(self.tick_count, name, result))
         return result
-
-
-def init_engine(tree: ExpandedTree, scenario: Scenario | None = None,
-                memory: dict | None = None) -> Engine:
-    return Engine(tree, scenario=scenario, memory=memory)

@@ -1,7 +1,10 @@
 """Reading the YAML description format and writing canonical expanded trees.
 
-Parsing is built on PyYAML's composer so every definition carries a source
-span. Values that the schema treats as text (names, types, patterns,
+Parsing makes one pass over PyYAML's parser events (libyaml's when PyYAML
+has it, its pure-Python parser otherwise) and builds the YAML node tree
+itself, so every definition carries a source span, unsupported YAML
+features are caught in the same pass, and nesting is capped without
+recursion. Values that the schema treats as text (names, types, patterns,
 expressions) are taken verbatim from the scalar, so quoting never changes
 meaning; only scalar *arguments* (template args, defaults, scenario memory
 seeds) get YAML's boolean/integer/float typing.
@@ -17,6 +20,16 @@ import re
 from dataclasses import dataclass
 
 import yaml
+from yaml.events import (
+    AliasEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+)
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .engine import Scenario
 from .errors import CanonicalizeError, ParseError, SchemaError
@@ -57,42 +70,87 @@ _NODE_KEYS = {
 
 _constructor = yaml.constructor.SafeConstructor()
 
+# libyaml when PyYAML was built with it; the pure-Python parser otherwise.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+MAX_NESTING = 256  # open collections allowed at once
+_COLLECTIONS = {SequenceStartEvent: SequenceNode, MappingStartEvent: MappingNode}
+_resolve = yaml.resolver.Resolver().resolve
+
+
+def _mark_span(mark) -> SourceSpan:
+    return SourceSpan(mark.line + 1, mark.column + 1)
+
 
 def _span(node) -> SourceSpan:
-    return SourceSpan(node.start_mark.line + 1, node.start_mark.column + 1)
+    return _mark_span(node.start_mark)
 
 
 def _compose(text, what):
+    """Build the node tree in one pass over the parser's events.
+
+    Anchors, aliases and extra documents are recorded as the first schema
+    problem and raised only once the whole stream has parsed, so a syntax
+    error anywhere still wins. Collections nested deeper than MAX_NESTING
+    stop the pass at once with a PARSE_ERROR at the offending start.
+    """
+    root = None
+    stack = []  # open collections, innermost last
+    problem = None
+    documents = 0
     try:
-        events = list(yaml.parse(text, Loader=yaml.SafeLoader))
-    except RecursionError:
-        raise ParseError("PARSE_ERROR", f"{what} is nested too deeply") from None
+        for ev in yaml.parse(text, Loader=_LOADER):
+            kind = type(ev)
+            if kind is DocumentStartEvent:
+                documents += 1
+            if problem is None:
+                if kind is AliasEvent:
+                    problem = "YAML aliases are not supported"
+                elif getattr(ev, "anchor", None) is not None:
+                    problem = "YAML anchors are not supported"
+                elif documents > 1:
+                    problem = "multi-document streams are not supported"
+            if kind is ScalarEvent:
+                tag = ev.tag
+                if tag is None or tag == "!":
+                    tag = _resolve(ScalarNode, ev.value, ev.implicit)
+                # libyaml reports plain scalars with style '', PyYAML with None
+                node = ScalarNode(tag, ev.value, ev.start_mark, ev.end_mark,
+                                  style=ev.style or None)
+            elif kind in _COLLECTIONS:
+                if len(stack) == MAX_NESTING:
+                    raise ParseError("PARSE_ERROR", f"{what} is nested too deeply",
+                                     span=_mark_span(ev.start_mark))
+                node_class = _COLLECTIONS[kind]
+                tag = ev.tag
+                if tag is None or tag == "!":
+                    tag = _resolve(node_class, None, ev.implicit)
+                stack.append(node_class(tag, [], ev.start_mark, None,
+                                        flow_style=ev.flow_style))
+                continue
+            elif kind is SequenceEndEvent or kind is MappingEndEvent:
+                node = stack.pop()
+                node.end_mark = ev.end_mark
+                if kind is MappingEndEvent:  # children arrive as key, value, key, ...
+                    flat = node.value
+                    node.value = list(zip(flat[::2], flat[1::2]))
+            else:
+                continue
+            if stack:
+                stack[-1].value.append(node)
+            elif root is None:
+                root = node
     except yaml.YAMLError as exc:
         raise _parse_error(exc, what) from None
-    starts = 0
-    for ev in events:
-        if isinstance(ev, yaml.events.AliasEvent):
-            raise SchemaError("SCHEMA_ERROR", "YAML aliases are not supported")
-        if getattr(ev, "anchor", None) is not None:
-            raise SchemaError("SCHEMA_ERROR", "YAML anchors are not supported")
-        if isinstance(ev, yaml.events.DocumentStartEvent):
-            starts += 1
-            if starts > 1:
-                raise SchemaError("SCHEMA_ERROR", "multi-document streams are not supported")
-    try:
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
-    except RecursionError:
-        raise ParseError("PARSE_ERROR", f"{what} is nested too deeply") from None
-    except yaml.YAMLError as exc:  # pragma: no cover - events pass already caught most
-        raise _parse_error(exc, what) from None
-    return node
+    except UnicodeEncodeError as exc:  # libyaml takes UTF-8: a lone surrogate fails there
+        raise ParseError("PARSE_ERROR", f"{what}: {exc.reason}") from None
+    if problem is not None:
+        raise SchemaError("SCHEMA_ERROR", problem)
+    return root
 
 
 def _parse_error(exc, what):
-    span = None
     mark = getattr(exc, "problem_mark", None)
-    if mark is not None:
-        span = SourceSpan(mark.line + 1, mark.column + 1)
+    span = _mark_span(mark) if mark is not None else None
     problem = getattr(exc, "problem", None) or str(exc)
     return ParseError("PARSE_ERROR", f"{what}: {problem}", span=span)
 

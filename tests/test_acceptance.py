@@ -37,7 +37,7 @@ from btt import (
     state_key,
 )
 from btt.cli import main as cli_main
-from util import CORPUS_DOCS, EXAMPLES, GOLDEN, REPO, expand_path, expand_text
+from util import CORPUS_DOCS, EXAMPLES, GOLDEN, REPO, expand_path, expand_text, mutate
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -274,30 +274,6 @@ def test_criterion_7_expression_round_trip():
     report(7, "expression-round-trip (10000 ASTs)", t0, 10.0)
 
 
-_FUZZ_TOKENS = list(":{}[]-~$\"'\n\t#&*!|>%@`,?\\ ") + [
-    "SUCCESS", "foreach", "$@", "<<", "---", "children", "*a", "&a", "type:"]
-
-
-def _mutate(rng, text):
-    for _ in range(rng.randrange(1, 6)):
-        op = rng.randrange(4)
-        if not text:
-            text = rng.choice(_FUZZ_TOKENS)
-            continue
-        pos = rng.randrange(len(text))
-        if op == 0:
-            text = text[:pos] + rng.choice(_FUZZ_TOKENS) + text[pos:]
-        elif op == 1:
-            end = min(len(text), pos + rng.randrange(1, 20))
-            text = text[:pos] + text[end:]
-        elif op == 2:
-            text = text[:pos] + rng.choice(_FUZZ_TOKENS) + text[pos + 1:]
-        else:
-            end = min(len(text), pos + rng.randrange(1, 30))
-            text = text[:pos] + text[pos:end] + text[pos:]
-    return text
-
-
 def test_criterion_8_fuzz_robustness():
     """Mutated documents must always end in a tree or one classified error;
     anything else escaping parse/expand is a robustness bug."""
@@ -306,7 +282,7 @@ def test_criterion_8_fuzz_robustness():
     bases = [p.read_text() for p in CORPUS_DOCS]
     parse_fail = expand_fail = expanded = 0
     for _ in range(10_000):
-        text = _mutate(rng, rng.choice(bases))
+        text = mutate(rng, rng.choice(bases))
         try:
             doc = parse_document(text)
         except BttError:

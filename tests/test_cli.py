@@ -1,3 +1,4 @@
+from btt import textio
 from btt.cli import main
 from util import EXAMPLES, GOLDEN
 
@@ -234,3 +235,13 @@ nodes:
     code, _, err = run_cli(capsys, "expand", doc)
     assert code == 3
     assert "ARITY_MISMATCH" in err
+
+
+def test_deep_nesting_exits_2_without_traceback(tmp_path, capsys, yaml_loader):
+    doc = write(tmp_path, "deep.yaml", "a: " + "[" * 10**6)
+    code, out, err = run_cli(capsys, "expand", doc)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{doc}:1:{3 + textio.MAX_NESTING}: PARSE_ERROR")
+    assert "nested too deeply" in err
+    assert "Traceback" not in err

@@ -1,18 +1,40 @@
+import random
+import time
+
 import pytest
+import yaml
 
 from btt import (
     BttError,
+    Document,
+    ForeachBlock,
     ParamDecl,
     ParseError,
     ReturnState,
+    Scenario,
     SchemaError,
+    SourceSpan,
+    TemplateDef,
     expand_document,
     parse_document,
     parse_scenario,
     parse_templates,
     serialize_expanded,
+    textio,
 )
-from util import EXAMPLES, GOLDEN, CORPUS_DOCS, action, condition, expand_path, tree
+from util import (
+    CORPUS,
+    CORPUS_DOCS,
+    EXAMPLES,
+    GOLDEN,
+    REPO,
+    action,
+    condition,
+    expand_path,
+    mutate,
+    needs_libyaml,
+    tree,
+)
 
 LATCH_DOC = (EXAMPLES / "latch.yaml").read_text()
 
@@ -236,9 +258,196 @@ def test_parsing_is_total_on_junk():
     junk = [
         "{{{{", "\x00\x01\x02", "a: [1, {b: *x}]", "!!python/object:os.system",
         "\t\tmixed\n  indent: [", "root: [", "%YAML 1.2\n%", "a" * 5000,
+        "root: a\ud800\n",
     ]
     for text in junk:
         try:
             parse_document(text)
         except BttError:
             pass
+
+
+# --- both YAML parsers ---------------------------------------------------
+
+LOADER_CASES = (
+    test_scalar_argument_typing,
+    test_yaml_features_are_rejected,
+    test_parse_error_carries_position,
+    test_parsing_is_total_on_junk,
+)
+
+
+@pytest.mark.parametrize("case", LOADER_CASES, ids=lambda case: case.__name__[5:])
+def test_loader_cases(case, yaml_loader):
+    case()
+
+
+# Seconds a rejection of deep input may take. PyYAML's own parser looks up
+# to 1,024 characters ahead for a possible simple key and rescans every open
+# one per token, so a run of brackets costs it about 0.9 s however long the
+# run is (CPython 3.11; 1.5 s on 3.10). libyaml needs a few milliseconds.
+DEEP_BUDGET = {"CSafeLoader": 1.0, "SafeLoader": 3.0}
+
+
+def _raises_fast(loader, parse, text):
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < DEEP_BUDGET[loader.__name__], f"took {elapsed:.2f}s"
+    return exc.value
+
+
+@pytest.mark.parametrize("brackets", [10**5, 10**6])
+def test_deep_flow_nesting_is_a_fast_parse_error(yaml_loader, brackets):
+    err = _raises_fast(yaml_loader, parse_document, "a: " + "[" * brackets)
+    assert err.code == "PARSE_ERROR"
+    assert err.message == "document is nested too deeply"
+    # the mapping is level 1, so the bracket that opens level MAX_NESTING + 1
+    assert err.span == SourceSpan(1, 3 + textio.MAX_NESTING)
+
+
+def test_deep_scenario_is_a_fast_parse_error(yaml_loader):
+    err = _raises_fast(yaml_loader, parse_scenario, "memory: " + "[" * 10**5)
+    assert err.code == "PARSE_ERROR"
+    assert err.message == "scenario is nested too deeply"
+    assert err.span == SourceSpan(1, 8 + textio.MAX_NESTING)
+
+
+def test_nesting_cap_is_exact(yaml_loader):
+    cap = textio.MAX_NESTING
+    with pytest.raises(SchemaError) as exc:  # parses; a list is not a document
+        parse_document("[" * cap + "]" * cap)
+    assert exc.value.message == "document must be a mapping"
+    with pytest.raises(ParseError) as exc:
+        parse_document("[" * (cap + 1) + "]" * (cap + 1))
+    assert exc.value.span == SourceSpan(1, cap + 1)
+    block = "".join(" " * depth + "-\n" for depth in range(cap + 1))
+    with pytest.raises(ParseError) as exc:
+        parse_document(block)
+    assert exc.value.span == SourceSpan(cap + 1, cap + 1)
+
+
+def _spans(value):
+    """The source spans of a parse result, which == does not compare."""
+    if isinstance(value, dict):
+        return [(key, _spans(item)) for key, item in value.items()]
+    if isinstance(value, Document):
+        return [_spans(value.templates), _spans(value.nodes)]
+    if isinstance(value, Scenario):
+        return []
+    if isinstance(value, TemplateDef):
+        return [value.span, _spans(value.body)]
+    if isinstance(value, ForeachBlock):
+        return [value.span, _spans(value.nodes)]
+    return value.span
+
+
+def _parse_with(monkeypatch, loader, parse, text):
+    monkeypatch.setattr(textio, "_LOADER", loader)
+    try:
+        return parse(text)
+    except BttError as exc:
+        return exc
+
+
+def _assert_same_result(a, b):
+    assert a == b
+    assert repr(a) == repr(b)  # also tells True from 1 and "1" from 1
+    assert _spans(a) == _spans(b)
+
+
+SHIPPED_YAML = (sorted(CORPUS.glob("*.yaml")) + sorted(EXAMPLES.glob("*.yaml"))
+                + sorted((REPO / "stdlib").glob("*.yaml")))
+
+
+def _parser_for(path):
+    if path.parent.name == "stdlib":
+        return parse_templates
+    if path.stem.endswith("_scenario"):
+        return parse_scenario
+    return parse_document
+
+
+def _node_tree(node):
+    """Everything yaml.compose records about a node, recursively."""
+    marks = (node.start_mark.line, node.start_mark.column,
+             node.end_mark.line, node.end_mark.column)
+    if isinstance(node, yaml.ScalarNode):
+        return (node.tag, marks, node.style, node.value)
+    if isinstance(node, yaml.SequenceNode):
+        return (node.tag, marks, node.flow_style, [_node_tree(n) for n in node.value])
+    return (node.tag, marks, node.flow_style,
+            [(_node_tree(k), _node_tree(v)) for k, v in node.value])
+
+
+@pytest.mark.parametrize("path", SHIPPED_YAML, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_compose_matches_pyyaml_composer(yaml_loader, path):
+    text = path.read_text(encoding="utf-8")
+    expected = _node_tree(yaml.compose(text, Loader=yaml.SafeLoader))
+    assert _node_tree(textio._compose(text, "document")) == expected
+
+
+def test_syntax_error_beats_unsupported_features(yaml_loader):
+    for text in ("root: &x a\nnodes: [\n", "a: *x\nb: [\n", "a: 1\n---\nb: [\n"):
+        with pytest.raises(ParseError):
+            parse_document(text)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", SHIPPED_YAML, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_loaders_agree_on_shipped_files(monkeypatch, path):
+    parse, text = _parser_for(path), path.read_text(encoding="utf-8")
+    c = _parse_with(monkeypatch, yaml.CSafeLoader, parse, text)
+    pure = _parse_with(monkeypatch, yaml.SafeLoader, parse, text)
+    assert not isinstance(c, BttError), c
+    _assert_same_result(c, pure)
+
+
+@needs_libyaml
+def test_loaders_agree_on_mutants(monkeypatch):
+    """Criterion-8 style mutants: each loader ends in a Document or a
+    BttError (anything else fails the test), and where both accept, the
+    Documents are the same."""
+    rng = random.Random(8)
+    bases = [p.read_text() for p in CORPUS_DOCS]
+    both = 0
+    for _ in range(2_000):
+        text = mutate(rng, rng.choice(bases))
+        c = _parse_with(monkeypatch, yaml.CSafeLoader, parse_document, text)
+        pure = _parse_with(monkeypatch, yaml.SafeLoader, parse_document, text)
+        if isinstance(c, Document) and isinstance(pure, Document):
+            _assert_same_result(c, pure)
+            both += 1
+    assert both > 100
+
+
+# libyaml and PyYAML's own parser accept slightly different YAML. These are
+# the known differences, with today's verdict from each: "ok" or the error
+# code. An upgrade of either parser that changes one shows up here.
+DIALECT_DIFFERENCES = [
+    ("tab before a flow mapping key",
+     "root: a\nnodes: {a: {\ttype: action}}\n", "ok", "PARSE_ERROR"),
+    ("tab after a block key",
+     "root:\t a\nnodes: {a: {type: action}}\n", "ok", "PARSE_ERROR"),
+    ("tab after a flow key",
+     "root: a\nnodes:\n  a: {type:\taction}\n", "ok", "PARSE_ERROR"),
+    ("? inside a flow plain scalar",
+     "root: a\nnodes: {a: {type: a?tion}}\n", "ok", "PARSE_ERROR"),
+    ("empty value before , in a flow mapping",
+     "root: a\nnodes:\n  a: {type:, children: [b]}\n  b: {type: action}\n",
+     "PARSE_ERROR", "ok"),
+]
+
+
+def _verdict(result):
+    return result.code if isinstance(result, BttError) else "ok"
+
+
+@pytest.mark.parametrize("text,libyaml,pure",
+                         [case[1:] for case in DIALECT_DIFFERENCES],
+                         ids=[case[0] for case in DIALECT_DIFFERENCES])
+def test_dialect_differences_are_pinned(monkeypatch, text, libyaml, pure):
+    assert _verdict(_parse_with(monkeypatch, yaml.SafeLoader, parse_document, text)) == pure
+    if yaml.__with_libyaml__:
+        assert _verdict(_parse_with(monkeypatch, yaml.CSafeLoader, parse_document, text)) == libyaml

@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+import pytest
+import yaml
+
 from btt import (
     ExpandedTree,
     NodeDef,
@@ -16,6 +19,9 @@ REPO = TESTS.parent
 EXAMPLES = REPO / "examples"
 CORPUS = TESTS / "corpus"
 GOLDEN = TESTS / "golden"
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML was built without libyaml")
 
 CORPUS_DOCS = sorted(CORPUS.glob("*.yaml")) + [
     EXAMPLES / "latch.yaml",
@@ -48,3 +54,28 @@ def control(name, type_, children):
 
 def tree(*nodes, root=None):
     return ExpandedTree(tuple(nodes), root if root is not None else nodes[0].name)
+
+
+FUZZ_TOKENS = list(":{}[]-~$\"'\n\t#&*!|>%@`,?\\ ") + [
+    "SUCCESS", "foreach", "$@", "<<", "---", "children", "*a", "&a", "type:"]
+
+
+def mutate(rng, text):
+    """One to five random edits: insert, delete, replace or duplicate a span."""
+    for _ in range(rng.randrange(1, 6)):
+        op = rng.randrange(4)
+        if not text:
+            text = rng.choice(FUZZ_TOKENS)
+            continue
+        pos = rng.randrange(len(text))
+        if op == 0:
+            text = text[:pos] + rng.choice(FUZZ_TOKENS) + text[pos:]
+        elif op == 1:
+            end = min(len(text), pos + rng.randrange(1, 20))
+            text = text[:pos] + text[end:]
+        elif op == 2:
+            text = text[:pos] + rng.choice(FUZZ_TOKENS) + text[pos + 1:]
+        else:
+            end = min(len(text), pos + rng.randrange(1, 30))
+            text = text[:pos] + text[pos:end] + text[pos:]
+    return text
