@@ -34,6 +34,7 @@ from .model import (
     with_leaf_defaults,
 )
 from .exprs import (
+    MAX_EXPR_DEPTH,
     Assignment,
     Binary,
     Lit,

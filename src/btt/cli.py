@@ -103,8 +103,20 @@ def render_dot(tree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path):
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            "PARSE_ERROR",
+            f"input is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start}",
+            subject=str(path),
+        ) from None
+
+
 def _load_tree(args):
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = _read_text(args.input)
     doc = parse_document(text)
     builtins = None
     if not args.no_stdlib:
@@ -118,7 +130,7 @@ def _load_tree(args):
 def _run(args, tree):
     scenario = None
     if args.scenario is not None:
-        scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+        scenario = parse_scenario(_read_text(args.scenario))
     engine = Engine(tree, scenario=scenario)
     lines = []
     result = None

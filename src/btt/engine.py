@@ -3,12 +3,18 @@
 One tick is a single top-down traversal from the root. Every ticked node's
 return state is recorded under ``__STATE__/<name>``, which is what lets
 templates such as Latch observe and skip completed children.
+
+The engine compiles the tree once into flat per-node lists (kind code,
+first child, next sibling, parent, state key, leaf payload) and ticks it
+with a loop over those links, so a tick costs no recursion and no name
+lookups, and tree depth is unbounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import EngineError, ExprError, TickError
 from .exprs import eval_expr, eval_state_expr, parse_assignment, parse_expr
@@ -33,8 +39,7 @@ class Scenario:
     actions: dict = field(default_factory=dict)  # name -> tuple[ReturnState, ...]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     tick: int
     node: str
     result: ReturnState
@@ -49,18 +54,27 @@ def render_memory_dump(memory) -> str:
     return "\n".join(f"{k} = {value_text(memory[k])}" for k in sorted(memory))
 
 
-_CONTINUE = {
-    NodeKind.SEQUENCE: ReturnState.SUCCESS,
-    NodeKind.SELECTOR: ReturnState.FAILURE,
-    NodeKind.SKIPPER: ReturnState.EMPTY,
-}
+# Kind codes of the compiled program: the index into _KINDS, with scripted
+# actions as a kind of their own. Control kinds come first.
+_KINDS = (NodeKind.SEQUENCE, NodeKind.SELECTOR, NodeKind.SKIPPER, NodeKind.PARALLEL,
+          NodeKind.CONDITION, NodeKind.ACTION)
+_SEQUENCE, _SELECTOR, _SKIPPER, _PARALLEL, _CONDITION, _ACTION, _SCRIPTED = range(7)
+_CODES = {kind.value: code for code, kind in enumerate(_KINDS)}
+
+# The continue state of each serial kind, by kind code.
+_CONTINUE = (ReturnState.SUCCESS, ReturnState.FAILURE, ReturnState.EMPTY)
+# A parallel node returns the first of these that any child returned.
+_PARALLEL_ORDER = (ReturnState.FAILURE, ReturnState.RUNNING, ReturnState.SUCCESS,
+                   ReturnState.EMPTY)
+_RANK = _PARALLEL_ORDER.index
+_NONE_YET = len(_PARALLEL_ORDER) - 1
 
 
 def control_step(kind: NodeKind, results) -> ReturnState:
     """Serial control rule: consume child results lazily, in order, and
     return the first one outside the kind's continue-set. If every child
     is in the continue-set, the result is that sole continue state."""
-    cont = _CONTINUE[kind]
+    cont = _CONTINUE[_KINDS.index(kind)]
     for r in results:
         if r is not cont:
             return r
@@ -69,19 +83,14 @@ def control_step(kind: NodeKind, results) -> ReturnState:
 
 def parallel_step(results) -> ReturnState:
     """No short-circuit: FAILURE beats RUNNING beats SUCCESS beats EMPTY."""
-    rs = list(results)
-    if ReturnState.FAILURE in rs:
-        return ReturnState.FAILURE
-    if ReturnState.RUNNING in rs:
-        return ReturnState.RUNNING
-    if ReturnState.SUCCESS in rs:
-        return ReturnState.SUCCESS
-    return ReturnState.EMPTY
+    return _PARALLEL_ORDER[min(map(_RANK, results), default=_NONE_YET)]
 
 
-# Expression ASTs are immutable, so parses are shared process-wide.
+# Expression ASTs are immutable, so parses are shared process-wide. Each
+# node looks its texts up once, the first time it evaluates them.
 _parsed_expr = lru_cache(maxsize=None)(parse_expr)
 _parsed_assignment = lru_cache(maxsize=None)(parse_assignment)
+_new_event = tuple.__new__  # skips NamedTuple's Python-level __new__
 
 
 class Engine:
@@ -96,63 +105,138 @@ class Engine:
     def __init__(self, tree: ExpandedTree, scenario: Scenario | None = None,
                  memory: dict | None = None):
         self.tree = tree
-        self.nodes = {nd.name: nd for nd in tree.nodes}
         self.memory = memory if memory is not None else {}
         self.scenario = scenario
         self.tick_count = 0
         self.trace: list[TraceEvent] = []
-        self._cursors = {}
+
+        # The program: one slot per node, numbered in tree.nodes order, in
+        # flat lists of kind codes, links, state keys and names. The
+        # expression slots stay None until the node first evaluates that
+        # text, so a text that does not parse fails when, and each time,
+        # it is reached, as if it were parsed on every tick.
+        nodes = tree.nodes
+        n = len(nodes)
+        names = [nd.name for nd in nodes]
+        numbers = dict(zip(names, range(n)))
+        kinds = [_CODES[nd.type] for nd in nodes]
+        scripts = [None] * n  # parsed script lines, or a scripted action's results
         if scenario is not None:
-            for name in scenario.actions:
-                nd = self.nodes.get(name)
-                if nd is None or nd.type != NodeKind.ACTION.value:
+            for name, results in scenario.actions.items():
+                i = numbers.get(name)
+                if i is None or kinds[i] != _ACTION:
                     raise EngineError(
                         "UNKNOWN_SCENARIO_ACTION",
                         f"scenario scripts '{name}', which is not an action in the tree",
                         subject=name,
                     )
-            self._cursors = dict.fromkeys(scenario.actions, 0)
-        for name in self.nodes:
-            self.memory.setdefault(STATE_PREFIX + name, ReturnState.EMPTY)
+                kinds[i] = _SCRIPTED
+                scripts[i] = results
+
+        first, sibling, parent = [-1] * n, [-1] * n, [-1] * n
+        edges = 0
+        for i, nd in enumerate(nodes):
+            if nd.children:
+                edges += len(nd.children)
+                prev = first[i] = numbers[nd.children[0]]
+                parent[prev] = i
+                for child in nd.children[1:]:
+                    j = numbers[child]
+                    parent[j] = i
+                    sibling[prev] = j
+                    prev = j
+        self._root = numbers[tree.root]
+        # With one parent per child and none for the root, the walk from
+        # the root cannot meet a cycle, so a tick always ends.
+        if parent[self._root] >= 0 or n - parent.count(-1) != edges:
+            raise EngineError("NOT_A_TREE", "a node has several parents, or the root "
+                              "has one; validate the tree first", subject=tree.root)
+
+        keys = [STATE_PREFIX + name for name in names]
+        # setdefault for every key, in one C-level merge: entries already
+        # in memory keep their value and place, new keys follow in order
+        self.memory.update({**dict.fromkeys(keys, ReturnState.EMPTY), **self.memory})
         if scenario is not None:
             self.memory.update(scenario.memory)
+        self._program = (nodes, kinds, first, sibling, parent, keys, names, [None] * n,
+                         [None] * n, [None] * n, [None] * n, scripts, [0] * n, [_NONE_YET] * n)
 
     def tick(self):
-        """Run one traversal; returns (root state, this tick's events)."""
-        self.tick_count += 1
-        start = len(self.trace)
-        result = self.tick_node(self.tree.root)
-        return result, self.trace[start:]
+        """Run one traversal; returns (root state, this tick's events).
 
-    def tick_node(self, name: str) -> ReturnState:
-        nd = self.nodes[name]
-        type_ = nd.type
+        The walk descends through first-child links to a leaf, evaluates
+        it, then climbs: each completed node writes its state and event,
+        and its parent either moves on to the next sibling or completes.
+        """
+        self.tick_count = tick = self.tick_count + 1
+        memory = self.memory
+        trace = self.trace
+        start = len(trace)
+        append = trace.append
+        (nodes, kinds, first, sibling, parent, keys, names,
+         ifs, thens, elses, results, scripts, cursors, ranks) = self._program
+        node = self._root
         try:
-            if type_ == "condition":
-                branch = eval_expr(_parsed_expr(nd.if_), self.memory)
-                if not isinstance(branch, bool):
-                    raise ExprError("TYPE_ERROR", "condition 'if' must evaluate to a boolean")
-                text = nd.then if branch else nd.else_
-                result = eval_state_expr(_parsed_expr(text), self.memory)
-            elif type_ == "action":
-                if name in self._cursors:
-                    script = self.scenario.actions[name]
-                    cursor = self._cursors[name]
-                    self._cursors[name] = cursor + 1
-                    result = script[min(cursor, len(script) - 1)]
+            while True:
+                kind = kinds[node]
+                if kind < _CONDITION:
+                    if kind == _PARALLEL:
+                        ranks[node] = _NONE_YET
+                    node = first[node]
+                    continue
+                if kind == _CONDITION:
+                    e = ifs[node]
+                    if e is None:
+                        e = ifs[node] = _parsed_expr(nodes[node].if_)
+                    branch = eval_expr(e, memory)
+                    if branch.__class__ is not bool:
+                        raise ExprError("TYPE_ERROR", "condition 'if' must evaluate to a boolean")
+                    slots = thens if branch else elses
+                    e = slots[node]
+                    if e is None:
+                        nd = nodes[node]
+                        e = slots[node] = _parsed_expr(nd.then if branch else nd.else_)
+                    result = eval_state_expr(e, memory)
+                elif kind == _SCRIPTED:  # the last result repeats
+                    script = scripts[node]
+                    cursor = cursors[node]
+                    result = script[cursor]
+                    if cursor < len(script) - 1:
+                        cursors[node] = cursor + 1
                 else:
-                    for line in nd.script:
-                        asg = _parsed_assignment(line)
-                        self.memory[asg.key] = eval_expr(asg.value, self.memory)
-                    result = eval_state_expr(_parsed_expr(nd.result), self.memory)
-            elif type_ == "parallel":
-                result = parallel_step([self.tick_node(c) for c in nd.children])
-            else:
-                kind = NodeKind(type_)
-                result = control_step(kind, (self.tick_node(c) for c in nd.children))
+                    script = scripts[node]
+                    if script is None:  # first run: parse each line just before it runs
+                        script = []
+                        for text in nodes[node].script:
+                            a = _parsed_assignment(text)
+                            memory[a.key] = eval_expr(a.value, memory)
+                            script.append(a)
+                        scripts[node] = script
+                    else:
+                        for a in script:
+                            memory[a.key] = eval_expr(a.value, memory)
+                    e = results[node]
+                    if e is None:
+                        e = results[node] = _parsed_expr(nodes[node].result)
+                    result = eval_state_expr(e, memory)
+                while True:
+                    memory[keys[node]] = result
+                    append(_new_event(TraceEvent, (tick, names[node], result)))
+                    up = parent[node]
+                    if up < 0:
+                        return result, trace[start:]
+                    kind = kinds[up]
+                    if kind == _PARALLEL:
+                        rank = _RANK(result)
+                        if rank < ranks[up]:
+                            ranks[up] = rank
+                        if sibling[node] >= 0:
+                            break
+                        result = _PARALLEL_ORDER[ranks[up]]
+                    elif result is _CONTINUE[kind] and sibling[node] >= 0:
+                        break
+                    node = up
+                node = sibling[node]
         except ExprError as exc:
-            # abort the tick; no state write for the failing node
-            raise TickError(exc.render(), node=name, tick=self.tick_count) from exc
-        self.memory[STATE_PREFIX + name] = result
-        self.trace.append(TraceEvent(self.tick_count, name, result))
-        return result
+            # abort the tick; no state write for the failing node or above
+            raise TickError(exc.render(), node=names[node], tick=tick) from exc

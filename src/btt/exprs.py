@@ -95,11 +95,25 @@ def _tokenize(text):
     return tokens
 
 
+# Parsing, evaluation and printing recurse once per level, so nesting is
+# capped: an atom is one level, and each operator or pair of parentheses
+# around an operand adds one.
+MAX_EXPR_DEPTH = 64
+
+_CMP, _ADD, _MUL = frozenset(_CMP_OPS), frozenset({"+", "-"}), frozenset({"*", "/"})
+_PREFIX = frozenset({"!", "-"})
+
+
 class _Parser:
+    """Recursive descent over the token list. Each rule returns the parsed
+    node with its nesting depth. Only operator tokens can have an operator
+    as their text, so rules match operators by text alone."""
+
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # enclosing parentheses and prefix operators
 
     def peek(self):
         return self.tokens[self.pos]
@@ -112,80 +126,94 @@ class _Parser:
     def fail(self, message):
         raise ExprError("EXPR_SYNTAX", message, offset=self.peek()[2])
 
-    def accept_op(self, *ops):
-        kind, value, _ = self.peek()
-        if kind == "op" and value in ops:
-            self.advance()
-            return value
-        return None
+    def too_deep(self, offset):
+        raise ExprError("EXPR_SYNTAX", "expression is nested too deeply", offset=offset)
+
+    def join(self, left, operand):
+        """Consume the operator at the cursor and its right operand."""
+        _, op, offset = self.advance()
+        right = operand()
+        depth = max(left[1], right[1]) + 1
+        if depth > MAX_EXPR_DEPTH:
+            self.too_deep(offset)
+        return Binary(op, left[0], right[0]), depth
 
     def expr(self):
         left = self.and_()
-        while self.accept_op("||"):
-            left = Binary("||", left, self.and_())
+        while self.tokens[self.pos][1] == "||":
+            left = self.join(left, self.and_)
         return left
 
     def and_(self):
         left = self.cmp()
-        while self.accept_op("&&"):
-            left = Binary("&&", left, self.cmp())
+        while self.tokens[self.pos][1] == "&&":
+            left = self.join(left, self.cmp)
         return left
 
     def cmp(self):
         left = self.add()
-        op = self.accept_op(*_CMP_OPS)
-        if op:
-            return Binary(op, left, self.add())
+        if self.tokens[self.pos][1] in _CMP:
+            return self.join(left, self.add)
         return left
 
     def add(self):
         left = self.mul()
-        while True:
-            op = self.accept_op("+", "-")
-            if not op:
-                return left
-            left = Binary(op, left, self.mul())
+        while self.tokens[self.pos][1] in _ADD:
+            left = self.join(left, self.mul)
+        return left
 
     def mul(self):
         left = self.unary()
-        while True:
-            op = self.accept_op("*", "/")
-            if not op:
-                return left
-            left = Binary(op, left, self.unary())
+        while self.tokens[self.pos][1] in _MUL:
+            left = self.join(left, self.unary)
+        return left
+
+    def enter(self, offset):
+        """Open a prefix operator or parenthesis. Its operand is at least
+        one level deep, so the cap is hit before the recursion goes on."""
+        self.open += 1
+        if self.open >= MAX_EXPR_DEPTH:
+            self.too_deep(offset)
 
     def unary(self):
-        op = self.accept_op("!", "-")
-        if op:
-            return Unary(op, self.unary())
-        return self.atom()
+        _, op, offset = self.tokens[self.pos]
+        if op not in _PREFIX:
+            return self.atom()
+        self.pos += 1
+        self.enter(offset)
+        operand, depth = self.unary()
+        self.open -= 1
+        if depth >= MAX_EXPR_DEPTH:
+            self.too_deep(offset)
+        return Unary(op, operand), depth + 1
 
     def atom(self):
-        kind, value, offset = self.peek()
+        kind, value, offset = self.advance()
         if kind == "number":
-            self.advance()
             if "." in value or "e" in value or "E" in value:
-                return Lit(float(value))
-            return Lit(int(value))
+                return Lit(float(value)), 1
+            return Lit(int(value)), 1
         if kind == "text":
-            self.advance()
-            return Lit(value[1:-1])
+            return Lit(value[1:-1]), 1
         if kind == "ident":
-            self.advance()
-            if value in _RESERVED:
-                return _RESERVED[value]
-            return Var(value)
-        if self.accept_op("("):
-            inner = self.expr()
-            if not self.accept_op(")"):
+            return _RESERVED.get(value) or Var(value), 1
+        if value == "(":
+            self.enter(offset)
+            inner, depth = self.expr()
+            self.open -= 1
+            if self.tokens[self.pos][1] != ")":
                 self.fail("expected ')'")
-            return inner
+            self.pos += 1
+            if depth >= MAX_EXPR_DEPTH:
+                self.too_deep(offset)
+            return inner, depth + 1
+        self.pos -= 1
         self.fail(f"expected a value, found {value!r}" if value else "expected a value")
 
 
 def parse_expr(text: str) -> Expr:
     p = _Parser(text)
-    e = p.expr()
+    e, _ = p.expr()
     kind, value, offset = p.peek()
     if kind != "eof":
         raise ExprError("EXPR_SYNTAX", f"unexpected trailing {value!r}", offset=offset)
@@ -199,9 +227,10 @@ def parse_assignment(text: str) -> Assignment:
     if kind != "ident" or key in _RESERVED:
         raise ExprError("EXPR_SYNTAX", "assignment must start with a memory key", offset=offset)
     p.advance()
-    if not p.accept_op(":="):
+    if p.peek()[1] != ":=":
         raise ExprError("EXPR_SYNTAX", "expected ':='", offset=p.peek()[2])
-    value = p.expr()
+    p.advance()
+    value, _ = p.expr()
     kind, tok, offset = p.peek()
     if kind != "eof":
         raise ExprError("EXPR_SYNTAX", f"unexpected trailing {tok!r}", offset=offset)
@@ -237,20 +266,16 @@ def eval_expr(e: Expr, memory: Mapping[str, Value]) -> Value:
     && and || short-circuit, so the right operand is not evaluated (and may
     reference undefined keys) when the left side decides the result.
     """
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
+    t = type(e)
+    if t is Var:
         try:
             return memory[e.name]
         except KeyError:
             raise ExprError("UNDEFINED_VARIABLE", f"'{e.name}' is not defined",
                             subject=e.name) from None
-    if isinstance(e, Unary):
-        v = eval_expr(e.operand, memory)
-        if e.op == "!":
-            return not _require_bool(v, "!")
-        return -_require_number(v, "-")
-    if isinstance(e, Binary):
+    if t is Lit:
+        return e.value
+    if t is Binary:
         op = e.op
         if op == "&&":
             left = _require_bool(eval_expr(e.left, memory), op)
@@ -287,6 +312,11 @@ def eval_expr(e: Expr, memory: Mapping[str, Value]) -> Value:
         if op == "*":
             return a * b
         return _divide(a, b)
+    if t is Unary:
+        v = eval_expr(e.operand, memory)
+        if e.op == "!":
+            return not _require_bool(v, "!")
+        return -_require_number(v, "-")
     raise TypeError(f"not an expression node: {e!r}")
 
 

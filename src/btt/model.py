@@ -79,8 +79,14 @@ def value_tag(v: Value) -> str:
     raise TypeError(f"not a scalar value: {v!r}")
 
 
+_SCALAR_TYPES = frozenset({bool, int, float, str, ReturnState})
+
+
 def values_equal(a: Value, b: Value) -> bool:
     """Equality within one tag; any cross-tag comparison is False, never an error."""
+    t = type(a)
+    if t is type(b) and t in _SCALAR_TYPES:
+        return a == b
     if value_tag(a) != value_tag(b):
         return False
     return a == b

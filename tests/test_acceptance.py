@@ -37,7 +37,8 @@ from btt import (
     state_key,
 )
 from btt.cli import main as cli_main
-from util import CORPUS_DOCS, EXAMPLES, GOLDEN, REPO, expand_path, expand_text, mutate
+from util import (CORPUS_DOCS, EXAMPLES, GOLDEN, REPO, action, control, expand_path,
+                  expand_text, mutate, tree)
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -156,6 +157,40 @@ def test_criterion_4_control_semantics():
             prows += 1
     assert prows == 4 + 16 + 64 == 84
     report(4, "control-semantics (252+84 rows)", t0, 1.0)
+
+
+def test_criterion_4_rows_through_the_engine():
+    """Every row of criterion 4, ticked by ``Engine`` on a one-level tree
+    whose children are scenario-scripted actions. Children after the
+    deciding one get no event and keep their ``__STATE__`` value."""
+    t0 = time.perf_counter()
+    states = (S, F, R, E)
+    continue_of = {"sequence": S, "selector": F, "skipper": E, "parallel": None}
+    rows = 0
+    for kind, cont in continue_of.items():
+        for k in (1, 2, 3):
+            names = [f"c{i}" for i in range(k)]
+            one_level = tree(control("root", kind, names), *map(action, names))
+            for results in itertools.product(states, repeat=k):
+                if cont is None:  # parallel: every child, by rule order
+                    expected = next((p for p in (F, R, S) if p in results), E)
+                    decided = k
+                else:
+                    deciding = [i for i, r in enumerate(results) if r != cont]
+                    expected = results[deciding[0]] if deciding else cont
+                    decided = deciding[0] + 1 if deciding else k
+                seeds = {state_key(c): "untouched" for c in names}
+                eng = Engine(one_level, scenario=Scenario(
+                    memory=seeds, actions={c: (r,) for c, r in zip(names, results)}))
+                result, events = eng.tick()
+                assert result is expected, (kind, results)
+                assert [(e.node, e.result) for e in events] == (
+                    list(zip(names[:decided], results)) + [("root", expected)])
+                for c, r in zip(names[decided:], results[decided:]):
+                    assert eng.memory[state_key(c)] == "untouched", (kind, results, c)
+                rows += 1
+    assert rows == 4 * (4 + 16 + 64) == 336
+    report("4b", "control-semantics through Engine (252+84 rows)", t0, 2.0)
 
 
 def test_criterion_5_expansion_laws():

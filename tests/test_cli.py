@@ -1,6 +1,8 @@
+import pytest
+
 from btt import textio
 from btt.cli import main
-from util import EXAMPLES, GOLDEN
+from util import EXAMPLES, GOLDEN, NESTED_FORMS, nested
 
 
 def run_cli(capsys, *argv):
@@ -245,3 +247,44 @@ def test_deep_nesting_exits_2_without_traceback(tmp_path, capsys, yaml_loader):
     assert err.startswith(f"{doc}:1:{3 + textio.MAX_NESTING}: PARSE_ERROR")
     assert "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_document_that_is_not_utf8_exits_2(tmp_path, capsys):
+    doc = tmp_path / "latin1.yaml"
+    doc.write_bytes(b"root: \xff\n")
+    code, out, err = run_cli(capsys, "expand", doc)
+    assert code == 2
+    assert out == ""
+    assert err == f"PARSE_ERROR: {doc}: input is not valid UTF-8: byte 0xff at offset 6\n"
+
+
+def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    doc = write(tmp_path, "a.yaml", "root: a\nnodes:\n  a: {type: action}\n")
+    scenario = tmp_path / "s.yaml"
+    scenario.write_bytes(b"memory: {k: 'caf\xe9'}\n")
+    code, out, err = run_cli(capsys, "run", doc, "--scenario", scenario)
+    assert code == 2
+    assert out == ""
+    assert err == (f"PARSE_ERROR: {scenario}: input is not valid UTF-8: "
+                   "byte 0xe9 at offset 16\n")
+
+
+def test_run_on_a_3000_deep_chain(tmp_path, capsys):
+    lines = ["root: n0", "nodes:"]
+    lines += [f"  n{i}: {{type: sequence, children: [n{i + 1}]}}" for i in range(3000)]
+    lines.append("  n3000: {type: action}")
+    doc = write(tmp_path, "deep.yaml", "\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "run", doc)
+    assert (code, out, err) == (0, "result=SUCCESS\n", "")
+
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_deeply_nested_condition_exits_4(tmp_path, capsys, form):
+    doc = write(tmp_path, "c.yaml",
+                f"root: c\nnodes:\n  c: {{type: condition, if: '{nested(form, 3000)}'}}\n")
+    code, out, err = run_cli(capsys, "validate", doc)
+    assert (code, out, err) == (0, "", "")  # expressions are checked when ticked
+    code, out, err = run_cli(capsys, "run", doc)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("RUNTIME_ERROR: c: tick 1: EXPR_SYNTAX: expression is nested too deeply")

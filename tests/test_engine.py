@@ -15,7 +15,7 @@ from btt import (
     render_trace_event,
     state_key,
 )
-from util import EXAMPLES, expand_path, expand_text
+from util import EXAMPLES, action, control, expand_path, expand_text, tree
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -92,6 +92,15 @@ def test_init_seeds_state_keys():
         state_key(n.name) for n in eng.tree.nodes)
     assert all(eng.memory[k] is E for k in state_keys)
     assert eng.tick_count == 0
+
+
+def test_init_keeps_existing_memory_entries_in_place():
+    memory = {"battery": 3, state_key("goto"): S}
+    Engine(latch_tree(), memory=memory)
+    expected = {"battery": 3, state_key("goto"): S}
+    for nd in latch_tree().nodes:
+        expected.setdefault(state_key(nd.name), E)
+    assert list(memory.items()) == list(expected.items())
 
 
 def test_scenario_seeds_memory():
@@ -254,6 +263,42 @@ def test_reset_tree_over_shared_memory_reenables_child():
 
     eng.tick()
     assert [e.node for e in eng.trace].count("goto") == 2  # ticked again
+
+
+def test_ticks_a_chain_deeper_than_the_recursion_limit():
+    depth = 10**5
+    chain = [control(f"n{i}", "sequence", [f"n{i + 1}"]) for i in range(depth)]
+    eng = Engine(tree(*chain, action(f"n{depth}")))
+    result, events = eng.tick()
+    assert result is S
+    assert len(events) == depth + 1
+    assert events[0] == (1, f"n{depth}", S)  # the leaf completes first
+    assert events[-1] == (1, "n0", S)
+    assert eng.memory[state_key("n0")] is S
+
+
+@pytest.mark.parametrize("nodes", [
+    (control("a", "sequence", ["b"]), control("b", "sequence", ["a"])),
+    (control("a", "sequence", ["b"]), control("b", "sequence", ["c"]),
+     control("c", "sequence", ["b"])),
+    (control("a", "parallel", ["b", "b"]), action("b")),
+], ids=["through-root", "below-root", "repeated-child"])
+def test_tree_that_would_not_end_a_tick_is_rejected(nodes):
+    memory = {}
+    with pytest.raises(EngineError) as exc:
+        Engine(tree(*nodes), memory=memory)
+    assert exc.value.code == "NOT_A_TREE"
+    assert memory == {}  # rejected before seeding
+
+
+def test_trace_event_is_a_plain_tuple():
+    from btt import TraceEvent
+
+    event = TraceEvent(2, "a", R)
+    assert event == (2, "a", R)
+    assert (event.tick, event.node, event.result) == (2, "a", R)
+    tick, node, result = event
+    assert (tick, node, result) == (2, "a", R)
 
 
 def test_render_formats():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from btt import (
+    MAX_EXPR_DEPTH,
     Binary,
     ExprError,
     Lit,
@@ -17,6 +18,7 @@ from btt import (
     parse_expr,
     print_expr,
 )
+from util import NESTED_FORMS, nested
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -175,6 +177,33 @@ def test_assignment_rejects_single_equals():
 
 
 # --- printing ------------------------------------------------------------
+
+# --- nesting cap ---------------------------------------------------------
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_nesting_cap_is_exact(form):
+    assert MAX_EXPR_DEPTH == 64
+    deepest = nested(form, MAX_EXPR_DEPTH)
+    assert eval_expr(parse_expr(deepest), {}) is (form != "not")  # 63 negations
+    assert parse_assignment("k := " + deepest).key == "k"
+    for parse, prefix in ((parse_expr, ""), (parse_assignment, "k := ")):
+        e = err(parse, prefix + nested(form, MAX_EXPR_DEPTH + 1))
+        assert e.code == "EXPR_SYNTAX"
+        assert "expression is nested too deeply" in e.message
+
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_deep_nesting_is_a_syntax_error_not_a_recursion_error(form):
+    e = err(parse_expr, nested(form, 3000))
+    assert e.code == "EXPR_SYNTAX"
+    assert "nested too deeply" in e.message
+
+
+def test_nesting_counts_every_level_kind():
+    # 62 terms, one pair of parentheses and a negation: 62 + 1 + 1 = 64
+    parse_expr("-(" + " + ".join(["1"] * 62) + ")")
+    assert err(parse_expr, "-(" + " + ".join(["1"] * 63) + ")").code == "EXPR_SYNTAX"
+
 
 def test_print_minimal_parentheses():
     assert print_expr(Binary("+", Lit(1), Binary("*", Lit(2), Lit(3)))) == "1 + 2 * 3"

@@ -56,6 +56,18 @@ def tree(*nodes, root=None):
     return ExpandedTree(tuple(nodes), root if root is not None else nodes[0].name)
 
 
+NESTED_FORMS = ["parens", "not", "sum"]
+
+
+def nested(form, depth):
+    """A condition text of exactly ``depth`` expression nesting levels."""
+    if form == "parens":
+        return "(" * (depth - 1) + "true" + ")" * (depth - 1)
+    if form == "not":
+        return "!" * (depth - 1) + "true"
+    return " + ".join(["1"] * (depth - 1)) + " > 0"  # a left-deep sum, compared
+
+
 FUZZ_TOKENS = list(":{}[]-~$\"'\n\t#&*!|>%@`,?\\ ") + [
     "SUCCESS", "foreach", "$@", "<<", "---", "children", "*a", "&a", "type:"]
 
