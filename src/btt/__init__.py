@@ -67,17 +67,9 @@ from .expander import (
     Binding,
     bind_arguments,
     expand_document,
-    expand_foreach,
     instantiate,
-    splice_children,
     substitute,
 )
-from .stdlib import (
-    builtin_templates,
-    oracle_selector_star,
-    oracle_sequence_star,
-    oracle_star_with_counts,
-    shadowed_builtins,
-)
+from .stdlib import builtin_templates, shadowed_builtins
 
 __version__ = "0.1.0"

@@ -127,10 +127,7 @@ def _load_tree(args):
     return expand_document(doc, builtins=builtins, max_depth=args.max_depth)
 
 
-def _run(args, tree):
-    scenario = None
-    if args.scenario is not None:
-        scenario = parse_scenario(_read_text(args.scenario))
+def _run(args, tree, scenario):
     engine = Engine(tree, scenario=scenario)
     lines = []
     result = None
@@ -149,6 +146,7 @@ def _run(args, tree):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    source = args.input  # the file that a parse or schema error points into
     try:
         tree = _load_tree(args)
         if args.command == "expand":
@@ -156,10 +154,14 @@ def main(argv=None) -> int:
         elif args.command == "dot":
             _write(render_dot(tree), args.output)
         elif args.command == "run":
-            _run(args, tree)
+            scenario = None
+            if args.scenario is not None:
+                source = args.scenario
+                scenario = parse_scenario(_read_text(args.scenario))
+            _run(args, tree, scenario)
         return 0
     except (ParseError, SchemaError) as exc:
-        _report(exc, args.input)
+        _report(exc, source)
         return 2
     except (ValidationFailure, ExpandError, CanonicalizeError, EngineError) as exc:
         _report(exc, args.input)

@@ -43,7 +43,7 @@ from .model import (
 
 DEFAULT_MAX_DEPTH = 64
 
-_PLACEHOLDER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SUBSTITUTE_RE = re.compile(r"\$(@?)([A-Za-z_][A-Za-z0-9_]*)?|~")
 _WHOLE_REF_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
 _SPLICE_RE = re.compile(r"\$@([A-Za-z0-9_.\-]+)")
 
@@ -127,44 +127,34 @@ def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> Binding:
 
 def substitute(pattern: str, binding: Binding) -> str:
     """Single-pass placeholder substitution; output is not re-scanned."""
-    out = []
-    i = 0
-    n = len(pattern)
-    while i < n:
-        ch = pattern[i]
-        if ch == "$":
-            if i + 1 < n and pattern[i + 1] == "@":
-                raise ExpandError(
-                    "UNBOUND_PLACEHOLDER",
-                    "'$@' splices are only valid as a whole children entry",
-                    subject=pattern)
-            m = _PLACEHOLDER_RE.match(pattern, i + 1)
-            if m is None:
-                raise ExpandError("UNBOUND_PLACEHOLDER",
-                                  "'$' must be followed by a parameter name",
-                                  subject=pattern)
-            ident = m.group(0)
-            if ident == "name":
-                out.append(binding.instance)
-            elif ident in binding.values:
-                v = binding.values[ident]
-                if isinstance(v, tuple):
-                    raise ExpandError(
-                        "LIST_IN_SCALAR_POSITION",
-                        f"list parameter '{ident}' used where a scalar is required",
-                        subject=pattern)
-                out.append(value_text(v))
-            else:
-                raise ExpandError("UNBOUND_PLACEHOLDER", f"'${ident}' is not bound",
-                                  subject=pattern)
-            i = m.end()
-        elif ch == "~":
-            out.append(binding.instance)
-            i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+
+    def repl(m):
+        if m.group(0) == "~":
+            return binding.instance
+        splice, ident = m.groups()
+        if splice:
+            raise ExpandError(
+                "UNBOUND_PLACEHOLDER",
+                "'$@' splices are only valid as a whole children entry",
+                subject=pattern)
+        if ident is None:
+            raise ExpandError("UNBOUND_PLACEHOLDER",
+                              "'$' must be followed by a parameter name",
+                              subject=pattern)
+        if ident == "name":
+            return binding.instance
+        if ident not in binding.values:
+            raise ExpandError("UNBOUND_PLACEHOLDER", f"'${ident}' is not bound",
+                              subject=pattern)
+        v = binding.values[ident]
+        if isinstance(v, tuple):
+            raise ExpandError(
+                "LIST_IN_SCALAR_POSITION",
+                f"list parameter '{ident}' used where a scalar is required",
+                subject=pattern)
+        return value_text(v)
+
+    return _SUBSTITUTE_RE.sub(repl, pattern)
 
 
 def _qualify(instance, name):
@@ -226,49 +216,6 @@ def _expand_block_items(block, binding, stack=()):
             items.append(it)
         emitted.append(substitute(block.emit, ib))
     return items, emitted
-
-
-def expand_foreach(block: ForeachBlock, binding: Binding):
-    """Unroll one foreach block on its own.
-
-    Returns (nodes, emitted qualified names). Children references are
-    resolved against the fragment itself; anything else stays external.
-    """
-    items, emitted = _expand_block_items(block, binding)
-    local_map = {}
-    for it in items:
-        q = _qualify(binding.instance, it.name_sub)
-        it.final = q
-        local_map[it.name_sub] = q
-        local_map[q] = q
-    nodes = []
-    for it in items:
-        type_sub = substitute(it.pattern.type, it.binding)
-        children = _resolve_children(it.pattern.children, it.binding, local_map, it.blocks)
-        if type_sub in PRIMARY_KINDS:
-            nodes.append(_finalize_primary(it, type_sub, children))
-        else:
-            nodes.append(NodeDef(name=it.final, type=type_sub, children=children,
-                                 args=_forward_args(it.pattern.args, it.binding),
-                                 span=it.pattern.span))
-    emitted_q = [local_map.get(nm, _qualify(binding.instance, nm)) for nm in emitted]
-    return nodes, emitted_q
-
-
-def splice_children(children, emitted) -> list:
-    """Replace each ``$@block`` entry by that block's emitted names, in place."""
-    out = []
-    for entry in children:
-        m = _SPLICE_RE.fullmatch(entry)
-        if m is None:
-            out.append(entry)
-            continue
-        name = m.group(1)
-        if name not in emitted:
-            raise ExpandError("UNKNOWN_BLOCK", f"no foreach block named '{name}'",
-                              subject=entry)
-        out.extend(emitted[name])
-    return out
 
 
 def _resolve_children(entries, binding, local_map, blocks):

@@ -58,7 +58,6 @@ _CONTROL_KINDS = frozenset(
 
 PRIMARY_KINDS = {k.value: k for k in NodeKind}
 CONTROL_KIND_NAMES = frozenset(k.value for k in _CONTROL_KINDS)
-LEAF_KIND_NAMES = frozenset(k.value for k in NodeKind if k.is_leaf)
 
 # A scalar blackboard value. bool must be tested before int everywhere:
 # Python's bool is an int subclass but the two are distinct tags here.
@@ -201,9 +200,6 @@ class ExpandedTree:
                 index.setdefault(nd.name, nd)
             self._index = index
         return self._index
-
-    def node(self, name: str) -> NodeDef:
-        return self.by_name()[name]
 
 
 @dataclass(frozen=True)

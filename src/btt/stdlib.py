@@ -1,9 +1,9 @@
-"""Built-in node templates and the Node* test oracles.
+"""Built-in node templates.
 
 The builtins are ordinary template definitions in the external YAML schema,
-embedded here as data rather than code: nothing about Latch or the Node*
-family is hardcoded in the engine. The same texts are shipped as readable
-files under ``stdlib/`` in the repository; a test byte-compares the two.
+shipped as package data in ``templates/*.yaml`` (one template per file,
+named by the file's stem): nothing about Latch or the Node* family is
+hardcoded in the engine.
 
 Document-local templates take precedence over builtins. ``shadowed_builtins``
 reports such collisions so front ends can warn (code SHADOWED_BUILTIN).
@@ -12,125 +12,7 @@ reports such collisions so front ends can warn (code SHADOWED_BUILTIN).
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .model import ReturnState
-
-# latch(child, remember=[SUCCESS, FAILURE]): returns the child's remembered
-# state without re-ticking it once that state falls in the remember set.
-# The guard skips through one single-state condition per remembered state;
-# each returns EMPTY unless __STATE__/<child> matches, so the guard yields
-# the remembered state or EMPTY, and EMPTY falls through to the child.
-LATCH_YAML = """\
-templates:
-  latch:
-    args:
-      - {name: child, kind: node}
-      - {name: remember, kind: scalar-list, default: [SUCCESS, FAILURE]}
-    root: "~"
-    nodes:
-      "~":
-        type: skipper
-        children: ["~/saved", "$child"]
-      "~/saved":
-        type: skipper
-        children: ["$@checks"]
-      checks:
-        foreach: {list: "$remember", var: s}
-        emit: "~/saved/check_$i"
-        nodes:
-          "~/saved/check_$i":
-            type: condition
-            if: "__STATE__/$child == $s"
-            then: "__STATE__/$child"
-            else: "EMPTY"
-"""
-
-# reset(targets): one action per target clearing its remembered state.
-RESET_YAML = """\
-templates:
-  reset:
-    args:
-      - {name: targets, kind: scalar-list}
-    root: "~"
-    nodes:
-      "~":
-        type: sequence
-        children: ["$@clears"]
-      clears:
-        foreach: {list: "$targets", var: t}
-        emit: "~/clear_$i"
-        nodes:
-          "~/clear_$i":
-            type: action
-            script: ["__STATE__/$t := EMPTY"]
-"""
-
-# sequence_star(children...): Sequence with memory. Each child sits behind a
-# latch remembering SUCCESS only, so completed children are skipped and a
-# failed child is retried; after all succeed the trailing reset clears the
-# memory so the next tick starts over.
-SEQUENCE_STAR_YAML = """\
-templates:
-  sequence_star:
-    args:
-      - {name: children, kind: nodes}
-    root: "~"
-    nodes:
-      "~":
-        type: sequence
-        children: ["$@wrapped", "~/reset"]
-      wrapped:
-        foreach: {list: "$children", var: c}
-        emit: "~/latch_$i"
-        nodes:
-          "~/latch_$i":
-            type: latch
-            children: ["$c"]
-            args: {remember: [SUCCESS]}
-      "~/reset":
-        type: reset
-        args: {targets: "$children"}
-"""
-
-# selector_star(children...): mirror image, remembering FAILURE. The
-# cleanup subtree must present FAILURE to the selector (a bare reset would
-# succeed and flip the overall result), so the reset is followed by an
-# always-failing marker condition.
-SELECTOR_STAR_YAML = """\
-templates:
-  selector_star:
-    args:
-      - {name: children, kind: nodes}
-    root: "~"
-    nodes:
-      "~":
-        type: selector
-        children: ["$@wrapped", "~/restart"]
-      wrapped:
-        foreach: {list: "$children", var: c}
-        emit: "~/latch_$i"
-        nodes:
-          "~/latch_$i":
-            type: latch
-            children: ["$c"]
-            args: {remember: [FAILURE]}
-      "~/restart":
-        type: sequence
-        children: ["~/reset", "~/all_failed"]
-      "~/reset":
-        type: reset
-        args: {targets: "$children"}
-      "~/all_failed":
-        type: condition
-        if: "false"
-"""
-
-BUILTIN_SOURCES = {
-    "latch": LATCH_YAML,
-    "reset": RESET_YAML,
-    "sequence_star": SEQUENCE_STAR_YAML,
-    "selector_star": SELECTOR_STAR_YAML,
-}
+from importlib.resources import files
 
 SHADOWED_BUILTIN = "SHADOWED_BUILTIN"
 
@@ -140,8 +22,10 @@ def _builtins():
     from .textio import parse_templates
 
     merged = {}
-    for source in BUILTIN_SOURCES.values():
-        merged.update(parse_templates(source))
+    sources = files(__package__).joinpath("templates").iterdir()
+    for source in sorted(sources, key=lambda f: f.name):
+        if source.name.endswith(".yaml"):
+            merged.update(parse_templates(source.read_text(encoding="utf-8")))
     return merged
 
 
@@ -152,63 +36,4 @@ def builtin_templates() -> dict:
 
 def shadowed_builtins(template_names) -> list:
     """Builtin names that the given user template names would redefine."""
-    return [name for name in template_names if name in BUILTIN_SOURCES]
-
-
-def _star_oracle(scripts, ticks, remember_on, clear_result):
-    """Reference simulation of a Node* control with memory.
-
-    Per tick, children whose last consumed result was ``remember_on`` are
-    skipped; the first non-remembered child consumes the next entry of its
-    script (last entry repeats). A result other than ``remember_on`` is
-    returned immediately with memory retained. When every child has
-    returned ``remember_on``, all memory clears and ``clear_result`` is
-    returned, so the next tick starts from scratch.
-
-    Returns (per-tick root results, per-child tick counts).
-    """
-    n = len(scripts)
-    cursors = [0] * n
-    remembered = [False] * n
-    results = []
-    for _ in range(ticks):
-        outcome = None
-        for i in range(n):
-            if remembered[i]:
-                continue
-            script = scripts[i]
-            r = script[min(cursors[i], len(script) - 1)]
-            cursors[i] += 1
-            if r is remember_on:
-                remembered[i] = True
-                continue
-            outcome = r
-            break
-        if outcome is None:
-            remembered = [False] * n
-            outcome = clear_result
-        results.append(outcome)
-    return results, list(cursors)
-
-
-def oracle_sequence_star(child_scripts, ticks: int) -> list:
-    """Per-tick root results of a Sequence* over scripted children."""
-    results, _ = _star_oracle(child_scripts, ticks,
-                              ReturnState.SUCCESS, ReturnState.SUCCESS)
-    return results
-
-
-def oracle_selector_star(child_scripts, ticks: int) -> list:
-    """Per-tick root results of a Selector* over scripted children."""
-    results, _ = _star_oracle(child_scripts, ticks,
-                              ReturnState.FAILURE, ReturnState.FAILURE)
-    return results
-
-
-def oracle_star_with_counts(kind: str, child_scripts, ticks: int):
-    """Oracle results plus per-child tick counts; kind is 'sequence' or 'selector'."""
-    if kind == "sequence":
-        return _star_oracle(child_scripts, ticks, ReturnState.SUCCESS, ReturnState.SUCCESS)
-    if kind == "selector":
-        return _star_oracle(child_scripts, ticks, ReturnState.FAILURE, ReturnState.FAILURE)
-    raise ValueError(f"unknown star kind: {kind!r}")
+    return [name for name in template_names if name in _builtins()]

@@ -74,3 +74,62 @@ class ReferenceEngine:
         self.memory[state_key(name)] = result
         self.trace.append(TraceEvent(self.tick_count, name, result))
         return result
+
+
+def _star_oracle(scripts, ticks, remember_on, clear_result):
+    """Reference simulation of a Node* control with memory.
+
+    Per tick, children whose last consumed result was ``remember_on`` are
+    skipped; the first non-remembered child consumes the next entry of its
+    script (last entry repeats). A result other than ``remember_on`` is
+    returned immediately with memory retained. When every child has
+    returned ``remember_on``, all memory clears and ``clear_result`` is
+    returned, so the next tick starts from scratch.
+
+    Returns (per-tick root results, per-child tick counts).
+    """
+    n = len(scripts)
+    cursors = [0] * n
+    remembered = [False] * n
+    results = []
+    for _ in range(ticks):
+        outcome = None
+        for i in range(n):
+            if remembered[i]:
+                continue
+            script = scripts[i]
+            r = script[min(cursors[i], len(script) - 1)]
+            cursors[i] += 1
+            if r is remember_on:
+                remembered[i] = True
+                continue
+            outcome = r
+            break
+        if outcome is None:
+            remembered = [False] * n
+            outcome = clear_result
+        results.append(outcome)
+    return results, list(cursors)
+
+
+def oracle_sequence_star(child_scripts, ticks: int) -> list:
+    """Per-tick root results of a Sequence* over scripted children."""
+    results, _ = _star_oracle(child_scripts, ticks,
+                              ReturnState.SUCCESS, ReturnState.SUCCESS)
+    return results
+
+
+def oracle_selector_star(child_scripts, ticks: int) -> list:
+    """Per-tick root results of a Selector* over scripted children."""
+    results, _ = _star_oracle(child_scripts, ticks,
+                              ReturnState.FAILURE, ReturnState.FAILURE)
+    return results
+
+
+def oracle_star_with_counts(kind: str, child_scripts, ticks: int):
+    """Oracle results plus per-child tick counts; kind is 'sequence' or 'selector'."""
+    if kind == "sequence":
+        return _star_oracle(child_scripts, ticks, ReturnState.SUCCESS, ReturnState.SUCCESS)
+    if kind == "selector":
+        return _star_oracle(child_scripts, ticks, ReturnState.FAILURE, ReturnState.FAILURE)
+    raise ValueError(f"unknown star kind: {kind!r}")

@@ -28,7 +28,6 @@ from btt import (
     control_step,
     eval_expr,
     expand_document,
-    oracle_star_with_counts,
     parallel_step,
     parse_document,
     parse_expr,
@@ -37,6 +36,7 @@ from btt import (
     state_key,
 )
 from btt.cli import main as cli_main
+from oracles import oracle_star_with_counts
 from util import (CORPUS_DOCS, EXAMPLES, GOLDEN, REPO, action, control, expand_path,
                   expand_text, mutate, tree)
 

@@ -150,6 +150,21 @@ def test_unknown_scenario_action_exit_3(tmp_path, capsys):
     assert "UNKNOWN_SCENARIO_ACTION" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("memory: {k: 1}\nactions: {goto: [SUCCESS]}\nbogus: 1\n",
+     "3:1: SCHEMA_ERROR: bogus: unknown scenario key 'bogus'"),
+    ("actions: {goto: [NOPE]}\n",
+     "1:17: UNKNOWN_STATE: goto: 'NOPE' is not a return state"),
+], ids=["SCHEMA_ERROR", "UNKNOWN_STATE"])
+def test_scenario_error_names_the_scenario_file(tmp_path, capsys, text, message):
+    doc = write(tmp_path, "a.yaml", "root: goto\nnodes:\n  goto: {type: action}\n")
+    scenario = write(tmp_path, "s.yaml", text)
+    code, out, err = run_cli(capsys, "run", doc, "--scenario", scenario)
+    assert code == 2
+    assert out == ""
+    assert err == f"{scenario}:{message}\n"
+
+
 def test_dot_output(capsys):
     code, out, err = run_cli(capsys, "dot", EXAMPLES / "latch.yaml")
     assert code == 0

@@ -3,16 +3,16 @@ import pytest
 from btt import (
     Binding,
     ExpandError,
+    ForeachBlock,
     NodeDef,
+    TemplateDef,
     ValidationFailure,
     bind_arguments,
     builtin_templates,
     expand_document,
-    expand_foreach,
     instantiate,
     parse_document,
     serialize_expanded,
-    splice_children,
     substitute,
 )
 from util import CORPUS_DOCS, EXAMPLES, GOLDEN, expand_path, expand_text
@@ -84,6 +84,11 @@ def test_substitute_examples():
     assert substitute("~/saved", b) == "example/saved"
     assert substitute("$name/saved", b) == "example/saved"
     assert substitute("$child$child", Binding({"child": "a"}, "i")) == "aa"
+    assert substitute("a~b", b) == "aexampleb"
+    assert substitute("pre/$name/post", b) == "pre/example/post"
+    assert substitute("$a$b", Binding({"a": "x", "b": "y"}, "i")) == "xy"
+    typed = Binding({"t": True, "f": False, "n": -3, "r": 0.1}, "i")
+    assert substitute("$t $f $n $r", typed) == "true false -3 0.1"
 
 
 def test_substitute_is_single_pass():
@@ -96,31 +101,46 @@ def test_substitute_errors():
     b = Binding({"xs": ("a", "b")}, "i")
     assert pytest.raises(ExpandError, substitute, "$nope", b).value.code == "UNBOUND_PLACEHOLDER"
     assert pytest.raises(ExpandError, substitute, "$", b).value.code == "UNBOUND_PLACEHOLDER"
+    for pattern in ("ab$", "$1", "$$", "a $@x b"):
+        e = pytest.raises(ExpandError, substitute, pattern, b).value
+        assert (e.code, e.subject) == ("UNBOUND_PLACEHOLDER", pattern)
     assert pytest.raises(ExpandError, substitute, "$xs", b).value.code == "LIST_IN_SCALAR_POSITION"
 
 
-# --- expand_foreach ------------------------------------------------------
+# --- foreach blocks and splices, through instantiate ---------------------
 
-def wrap_block():
-    return BUILTINS["sequence_star"].body["wrapped"]
+def instantiate_text(text):
+    """Instantiate the document's root node against its own templates."""
+    doc = parse_document(text)
+    root = doc.nodes[doc.root]
+    return instantiate(doc.templates[root.type], root, doc.templates)
 
 
 def test_foreach_emitted_names():
-    b = Binding({"children": ("a", "b")}, "task")
-    nodes, emitted = expand_foreach(wrap_block(), b)
-    assert emitted == ["task/latch_0", "task/latch_1"]
-    assert [n.name for n in nodes] == ["task/latch_0", "task/latch_1"]
-    assert nodes[0].children == ("a",)
+    # sequence_star's "wrapped" block emits one latch per child, in order
+    nodes = instantiate(BUILTINS["sequence_star"],
+                        inst("task", "sequence_star", ["a", "b"]), BUILTINS)
+    by_name = {n.name: n for n in nodes}
+    assert by_name["task"].children == ("task/latch_0", "task/latch_1", "task/reset")
+    assert by_name["task/latch_0"].children == ("task/latch_0/saved", "a")
+    assert by_name["task/latch_1"].children == ("task/latch_1/saved", "b")
+    assert [n.name for n in nodes] == [
+        "task",
+        "task/latch_0", "task/latch_0/saved", "task/latch_0/saved/check_0",
+        "task/latch_1", "task/latch_1/saved", "task/latch_1/saved/check_0",
+        "task/reset", "task/reset/clear_0", "task/reset/clear_1",
+    ]
 
 
 def test_foreach_empty_list():
-    b = Binding({"children": ()}, "task")
-    assert expand_foreach(wrap_block(), b) == ([], [])
+    nodes = instantiate(BUILTINS["reset"], inst("x", "reset", args={"targets": ()}), BUILTINS)
+    assert [(n.name, n.type, n.children) for n in nodes] == [("x", "sequence", ())]
 
 
 def test_foreach_name_clash():
-    doc = parse_document(
-        """
+    with pytest.raises(ExpandError) as exc:
+        instantiate_text(
+            """
 templates:
   t:
     args:
@@ -139,40 +159,77 @@ root: a
 nodes:
   a: {type: t, args: {xs: [x, x]}}
 """
-    )
-    block = doc.templates["t"].body["ws"]
-    b = Binding({"xs": ("x", "x")}, "a")
-    with pytest.raises(ExpandError) as exc:
-        expand_foreach(block, b)
+        )
     assert exc.value.code == "NAME_CLASH"
+    assert exc.value.subject == "a/w_x"
 
 
 def test_foreach_not_a_list():
-    b = Binding({"children": "a"}, "task")
     with pytest.raises(ExpandError) as exc:
-        expand_foreach(wrap_block(), b)
+        instantiate_text(
+            """
+templates:
+  t:
+    args:
+      - {name: x, kind: scalar}
+    root: "~"
+    nodes:
+      "~":
+        type: sequence
+        children: ["$@ws"]
+      ws:
+        foreach: {list: "$x", var: c}
+        emit: "~/w_$c"
+        nodes:
+          "~/w_$c": {type: action}
+root: a
+nodes:
+  a: {type: t, args: {x: 1}}
+"""
+        )
     assert exc.value.code == "NOT_A_LIST"
+    assert exc.value.subject == "$x"
 
 
 def test_foreach_hand_built_bad_list_ref():
-    from btt import ForeachBlock
-
+    # the parser rejects such a block, so only a hand-built template has one
     block = ForeachBlock(list_ref="oops", var="v", emit="e", nodes={})
+    tmpl = TemplateDef(name="t", params=(), root="~",
+                       body={"~": NodeDef(name="~", type="sequence"), "ws": block})
     with pytest.raises(ExpandError) as exc:
-        expand_foreach(block, Binding({}, "i"))
+        instantiate(tmpl, inst("i", "t"), {})
     assert exc.value.code == "NOT_A_LIST"
+    assert exc.value.subject == "oops"
 
-
-# --- splice_children -----------------------------------------------------
 
 def test_splice_examples():
-    emitted = {"wrap": ["task/latch_0", "task/latch_1"]}
-    assert splice_children(["$@wrap", "task/reset"], emitted) == [
-        "task/latch_0", "task/latch_1", "task/reset"]
-    assert splice_children(["a"], {}) == ["a"]
+    text = """
+templates:
+  t:
+    args:
+      - {name: xs, kind: scalar-list}
+    root: "~"
+    nodes:
+      "~":
+        type: sequence
+        children: [before, "$@ws", "~/after"]
+      ws:
+        foreach: {list: "$xs", var: c}
+        emit: "~/w_$c"
+        nodes:
+          "~/w_$c": {type: action}
+      "~/after": {type: action}
+root: a
+nodes:
+  a: {type: t, args: {xs: [p, q]}}
+"""
+    nodes = instantiate_text(text)
+    assert nodes[0].name == "a"
+    assert nodes[0].children == ("before", "a/w_p", "a/w_q", "a/after")
     with pytest.raises(ExpandError) as exc:
-        splice_children(["$@nope"], {})
+        instantiate_text(text.replace('"$@ws"', '"$@nope"'))
     assert exc.value.code == "UNKNOWN_BLOCK"
+    assert exc.value.subject == "$@nope"
 
 
 # --- instantiate ---------------------------------------------------------

@@ -9,14 +9,12 @@ from btt import (
     ReturnState,
     Scenario,
     builtin_templates,
-    oracle_selector_star,
-    oracle_sequence_star,
-    oracle_star_with_counts,
+    parse_templates,
     shadowed_builtins,
     state_key,
 )
-from btt.stdlib import BUILTIN_SOURCES
-from util import REPO, expand_text
+from oracles import oracle_selector_star, oracle_sequence_star, oracle_star_with_counts
+from util import TEMPLATES, expand_text
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -34,10 +32,11 @@ def test_registry_contents():
     assert [(p.name, p.kind) for p in star.params] == [("children", "nodes")]
 
 
-def test_shipped_files_match_embedded_sources():
-    for name, source in BUILTIN_SOURCES.items():
-        path = REPO / "stdlib" / f"{name}.yaml"
-        assert path.read_bytes() == source.encode("utf-8"), name
+def test_shipped_files_define_their_templates():
+    paths = sorted(TEMPLATES.glob("*.yaml"))
+    for path in paths:
+        assert list(parse_templates(path.read_text(encoding="utf-8"))) == [path.stem], path
+    assert set(builtin_templates()) == {path.stem for path in paths}
 
 
 def test_shadowed_builtins():

@@ -27,7 +27,7 @@ from util import (
     CORPUS_DOCS,
     EXAMPLES,
     GOLDEN,
-    REPO,
+    TEMPLATES,
     action,
     condition,
     expand_path,
@@ -358,11 +358,17 @@ def _assert_same_result(a, b):
 
 
 SHIPPED_YAML = (sorted(CORPUS.glob("*.yaml")) + sorted(EXAMPLES.glob("*.yaml"))
-                + sorted((REPO / "stdlib").glob("*.yaml")))
+                + sorted(TEMPLATES.glob("*.yaml")))
+
+
+def _shipped_id(path):
+    # the builtin templates are labelled by the set they form (--no-stdlib)
+    group = "stdlib" if path.parent == TEMPLATES else path.parent.name
+    return f"{group}/{path.name}"
 
 
 def _parser_for(path):
-    if path.parent.name == "stdlib":
+    if path.parent == TEMPLATES:
         return parse_templates
     if path.stem.endswith("_scenario"):
         return parse_scenario
@@ -381,7 +387,7 @@ def _node_tree(node):
             [(_node_tree(k), _node_tree(v)) for k, v in node.value])
 
 
-@pytest.mark.parametrize("path", SHIPPED_YAML, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SHIPPED_YAML, ids=_shipped_id)
 def test_compose_matches_pyyaml_composer(yaml_loader, path):
     text = path.read_text(encoding="utf-8")
     expected = _node_tree(yaml.compose(text, Loader=yaml.SafeLoader))
@@ -395,7 +401,7 @@ def test_syntax_error_beats_unsupported_features(yaml_loader):
 
 
 @needs_libyaml
-@pytest.mark.parametrize("path", SHIPPED_YAML, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SHIPPED_YAML, ids=_shipped_id)
 def test_loaders_agree_on_shipped_files(monkeypatch, path):
     parse, text = _parser_for(path), path.read_text(encoding="utf-8")
     c = _parse_with(monkeypatch, yaml.CSafeLoader, parse, text)

@@ -17,6 +17,7 @@ from btt import (
 TESTS = Path(__file__).resolve().parent
 REPO = TESTS.parent
 EXAMPLES = REPO / "examples"
+TEMPLATES = REPO / "src" / "btt" / "templates"
 CORPUS = TESTS / "corpus"
 GOLDEN = TESTS / "golden"
 
