@@ -50,8 +50,6 @@ from .engine import (
     Engine,
     Scenario,
     TraceEvent,
-    control_step,
-    parallel_step,
     render_memory_dump,
     render_trace_event,
     state_key,

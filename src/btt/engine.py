@@ -70,22 +70,6 @@ _RANK = _PARALLEL_ORDER.index
 _NONE_YET = len(_PARALLEL_ORDER) - 1
 
 
-def control_step(kind: NodeKind, results) -> ReturnState:
-    """Serial control rule: consume child results lazily, in order, and
-    return the first one outside the kind's continue-set. If every child
-    is in the continue-set, the result is that sole continue state."""
-    cont = _CONTINUE[_KINDS.index(kind)]
-    for r in results:
-        if r is not cont:
-            return r
-    return cont
-
-
-def parallel_step(results) -> ReturnState:
-    """No short-circuit: FAILURE beats RUNNING beats SUCCESS beats EMPTY."""
-    return _PARALLEL_ORDER[min(map(_RANK, results), default=_NONE_YET)]
-
-
 # Expression ASTs are immutable, so parses are shared process-wide. Each
 # node looks its texts up once, the first time it evaluates them.
 _parsed_expr = lru_cache(maxsize=None)(parse_expr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ExpandError, ValidationFailure
 from .model import (
@@ -36,6 +36,7 @@ from .model import (
     ForeachBlock,
     NodeDef,
     TemplateDef,
+    payload_problem,
     validate_expanded,
     value_text,
     with_leaf_defaults,
@@ -274,41 +275,22 @@ def _forward_args(args, binding):
     return out
 
 
-def _check_instance_payload(inst):
-    if (inst.if_ is not None or inst.then is not None or inst.else_ is not None
-            or inst.script or inst.result is not None):
-        raise ExpandError("BAD_NODE",
-                          "a templated node takes only children and args",
-                          subject=inst.name, span=inst.span)
+def _check_payload(nd, kind, name):
+    """Raise BAD_NODE for node ``name`` unless ``nd`` carries the payload
+    that ``kind`` takes; ``kind`` is None for a templated node."""
+    problem = payload_problem(nd, kind)
+    if problem is not None:
+        raise ExpandError("BAD_NODE", problem, subject=name, span=nd.span)
 
 
 def _finalize_primary(it, type_sub, children):
     pat = it.pattern
     binding = it.binding
-    kind = PRIMARY_KINDS[type_sub]
     if not NAME_RE.fullmatch(it.final):
         raise ExpandError("INVALID_NAME",
                           f"substitution produced an invalid node name '{it.final}'",
                           subject=it.final, span=pat.span)
-    if pat.args:
-        raise ExpandError("BAD_NODE", f"{type_sub} nodes take no args",
-                          subject=it.final, span=pat.span)
-    has_condition_payload = (pat.if_ is not None or pat.then is not None
-                             or pat.else_ is not None)
-    has_action_payload = bool(pat.script) or pat.result is not None
-    if kind.is_control and (has_condition_payload or has_action_payload):
-        raise ExpandError("BAD_NODE", f"{type_sub} nodes take no leaf payload",
-                          subject=it.final, span=pat.span)
-    if type_sub == "condition":
-        if pat.if_ is None:
-            raise ExpandError("BAD_NODE", "condition node has no 'if' expression",
-                              subject=it.final, span=pat.span)
-        if has_action_payload:
-            raise ExpandError("BAD_NODE", "condition nodes take no script/result",
-                              subject=it.final, span=pat.span)
-    if type_sub == "action" and has_condition_payload:
-        raise ExpandError("BAD_NODE", "action nodes take no if/then/else",
-                          subject=it.final, span=pat.span)
+    _check_payload(pat, type_sub, it.final)
     sub = lambda s: None if s is None else substitute(s, binding)
     node = NodeDef(
         name=it.final,
@@ -338,9 +320,9 @@ def _finalize_item(it, local_map, registry, stack, max_depth):
             raise ExpandError("INVALID_NAME",
                               f"substitution produced an invalid node name '{it.final}'",
                               subject=it.final, span=it.pattern.span)
-        inst = NodeDef(name=it.final, type=type_sub, children=children,
-                       args=_forward_args(it.pattern.args, it.binding),
-                       span=it.pattern.span)
+        # the pattern's leaf payload rides along for instantiate to reject
+        inst = replace(it.pattern, name=it.final, type=type_sub, children=children,
+                       args=_forward_args(it.pattern.args, it.binding))
         return instantiate(registry[type_sub], inst, registry,
                            stack + (type_sub,), max_depth=max_depth)
     raise ExpandError("UNKNOWN_TYPE",
@@ -362,7 +344,7 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
             raise ExpandError("DEPTH_EXCEEDED",
                               f"template nesting deeper than {max_depth}",
                               subject=inst.name, chain=stack)
-        _check_instance_payload(inst)
+        _check_payload(inst, None, inst.name)
         binding = bind_arguments(tmpl, inst)
         items = _expand_body_items(tmpl.body, binding, stack)
         root_q = _qualify(inst.name, substitute(tmpl.root, binding))

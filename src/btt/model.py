@@ -8,6 +8,7 @@ tree must pass before it may be serialized or executed.
 from __future__ import annotations
 
 import enum
+import keyword
 import re
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -43,21 +44,22 @@ class NodeKind(enum.Enum):
     ACTION = "action"
     CONDITION = "condition"
 
-    @property
-    def is_control(self):
-        return self in _CONTROL_KINDS
-
-    @property
-    def is_leaf(self):
-        return not self.is_control
-
-
-_CONTROL_KINDS = frozenset(
-    {NodeKind.SEQUENCE, NodeKind.SELECTOR, NodeKind.SKIPPER, NodeKind.PARALLEL}
-)
 
 PRIMARY_KINDS = {k.value: k for k in NodeKind}
-CONTROL_KIND_NAMES = frozenset(k.value for k in _CONTROL_KINDS)
+
+# The payload each leaf kind takes: document key -> default, None where the
+# key is required. A kind is a leaf if and only if it has a row here; the
+# control kinds take no payload. Rows list their keys in canonical order.
+LEAF_PAYLOAD = {
+    NodeKind.CONDITION.value: {"if": None, "then": "SUCCESS", "else": "FAILURE"},
+    NodeKind.ACTION.value: {"script": (), "result": "SUCCESS"},
+}
+# A templated node takes only args besides its children, wherever it appears.
+TEMPLATED_PAYLOAD = {"args": {}}
+# Every payload key and the NodeDef field that holds it; "if" and "else"
+# are Python keywords, so their fields end in "_".
+PAYLOAD_FIELDS = {key: key + "_" if keyword.iskeyword(key) else key
+                  for row in (TEMPLATED_PAYLOAD, *LEAF_PAYLOAD.values()) for key in row}
 
 # A scalar blackboard value. bool must be tested before int everywhere:
 # Python's bool is an int subclass but the two are distinct tags here.
@@ -125,17 +127,30 @@ class NodeDef:
     span: "SourceSpan | None" = field(default=None, compare=False, repr=False)
 
 
+# NodeDef's values for a payload key the node does not carry.
+_ABSENT = (None, (), {})
+
+
+def payload_problem(nd: NodeDef, kind: str | None) -> str | None:
+    """What is wrong with ``nd``'s payload for ``kind`` (a primary kind, or
+    None for a templated node), or None if nothing is. A key counts as
+    carried when its field holds anything but the field's empty value."""
+    takes = TEMPLATED_PAYLOAD if kind is None else LEAF_PAYLOAD.get(kind, {})
+    for key, fld in PAYLOAD_FIELDS.items():
+        if getattr(nd, fld) in _ABSENT:
+            if key in takes and takes[key] is None:
+                return f"a {kind} node requires '{key}'"
+        elif key not in takes:
+            return f"a {kind or 'templated'} node takes no '{key}'"
+    return None
+
+
 def with_leaf_defaults(node: NodeDef) -> NodeDef:
-    """Fill Condition then/else and Action result defaults for primary leaves."""
-    if node.type == NodeKind.CONDITION.value:
-        return replace(
-            node,
-            then=node.then if node.then is not None else "SUCCESS",
-            else_=node.else_ if node.else_ is not None else "FAILURE",
-        )
-    if node.type == NodeKind.ACTION.value:
-        return replace(node, result=node.result if node.result is not None else "SUCCESS")
-    return node
+    """Fill the defaults of the optional leaf payload keys ``node`` leaves unset."""
+    unset = {PAYLOAD_FIELDS[key]: default
+             for key, default in LEAF_PAYLOAD.get(node.type, {}).items()
+             if default is not None and getattr(node, PAYLOAD_FIELDS[key]) is None}
+    return replace(node, **unset) if unset else node
 
 
 @dataclass(frozen=True)
@@ -243,22 +258,25 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
             order.append(nd)
 
     for nd in order:
-        kind = PRIMARY_KINDS.get(nd.type)
-        if kind is None:
+        if nd.type not in PRIMARY_KINDS:
             diags.append(
                 Diagnostic("UNKNOWN_TYPE", nd.name,
                            f"type '{nd.type}' is not a primary node kind")
             )
-        elif kind.is_leaf and nd.children:
-            diags.append(
-                Diagnostic("LEAF_WITH_CHILDREN", nd.name,
-                           f"{nd.type} node must not have children")
-            )
-        elif kind.is_control and not nd.children:
-            diags.append(
-                Diagnostic("CONTROL_WITHOUT_CHILDREN", nd.name,
-                           f"{nd.type} node requires at least one child")
-            )
+        else:
+            if nd.type in LEAF_PAYLOAD and nd.children:
+                diags.append(
+                    Diagnostic("LEAF_WITH_CHILDREN", nd.name,
+                               f"{nd.type} node must not have children")
+                )
+            elif nd.type not in LEAF_PAYLOAD and not nd.children:
+                diags.append(
+                    Diagnostic("CONTROL_WITHOUT_CHILDREN", nd.name,
+                               f"{nd.type} node requires at least one child")
+                )
+            problem = payload_problem(nd, nd.type)
+            if problem is not None:
+                diags.append(Diagnostic("BAD_NODE", nd.name, problem))
         if _texts_with_placeholder(nd):
             diags.append(
                 Diagnostic("UNSUBSTITUTED_PLACEHOLDER", nd.name,

@@ -34,11 +34,13 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from .engine import Scenario
 from .errors import CanonicalizeError, ParseError, SchemaError
 from .model import (
-    CONTROL_KIND_NAMES,
+    LEAF_PAYLOAD,
     NAME_RE,
     PATTERN_NAME_RE,
+    PAYLOAD_FIELDS,
     PRIMARY_KINDS,
     RETURN_STATES,
+    TEMPLATED_PAYLOAD,
     Document,
     ExpandedTree,
     ForeachBlock,
@@ -61,12 +63,11 @@ _PARAM_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TEMPLATE_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _CHILD_PATTERN_RE = re.compile(r"[A-Za-z0-9_/.\-$~@]+")
 
-_NODE_KEYS = {
-    "control": ("type", "children"),
-    "action": ("type", "children", "script", "result"),
-    "condition": ("type", "children", "if", "then", "else"),
-    "open": ("type", "children", "args", "if", "then", "else", "script", "result"),
-}
+# A node whose type is not a primary kind names a template, or a type that
+# substitution supplies, so it may carry any payload until the expander
+# resolves its type and checks the payload against it.
+_OPEN_PAYLOAD = {**TEMPLATED_PAYLOAD,
+                 **{key: default for row in LEAF_PAYLOAD.values() for key, default in row.items()}}
 
 _constructor = yaml.constructor.SafeConstructor()
 
@@ -224,16 +225,9 @@ def _parse_node(name, node, pattern):
         raise SchemaError("SCHEMA_ERROR", f"node '{name}' is missing 'type'",
                           span=_span(node), subject=name)
     type_ = _text(keys["type"], "type")
-
-    if type_ in CONTROL_KIND_NAMES:
-        allowed = _NODE_KEYS["control"]
-    elif type_ in ("action", "condition"):
-        allowed = _NODE_KEYS[type_]
-    else:
-        # may be a template name or a substituted type; resolved by the expander
-        allowed = _NODE_KEYS["open"]
+    payload = LEAF_PAYLOAD.get(type_, {}) if type_ in PRIMARY_KINDS else _OPEN_PAYLOAD
     for key, value_node, key_node in items:
-        if key not in allowed:
+        if key not in payload and key not in ("type", "children"):
             raise SchemaError("SCHEMA_ERROR",
                               f"unknown key '{key}' for node '{name}' of type '{type_}'",
                               span=_span(key_node), subject=name)
@@ -248,31 +242,32 @@ def _parse_node(name, node, pattern):
                                   span=_span(keys["children"]), subject=name)
         children = tuple(entries)
 
+    fields = {}
+    for key, default in payload.items():
+        value = keys.get(key)
+        if value is None:
+            if default is None and type_ in PRIMARY_KINDS:
+                raise SchemaError("SCHEMA_ERROR", f"{type_} node '{name}' is missing '{key}'",
+                                  span=_span(node), subject=name)
+            continue
+        if isinstance(default, dict):
+            value = _args(value, name)
+        elif isinstance(default, tuple):
+            value = tuple(_text_list(value, key))
+        else:
+            value = _text(value, key)
+        fields[PAYLOAD_FIELDS[key]] = value
+    return with_leaf_defaults(NodeDef(name, type_, children, span=_span(node), **fields))
+
+
+def _args(node, owner):
     args = {}
-    if "args" in keys:
-        for pname, pvalue, pkey in _mapping_items(keys["args"], "args"):
-            if not _PARAM_NAME_RE.fullmatch(pname):
-                raise SchemaError("SCHEMA_ERROR", f"invalid argument name '{pname}'",
-                                  span=_span(pkey), subject=name)
-            args[pname] = _scalar_or_list(pvalue, f"argument '{pname}'")
-
-    if type_ == "condition" and "if" not in keys:
-        raise SchemaError("SCHEMA_ERROR", f"condition node '{name}' is missing 'if'",
-                          span=_span(node), subject=name)
-
-    nd = NodeDef(
-        name=name,
-        type=type_,
-        children=children,
-        args=args,
-        if_=_text(keys["if"], "if") if "if" in keys else None,
-        then=_text(keys["then"], "then") if "then" in keys else None,
-        else_=_text(keys["else"], "else") if "else" in keys else None,
-        script=tuple(_text_list(keys["script"], "script")) if "script" in keys else (),
-        result=_text(keys["result"], "result") if "result" in keys else None,
-        span=_span(node),
-    )
-    return with_leaf_defaults(nd)
+    for pname, pvalue, pkey in _mapping_items(node, "args"):
+        if not _PARAM_NAME_RE.fullmatch(pname):
+            raise SchemaError("SCHEMA_ERROR", f"invalid argument name '{pname}'",
+                              span=_span(pkey), subject=owner)
+        args[pname] = _scalar_or_list(pvalue, f"argument '{pname}'")
+    return args
 
 
 def _parse_body(node, owner):
@@ -551,20 +546,11 @@ def serialize_expanded(tree: ExpandedTree) -> str:
         nd = index[name]
         lines.append(f"  {_flow_scalar(name)}:")
         lines.append(f"    type: {_block_scalar(nd.type)}")
-        if nd.type == "condition":
-            if nd.if_ is None:
-                raise CanonicalizeError("CANONICALIZE_ERROR",
-                                        f"condition '{name}' has no 'if' expression")
-            lines.append(f"    if: {_block_scalar(nd.if_)}")
-            if nd.then != "SUCCESS":
-                lines.append(f"    then: {_block_scalar(nd.then)}")
-            if nd.else_ != "FAILURE":
-                lines.append(f"    else: {_block_scalar(nd.else_)}")
-        elif nd.type == "action":
-            if nd.script:
-                lines.append(f"    script: {_flow_list(nd.script)}")
-            if nd.result != "SUCCESS":
-                lines.append(f"    result: {_block_scalar(nd.result)}")
+        for key, default in LEAF_PAYLOAD.get(nd.type, {}).items():
+            value = getattr(nd, PAYLOAD_FIELDS[key])
+            if value != default:
+                text = _flow_list(value) if isinstance(value, tuple) else _block_scalar(value)
+                lines.append(f"    {key}: {text}")
         if nd.children:
             lines.append(f"    children: {_flow_list(nd.children)}")
     return "\n".join(lines) + "\n"

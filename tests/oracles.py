@@ -6,14 +6,39 @@ from btt import (
     ReturnState,
     TickError,
     TraceEvent,
-    control_step,
     eval_expr,
     eval_state_expr,
-    parallel_step,
     parse_assignment,
     parse_expr,
     state_key,
 )
+
+S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
+              ReturnState.RUNNING, ReturnState.EMPTY)
+
+# The control rules, written out here rather than read from btt.engine so
+# that the oracle shares no table with the code it checks: a serial kind
+# moves on while a child returns its continue state, and a parallel node
+# returns the first of these states that any child returned.
+CONTINUE_STATE = {NodeKind.SEQUENCE: S, NodeKind.SELECTOR: F, NodeKind.SKIPPER: E}
+PARALLEL_PRIORITY = (F, R, S, E)
+
+
+def control_step(kind, results):
+    """Serial control rule: consume child results lazily, in order, and
+    return the first one outside the kind's continue state. If every child
+    returns the continue state, so does the node."""
+    cont = CONTINUE_STATE[kind]
+    for r in results:
+        if r is not cont:
+            return r
+    return cont
+
+
+def parallel_step(results):
+    """No short-circuit: FAILURE beats RUNNING beats SUCCESS beats EMPTY."""
+    results = list(results)
+    return next((s for s in PARALLEL_PRIORITY if s in results), E)
 
 
 class ReferenceEngine:

@@ -25,10 +25,8 @@ from btt import (
     Unary,
     Var,
     builtin_templates,
-    control_step,
     eval_expr,
     expand_document,
-    parallel_step,
     parse_document,
     parse_expr,
     print_expr,
@@ -36,7 +34,7 @@ from btt import (
     state_key,
 )
 from btt.cli import main as cli_main
-from oracles import oracle_star_with_counts
+from oracles import control_step, oracle_star_with_counts, parallel_step
 from util import (CORPUS_DOCS, EXAMPLES, GOLDEN, REPO, action, control, expand_path,
                   expand_text, mutate, tree)
 

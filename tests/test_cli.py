@@ -2,7 +2,8 @@ import pytest
 
 from btt import textio
 from btt.cli import main
-from util import EXAMPLES, GOLDEN, NESTED_FORMS, nested
+from util import (BODY_PAYLOAD_LINE, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES, NESTED_FORMS,
+                  body_payload_doc, nested)
 
 
 def run_cli(capsys, *argv):
@@ -303,3 +304,13 @@ def test_deeply_nested_condition_exits_4(tmp_path, capsys, form):
     assert code == 4
     assert out == ""
     assert err.startswith("RUNTIME_ERROR: c: tick 1: EXPR_SYNTAX: expression is nested too deeply")
+
+
+@pytest.mark.parametrize("key", list(LEAF_PAYLOAD_VALUES))
+@pytest.mark.parametrize("type_", ["latch", '"$k"'])
+def test_templated_node_in_a_body_with_leaf_payload_exits_3(tmp_path, capsys, type_, key):
+    doc = write(tmp_path, "doc.yaml", body_payload_doc(type_, key))
+    code, out, err = run_cli(capsys, "expand", doc)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{doc}:{BODY_PAYLOAD_LINE}:")
+    assert f"BAD_NODE: a/inner: a templated node takes no '{key}'" in err

@@ -9,12 +9,11 @@ from btt import (
     ReturnState,
     Scenario,
     TickError,
-    control_step,
-    parallel_step,
     render_memory_dump,
     render_trace_event,
     state_key,
 )
+from oracles import control_step, parallel_step
 from util import EXAMPLES, action, control, expand_path, expand_text, tree
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,

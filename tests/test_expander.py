@@ -15,7 +15,8 @@ from btt import (
     serialize_expanded,
     substitute,
 )
-from util import CORPUS_DOCS, EXAMPLES, GOLDEN, expand_path, expand_text
+from util import (BODY_PAYLOAD_LINE, CORPUS_DOCS, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES,
+                  body_payload_doc, expand_path, expand_text)
 
 BUILTINS = builtin_templates()
 LATCH_DOC = parse_document((EXAMPLES / "latch.yaml").read_text())
@@ -382,23 +383,53 @@ nodes:
     assert e.code == "BAD_NODE"
 
 
+@pytest.mark.parametrize("key", list(LEAF_PAYLOAD_VALUES))
+@pytest.mark.parametrize("type_", ["latch", '"$k"'])
+def test_templated_node_in_a_body_takes_no_leaf_payload(type_, key):
+    """The rule holds for a templated node generated by a template body,
+    whether its type is written there or substituted."""
+    with pytest.raises(ExpandError) as exc:
+        expand_text(body_payload_doc(type_, key))
+    e = exc.value
+    assert (e.code, e.subject, e.span.line) == ("BAD_NODE", "a/inner", BODY_PAYLOAD_LINE)
+    assert e.chain == ("t", "latch")
+    assert f"'{key}'" in e.message
+
+
+# Independent statement of which payload keys each primary kind takes.
+KIND_TAKES = {"sequence": (), "selector": (), "skipper": (), "parallel": (),
+              "condition": ("if", "then", "else"), "action": ("script", "result")}
+PAYLOAD_TEXTS = {"args": "{x: 1}", "if": '"true"', "then": "SUCCESS", "else": "FAILURE",
+                 "script": '["x := 1"]', "result": "SUCCESS"}
+
+
 def test_substituted_type_rejects_mismatched_payload():
     # type arrives via substitution, so only the expander can catch this
-    e = expand_err(
-        """
+    doc = """
 templates:
   t:
     args:
-      - {name: k, kind: scalar}
+      - {{name: k, kind: scalar}}
     root: "~"
     nodes:
-      "~": {type: "$k", if: "true", script: ["x := 1"]}
+      "~": {{type: "$k"{payload}}}
 root: a
 nodes:
-  a: {type: t, args: {k: condition}}
+  a: {{type: t, args: {{k: {kind}}}}}
 """
-    )
-    assert e.code == "BAD_NODE"
+    cases = [("condition", ", then: SUCCESS", "if")]  # a condition without 'if'
+    for kind, takes in KIND_TAKES.items():
+        for key, text in PAYLOAD_TEXTS.items():
+            if key not in takes:
+                needed = ', if: "true"' if kind == "condition" else ""
+                cases.append((kind, f", {key}: {text}{needed}", key))
+    assert len(cases) == 1 + 4 * 6 + 3 + 4
+    for kind, payload, key in cases:
+        e = expand_err(doc.format(kind=kind, payload=payload))
+        assert isinstance(e, ExpandError), (kind, payload)
+        assert (e.code, e.subject, e.span.line) == ("BAD_NODE", "a", 8), (kind, payload)
+        assert e.chain == ("t",)
+        assert f"'{key}'" in e.message, (kind, payload)
 
 
 def test_invalid_generated_name():

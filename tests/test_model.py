@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from btt import (
     Diagnostic,
+    NodeDef,
     ReturnState,
     diagnostic_render,
     dfs_preorder,
@@ -116,6 +117,24 @@ def test_leaf_and_control_child_rules():
     assert "CONTROL_WITHOUT_CHILDREN" in codes(validate_expanded(bad_control))
 
 
+def test_leaf_payload_rules():
+    """A leaf must carry its required keys and nothing its kind does not
+    take; a control node carries no payload at all."""
+    cases = {
+        "condition without if": NodeDef("c", "condition", then="SUCCESS", else_="FAILURE"),
+        "action with if": action("c", if_="x"),
+        "condition with script": condition("c", "true", script=("x := 1",)),
+        "sequence with result": NodeDef("c", "sequence", children=("a",), result="SUCCESS"),
+        "parallel with args": NodeDef("c", "parallel", children=("a",), args={"x": 1}),
+    }
+    for label, nd in cases.items():
+        t = tree(nd, *([action("a")] if nd.children else []))
+        assert [(d.code, d.node) for d in validate_expanded(t)] == [("BAD_NODE", "c")], label
+    ok = tree(control("s", "sequence", ["c", "a"]), condition("c", "true", then="RUNNING"),
+              action("a", script=("x := 1",), result="FAILURE"))
+    assert validate_expanded(ok) == []
+
+
 def test_unsubstituted_placeholder():
     t = tree(control("main", "sequence", ["$child"]))
     assert "UNSUBSTITUTED_PLACEHOLDER" in codes(validate_expanded(t))
@@ -129,8 +148,6 @@ def test_bad_root():
 
 
 def test_unknown_type_in_hand_built_tree():
-    from btt import NodeDef
-
     t = tree(NodeDef(name="a", type="latch"))
     assert "UNKNOWN_TYPE" in codes(validate_expanded(t))
 

@@ -8,6 +8,7 @@ from btt import (
     BttError,
     Document,
     ForeachBlock,
+    NodeDef,
     ParamDecl,
     ParseError,
     ReturnState,
@@ -225,6 +226,12 @@ def test_serialize_rejects_invalid_trees():
 
     with pytest.raises(CanonicalizeError):
         serialize_expanded(tree(action("a", children=("b",)), action("b")))
+    # payload the writer could not write, or would drop
+    for nd in (NodeDef("a", "condition", then="SUCCESS", else_="FAILURE"),
+               action("a", if_="x")):
+        with pytest.raises(CanonicalizeError) as exc:
+            serialize_expanded(tree(nd))
+        assert exc.value.message == "tree fails validation: BAD_NODE on 'a'"
 
 
 # --- parse_scenario ------------------------------------------------------

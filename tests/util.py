@@ -57,6 +57,34 @@ def tree(*nodes, root=None):
     return ExpandedTree(tuple(nodes), root if root is not None else nodes[0].name)
 
 
+# A template whose body holds a templated node (``~/inner``) that carries
+# one leaf payload key; ``type_`` is ``latch`` or ``"$k"``, bound to latch.
+_BODY_PAYLOAD = """\
+templates:
+  t:
+    args:
+      - {{name: c, kind: node}}
+      - {{name: k, kind: scalar, default: latch}}
+    root: "~"
+    nodes:
+      "~":
+        type: sequence
+        children: ["~/inner"]
+      "~/inner": {{type: {type_}, children: ["$c"], {key}: {value}}}
+root: a
+nodes:
+  a: {{type: t, children: [leaf]}}
+  leaf: {{type: action}}
+"""
+BODY_PAYLOAD_LINE = 11  # the line of "~/inner"
+LEAF_PAYLOAD_VALUES = {"if": '"x == 1"', "then": "SUCCESS", "else": "FAILURE",
+                       "script": '["y := 2"]', "result": "RUNNING"}
+
+
+def body_payload_doc(type_, key):
+    return _BODY_PAYLOAD.format(type_=type_, key=key, value=LEAF_PAYLOAD_VALUES[key])
+
+
 NESTED_FORMS = ["parens", "not", "sum"]
 
 
