@@ -73,7 +73,7 @@ def _positive_int(text):
 def _report(exc: BttError, path):
     prefix = ""
     if exc.span is not None:
-        prefix = f"{path}:{exc.span.line}:{exc.span.column}: "
+        prefix = f"{exc.span.source or path}:{exc.span.line}:{exc.span.column}: "
     if isinstance(exc, ValidationFailure):
         for d in exc.diagnostics:
             print(f"{prefix}{diagnostic_render(d)}", file=sys.stderr)

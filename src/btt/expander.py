@@ -19,6 +19,10 @@ The rules, in the order they apply to one templated node:
    working. Children references prefer local body names over external ones.
 6. Nested templated nodes recurse with the instantiation stack extended;
    a template already on the stack is a RECURSIVE_TEMPLATE error.
+
+A template is compiled once, on first use, into a plan kept on the
+TemplateDef; an instance binds its arguments and fills the plan's pieces,
+raising each error where the rules above meet it.
 """
 
 from __future__ import annotations
@@ -44,9 +48,17 @@ from .model import (
 
 DEFAULT_MAX_DEPTH = 64
 
-_SUBSTITUTE_RE = re.compile(r"\$(@?)([A-Za-z_][A-Za-z0-9_]*)?|~")
+_PLACEHOLDER_RE = re.compile(r"\$(@?)([A-Za-z_][A-Za-z0-9_]*)?|~")
 _WHOLE_REF_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
 _SPLICE_RE = re.compile(r"\$@([A-Za-z0-9_.\-]+)")
+
+# Fill-environment keys no parameter or foreach variable can take, since
+# those are strings: _INSTANCE holds the instance name; a misplaced "$@"
+# splice and a "$" without a name read keys never bound.
+_INSTANCE = ("~",)
+_NEVER_BOUND = {("$@",): "'$@' splices are only valid as a whole children entry",
+                ("$",): "'$' must be followed by a parameter name"}
+_UNBOUND = object()
 
 
 @dataclass
@@ -126,208 +138,204 @@ def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> Binding:
     return Binding(values=values, instance=inst.name)
 
 
-def substitute(pattern: str, binding: Binding) -> str:
-    """Single-pass placeholder substitution; output is not re-scanned."""
+# --- compiled pattern strings ---------------------------------------------
 
-    def repl(m):
-        if m.group(0) == "~":
-            return binding.instance
-        splice, ident = m.groups()
-        if splice:
-            raise ExpandError(
-                "UNBOUND_PLACEHOLDER",
-                "'$@' splices are only valid as a whole children entry",
-                subject=pattern)
-        if ident is None:
-            raise ExpandError("UNBOUND_PLACEHOLDER",
-                              "'$' must be followed by a parameter name",
-                              subject=pattern)
-        if ident == "name":
-            return binding.instance
-        if ident not in binding.values:
-            raise ExpandError("UNBOUND_PLACEHOLDER", f"'${ident}' is not bound",
-                              subject=pattern)
-        v = binding.values[ident]
+class _Text:
+    """A pattern string with placeholders, split into ``(literal, key)``
+    pieces and a literal tail; ``key`` is the env key a placeholder reads."""
+
+    __slots__ = ("pattern", "pieces", "tail")
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        pieces = []
+        start = 0
+        for m in _PLACEHOLDER_RE.finditer(pattern):
+            splice, ident = m.groups()  # splice is None for "~"
+            key = ("$@",) if splice else (
+                _INSTANCE if splice is None or ident == "name" else ident or ("$",))
+            pieces.append((pattern[start:m.start()], key))
+            start = m.end()
+        self.pieces = tuple(pieces)
+        self.tail = pattern[start:]
+
+    def fill(self, env):
+        parts = []
+        for literal, key in self.pieces:
+            parts.append(literal)
+            v = env.get(key, _UNBOUND)
+            cls = v.__class__
+            parts.append(v if cls is str else str(v) if cls is int else self._text(key, v))
+        parts.append(self.tail)
+        return "".join(parts)
+
+    def _text(self, key, v):
+        if v is _UNBOUND:
+            message = _NEVER_BOUND.get(key) or f"'${key}' is not bound"
+            raise ExpandError("UNBOUND_PLACEHOLDER", message, subject=self.pattern)
         if isinstance(v, tuple):
-            raise ExpandError(
-                "LIST_IN_SCALAR_POSITION",
-                f"list parameter '{ident}' used where a scalar is required",
-                subject=pattern)
+            raise ExpandError("LIST_IN_SCALAR_POSITION",
+                              f"list parameter '{key}' used where a scalar is required",
+                              subject=self.pattern)
         return value_text(v)
 
-    return _SUBSTITUTE_RE.sub(repl, pattern)
+
+def _compile(pattern):
+    """A pattern with no placeholder, or None, stays as it is."""
+    return _Text(pattern) if pattern and ("$" in pattern or "~" in pattern) else pattern
 
 
-def _qualify(instance, name):
-    if name == instance or name.startswith(instance + "/"):
-        return name
-    return f"{instance}/{name}"
+def _fill(text, env):
+    return text.fill(env) if text.__class__ is _Text else text
 
 
-@dataclass
-class _Pending:
-    """One substituted body node awaiting children resolution."""
-
-    name_sub: str
-    pattern: NodeDef
-    binding: Binding
-    blocks: dict  # emitted names of foreach blocks at this body level
-    final: str = ""
+def substitute(pattern: str, binding: Binding) -> str:
+    """Single-pass placeholder substitution; output is not re-scanned."""
+    return _fill(_compile(pattern), {**binding.values, _INSTANCE: binding.instance})
 
 
-def _expand_body_items(body, binding, stack=()):
-    items = []
-    level_blocks = {}
-    for key, entry in body.items():
-        if isinstance(entry, ForeachBlock):
-            sub_items, emitted = _expand_block_items(entry, binding, stack)
-            level_blocks[key] = emitted
-            items.extend(sub_items)
-        else:
-            items.append(_Pending(substitute(key, binding), entry, binding, level_blocks))
-    return items
-
-
-def _expand_block_items(block, binding, stack=()):
-    m = _WHOLE_REF_RE.fullmatch(block.list_ref)
-    if m is None:
-        raise ExpandError("NOT_A_LIST",
-                          f"foreach 'list' must be a $param reference, got '{block.list_ref}'",
-                          subject=block.list_ref, span=block.span, chain=stack)
-    ident = m.group(1)
-    if ident not in binding.values:
-        raise ExpandError("UNBOUND_PLACEHOLDER", f"'${ident}' is not bound",
-                          subject=block.list_ref, span=block.span, chain=stack)
-    value = binding.values[ident]
-    if not isinstance(value, tuple):
-        raise ExpandError("NOT_A_LIST",
-                          f"foreach iterates a list, but '${ident}' is a scalar",
-                          subject=block.list_ref, span=block.span, chain=stack)
-    items = []
-    emitted = []
-    seen = set()
-    for k, elem in enumerate(value):
-        ib = Binding({**binding.values, block.var: elem, block.index: k}, binding.instance)
-        for it in _expand_body_items(block.nodes, ib, stack):
-            if it.name_sub in seen:
-                raise ExpandError("NAME_CLASH",
-                                  f"iterations produce the same node name '{it.name_sub}'",
-                                  subject=it.name_sub, span=block.span, chain=stack)
-            seen.add(it.name_sub)
-            items.append(it)
-        emitted.append(substitute(block.emit, ib))
-    return items, emitted
-
-
-def _resolve_children(entries, binding, local_map, blocks):
-    out = []
-    for entry in entries:
-        m = _SPLICE_RE.fullmatch(entry)
-        if m is not None:
-            name = m.group(1)
-            if name not in blocks:
-                raise ExpandError("UNKNOWN_BLOCK", f"no foreach block named '{name}'",
-                                  subject=entry)
-            out.extend(local_map.get(nm, nm) for nm in blocks[name])
-            continue
-        w = _WHOLE_REF_RE.fullmatch(entry)
-        if w is not None:
-            ident = w.group(1)
-            bound = binding.values.get(ident)
-            if isinstance(bound, tuple):
-                # a list param as a whole children entry splices element-wise
-                for v in bound:
-                    t = value_text(v)
-                    out.append(local_map.get(t, t))
-                continue
-        t = substitute(entry, binding)
-        out.append(local_map.get(t, t))
-    return tuple(out)
-
-
-def _forward_value(v, binding):
+def _forward_value(v, env):
     if not isinstance(v, str):
         return v
     w = _WHOLE_REF_RE.fullmatch(v)
-    if w is not None:
-        ident = w.group(1)
-        if ident == "name":
-            return binding.instance
-        if ident in binding.values:
-            return binding.values[ident]  # forwarded with its kind intact
-    return substitute(v, binding)
+    key = w and (_INSTANCE if w.group(1) == "name" else w.group(1))
+    if key in env:
+        return env[key]  # forwarded with its kind intact
+    return _fill(_compile(v), env)
 
 
-def _forward_args(args, binding):
+def _forward_args(args, env):
     out = {}
     for key, v in args.items():
-        if isinstance(v, tuple):
-            flat = []
-            for elem in v:
-                fwd = _forward_value(elem, binding)
-                if isinstance(fwd, tuple):
-                    flat.extend(fwd)
-                else:
-                    flat.append(fwd)
-            out[key] = tuple(flat)
+        if isinstance(v, tuple):  # a forwarded list splices into a list arg
+            fwd = [_forward_value(elem, env) for elem in v]
+            out[key] = tuple(x for f in fwd for x in (f if isinstance(f, tuple) else (f,)))
         else:
-            out[key] = _forward_value(v, binding)
+            out[key] = _forward_value(v, env)
     return out
 
 
-def _check_payload(nd, kind, name):
-    """Raise BAD_NODE for node ``name`` unless ``nd`` carries the payload
-    that ``kind`` takes; ``kind`` is None for a templated node."""
-    problem = payload_problem(nd, kind)
-    if problem is not None:
-        raise ExpandError("BAD_NODE", problem, subject=name, span=nd.span)
+# --- the plan -------------------------------------------------------------
+
+def _compile_child(entry, blocks):
+    """A children entry: a ``$@block`` splice, a whole ``$param`` reference,
+    or text; ``blocks`` names the foreach blocks at the entry's body level."""
+    m = _SPLICE_RE.fullmatch(entry)
+    if m is not None:
+        return ("block" if m.group(1) in blocks else "no block", m.group(1))
+    w = _WHOLE_REF_RE.fullmatch(entry)
+    return ("ref", (w.group(1), _Text(entry))) if w else ("text", _compile(entry))
 
 
-def _finalize_primary(it, type_sub, children):
-    pat = it.pattern
-    binding = it.binding
-    if not NAME_RE.fullmatch(it.final):
-        raise ExpandError("INVALID_NAME",
-                          f"substitution produced an invalid node name '{it.final}'",
-                          subject=it.final, span=pat.span)
-    _check_payload(pat, type_sub, it.final)
-    sub = lambda s: None if s is None else substitute(s, binding)
-    node = NodeDef(
-        name=it.final,
-        type=type_sub,
-        children=children,
-        if_=sub(pat.if_),
-        then=sub(pat.then),
-        else_=sub(pat.else_),
-        script=tuple(substitute(s, binding) for s in pat.script),
-        result=sub(pat.result),
-        span=pat.span,
-    )
-    return with_leaf_defaults(node)
+class _NodePlan:
+    """One body node pattern, compiled."""
+
+    __slots__ = ("pattern", "key", "type", "children", "leaves")
+
+    def __init__(self, key, pattern, blocks):
+        self.pattern, self.key, self.type = pattern, _compile(key), _compile(pattern.type)
+        self.children = tuple(_compile_child(entry, blocks) for entry in pattern.children)
+        self.leaves = {}  # primary kind -> leaf(kind)
+
+    def leaf(self, kind):
+        """The payload problem for ``kind``, and the payload fields with
+        ``kind``'s defaults: if, then, else, script, result."""
+        cached = self.leaves.get(kind)
+        if cached is None:
+            nd = with_leaf_defaults(replace(self.pattern, type=kind))
+            fields = (*map(_compile, (nd.if_, nd.then, nd.else_)),
+                      tuple(map(_compile, nd.script)), _compile(nd.result))
+            cached = self.leaves[kind] = (payload_problem(self.pattern, kind), fields)
+        return cached
 
 
-def _finalize_item(it, local_map, registry, stack, max_depth):
-    type_sub = substitute(it.pattern.type, it.binding)
-    children = _resolve_children(it.pattern.children, it.binding, local_map, it.blocks)
-    if type_sub in PRIMARY_KINDS:
-        return [_finalize_primary(it, type_sub, children)]
-    if type_sub in registry:
-        if type_sub in stack:
-            raise ExpandError("RECURSIVE_TEMPLATE",
-                              f"template '{type_sub}' is already being expanded",
-                              subject=it.final, span=it.pattern.span, chain=stack)
-        if not NAME_RE.fullmatch(it.final):
-            raise ExpandError("INVALID_NAME",
-                              f"substitution produced an invalid node name '{it.final}'",
-                              subject=it.final, span=it.pattern.span)
-        # the pattern's leaf payload rides along for instantiate to reject
-        inst = replace(it.pattern, name=it.final, type=type_sub, children=children,
-                       args=_forward_args(it.pattern.args, it.binding))
-        return instantiate(registry[type_sub], inst, registry,
-                           stack + (type_sub,), max_depth=max_depth)
-    raise ExpandError("UNKNOWN_TYPE",
-                      f"type '{type_sub}' is neither a primary kind nor a template",
-                      subject=it.final, span=it.pattern.span, chain=stack)
+def _compile_block(key, block):
+    """A foreach block: (key, block, list param, emit, body level)."""
+    w = _WHOLE_REF_RE.fullmatch(block.list_ref)
+    return key, block, w and w.group(1), _compile(block.emit), _compile_level(block.nodes)
+
+
+def _compile_level(body):
+    """One body level: its entries in order."""
+    blocks = {key for key, entry in body.items() if isinstance(entry, ForeachBlock)}
+    return tuple(_compile_block(key, entry) if key in blocks else _NodePlan(key, entry, blocks)
+                 for key, entry in body.items())
+
+
+def _plan(tmpl):
+    """The template's compiled body and root, built on first use."""
+    if tmpl.plan is None:
+        object.__setattr__(tmpl, "plan", (_compile_level(tmpl.body), _compile(tmpl.root)))
+    return tmpl.plan
+
+
+# --- instantiation --------------------------------------------------------
+
+def _collect(level, env, stack, items):
+    """Append ``(local name, node plan, env, emitted)`` for each body node of a
+    level, unrolling its blocks; ``emitted`` maps block names to emitted names."""
+    emitted = {}
+    for entry in level:
+        if entry.__class__ is _NodePlan:
+            items.append((_fill(entry.key, env), entry, env, emitted))
+        else:
+            emitted[entry[0]] = _unroll(entry, env, stack, items)
+
+
+def _unroll(plan, env, stack, items):
+    _, block, list_key, emit, body = plan
+
+    def error(code, message, subject=block.list_ref):
+        return ExpandError(code, message, subject=subject, span=block.span, chain=stack)
+
+    if list_key is None:
+        raise error("NOT_A_LIST",
+                    f"foreach 'list' must be a $param reference, got '{block.list_ref}'")
+    value = env.get(list_key, _UNBOUND)
+    if value is _UNBOUND:
+        raise error("UNBOUND_PLACEHOLDER", f"'${list_key}' is not bound")
+    if not isinstance(value, tuple):
+        raise error("NOT_A_LIST", f"foreach iterates a list, but '${list_key}' is a scalar")
+    emitted = []
+    seen = set()
+    for k, elem in enumerate(value):
+        ienv = {**env, block.var: elem, block.index: k}
+        start = len(items)
+        _collect(body, ienv, stack, items)
+        for i in range(start, len(items)):
+            name = items[i][0]
+            if name in seen:
+                raise error("NAME_CLASH", f"iterations produce the same node name '{name}'", name)
+            seen.add(name)
+        emitted.append(_fill(emit, ienv))
+    return emitted
+
+
+def _children(entries, env, local_map, emitted):
+    out = []
+    for tag, entry in entries:
+        if tag == "text":
+            t = _fill(entry, env)
+            out.append(local_map.get(t, t))
+        elif tag == "ref":
+            bound = env.get(entry[0])
+            if isinstance(bound, tuple):  # a list param splices element-wise
+                out.extend(local_map.get(t, t) for t in map(value_text, bound))
+            else:
+                t = entry[1].fill(env)
+                out.append(local_map.get(t, t))
+        elif tag == "block":
+            out.extend(local_map.get(nm, nm) for nm in emitted[entry])
+        else:
+            raise ExpandError("UNKNOWN_BLOCK", f"no foreach block named '{entry}'",
+                              subject=f"$@{entry}")
+    return tuple(out)
+
+
+def _invalid_name(name, span):
+    return ExpandError("INVALID_NAME",
+                       f"substitution produced an invalid node name '{name}'",
+                       subject=name, span=span)
 
 
 def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
@@ -344,34 +352,66 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
             raise ExpandError("DEPTH_EXCEEDED",
                               f"template nesting deeper than {max_depth}",
                               subject=inst.name, chain=stack)
-        _check_payload(inst, None, inst.name)
-        binding = bind_arguments(tmpl, inst)
-        items = _expand_body_items(tmpl.body, binding, stack)
-        root_q = _qualify(inst.name, substitute(tmpl.root, binding))
+        problem = payload_problem(inst, None)  # a templated node takes only args
+        if problem is not None:
+            raise ExpandError("BAD_NODE", problem, subject=inst.name, span=inst.span)
+        env = bind_arguments(tmpl, inst).values
+        instance = env[_INSTANCE] = inst.name
+        level, root = _plan(tmpl)
+        items = []
+        _collect(level, env, stack, items)
+
+        prefix = instance + "/"
+        root = _fill(root, env)
+        root_q = root if root == instance or root.startswith(prefix) else prefix + root
         local_map = {}
-        finals = set()
-        root_count = 0
-        for it in items:
-            q = _qualify(inst.name, it.name_sub)
-            if q == root_q:
-                it.final = inst.name
-                root_count += 1
-            else:
-                it.final = q
-            if it.final in finals:
+        seen = set()
+        for item in items:
+            name = item[0]
+            q = name if name == instance or name.startswith(prefix) else prefix + name
+            final = instance if q == root_q else q
+            if final in seen:
                 raise ExpandError("DUPLICATE_NAME",
-                                  f"expansion produces duplicate node '{it.final}'",
-                                  subject=it.final, span=tmpl.span)
-            finals.add(it.final)
-            local_map[it.name_sub] = it.final
-            local_map[q] = it.final
-        if root_count != 1:
+                                  f"expansion produces duplicate node '{final}'",
+                                  subject=final, span=tmpl.span)
+            seen.add(final)
+            local_map[name] = local_map[q] = final
+        if root_q not in local_map:  # no body node qualifies to it
             raise ExpandError("BAD_TEMPLATE_ROOT",
                               f"template root '{tmpl.root}' does not resolve to a body node",
-                              subject=inst.name, span=tmpl.span)
+                              subject=instance, span=tmpl.span)
         out = []
-        for it in items:
-            out.extend(_finalize_item(it, local_map, registry, stack, max_depth))
+        for name, node, ienv, emitted in items:
+            final, span = local_map[name], node.pattern.span
+            type_ = _fill(node.type, ienv)
+            children = _children(node.children, ienv, local_map, emitted) if node.children else ()
+            if type_ in PRIMARY_KINDS:
+                if not NAME_RE.fullmatch(final):
+                    raise _invalid_name(final, span)
+                problem, (if_, then, else_, script, result) = node.leaf(type_)
+                if problem is not None:
+                    raise ExpandError("BAD_NODE", problem, subject=final, span=span)
+                # filled in field order, so that the first bad text wins
+                if_, then, else_ = _fill(if_, ienv), _fill(then, ienv), _fill(else_, ienv)
+                script = tuple(_fill(s, ienv) for s in script) if script else ()
+                out.append(NodeDef(final, type_, children, {}, if_, then, else_, script,
+                                   _fill(result, ienv), span))
+            elif type_ in registry:
+                if type_ in stack:
+                    raise ExpandError("RECURSIVE_TEMPLATE",
+                                      f"template '{type_}' is already being expanded",
+                                      subject=final, span=span, chain=stack)
+                if not NAME_RE.fullmatch(final):
+                    raise _invalid_name(final, span)
+                # the pattern's leaf payload rides along for instantiate to reject
+                nested = replace(node.pattern, name=final, type=type_, children=children,
+                                 args=_forward_args(node.pattern.args, ienv))
+                out.extend(instantiate(registry[type_], nested, registry, stack + (type_,),
+                                       max_depth=max_depth))
+            else:
+                raise ExpandError("UNKNOWN_TYPE",
+                                  f"type '{type_}' is neither a primary kind nor a template",
+                                  subject=final, span=span, chain=stack)
         return out
 
 

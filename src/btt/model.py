@@ -186,6 +186,8 @@ class TemplateDef:
     body: dict  # local-name pattern -> NodeDef pattern | block-name -> ForeachBlock
     root: str
     span: "SourceSpan | None" = field(default=None, compare=False, repr=False)
+    # The expander's compiled instantiation plan, built on first use.
+    plan: object = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -231,12 +233,9 @@ def diagnostic_render(d: Diagnostic) -> str:
 def _texts_with_placeholder(nd: NodeDef):
     # "$" is residue anywhere; "~" only counts in name positions, since
     # quoted expression text may legitimately contain a tilde.
-    dollar_fields = [nd.name, nd.type, *nd.children, nd.if_, nd.then, nd.else_,
-                     *nd.script, nd.result]
-    if any(t is not None and "$" in t for t in dollar_fields):
-        return True
-    name_fields = [nd.name, nd.type, *nd.children]
-    return any("~" in t for t in name_fields)
+    names = "".join((nd.name, nd.type, *nd.children))
+    return ("$" in names or "~" in names
+            or "$" in f"{nd.if_}{nd.then}{nd.else_}{nd.result}{''.join(nd.script or ())}")
 
 
 def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
@@ -274,8 +273,12 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
                     Diagnostic("CONTROL_WITHOUT_CHILDREN", nd.name,
                                f"{nd.type} node requires at least one child")
                 )
-            problem = payload_problem(nd, nd.type)
-            if problem is not None:
+            # an expanded leaf also carries the default of every optional key
+            unset = [key for key, default in LEAF_PAYLOAD.get(nd.type, {}).items()
+                     if default is not None and getattr(nd, PAYLOAD_FIELDS[key]) is None]
+            problem = (payload_problem(nd, nd.type)
+                       or unset and f"a {nd.type} node has no '{unset[0]}'")
+            if problem:
                 diags.append(Diagnostic("BAD_NODE", nd.name, problem))
         if _texts_with_placeholder(nd):
             diags.append(

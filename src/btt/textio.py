@@ -57,6 +57,7 @@ from .model import (
 class SourceSpan:
     line: int  # 1-based
     column: int  # 1-based
+    source: str | None = None  # None: the file being read; builtins: btt:templates/<file>
 
 
 _PARAM_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

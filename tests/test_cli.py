@@ -3,7 +3,7 @@ import pytest
 from btt import textio
 from btt.cli import main
 from util import (BODY_PAYLOAD_LINE, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES, NESTED_FORMS,
-                  body_payload_doc, nested)
+                  TEMPLATES, body_payload_doc, nested)
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +214,40 @@ nodes:
     assert code == 3
     assert "DEPTH_EXCEEDED" in err
     assert run_cli(capsys, "expand", doc)[0] == 0
+
+
+def test_diagnostic_in_a_builtin_names_the_builtin_file(tmp_path, capsys):
+    """A document's own latch instantiating sequence_star, which wraps each
+    child in a latch: the recursion is found at the builtin's ~/latch_$i."""
+    doc = write(tmp_path, "shadow.yaml", """\
+templates:
+  latch:
+    args:
+      - {name: child, kind: node}
+    root: "~"
+    nodes:
+      "~": {type: sequence_star, children: ["$child"]}
+root: a
+nodes:
+  a: {type: latch, children: [b]}
+  b: {type: action}
+""")
+    source = TEMPLATES / "sequence_star.yaml"
+    # the span of the ~/latch_$i pattern: its mapping starts at "type: latch"
+    line = source.read_text().splitlines().index("            type: latch") + 1
+    code, out, err = run_cli(capsys, "expand", doc)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1].startswith(
+        f"btt:templates/sequence_star.yaml:{line}:13: RECURSIVE_TEMPLATE: a/latch_0: ")
+    # a span in the document itself still prints under the document's path
+    code, _, err = run_cli(capsys, "expand", write(tmp_path, "own.yaml", """\
+root: a
+nodes:
+  a: {type: latch, children: [b, c]}
+  b: {type: action}
+  c: {type: action}
+"""))
+    assert (code, err.split(": ")[0]) == (3, f"{tmp_path / 'own.yaml'}:3:6")
 
 
 def test_run_on_expanded_document_gives_identical_trace(tmp_path, capsys):

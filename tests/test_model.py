@@ -13,6 +13,7 @@ from btt import (
     validate_expanded,
     value_text,
     values_equal,
+    with_leaf_defaults,
 )
 from util import CORPUS_DOCS, action, condition, control, expand_path, tree
 
@@ -133,6 +134,20 @@ def test_leaf_payload_rules():
     ok = tree(control("s", "sequence", ["c", "a"]), condition("c", "true", then="RUNNING"),
               action("a", script=("x := 1",), result="FAILURE"))
     assert validate_expanded(ok) == []
+
+
+def test_leaf_without_its_defaults():
+    """A hand-built leaf that never went through with_leaf_defaults is
+    BAD_NODE; the engine and the writer would trip over its None fields."""
+    cases = [
+        (NodeDef("c", "condition", if_="true"), "a condition node has no 'then'"),
+        (NodeDef("c", "condition", if_="true", then="SUCCESS"), "a condition node has no 'else'"),
+        (NodeDef("c", "action"), "a action node has no 'result'"),
+        (NodeDef("c", "action", script=None, result="SUCCESS"), "a action node has no 'script'"),
+    ]
+    for nd, message in cases:
+        assert validate_expanded(tree(nd)) == [Diagnostic("BAD_NODE", "c", message)]
+        assert validate_expanded(tree(with_leaf_defaults(nd))) == []
 
 
 def test_unsubstituted_placeholder():

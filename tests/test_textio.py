@@ -16,6 +16,7 @@ from btt import (
     SchemaError,
     SourceSpan,
     TemplateDef,
+    builtin_templates,
     expand_document,
     parse_document,
     parse_scenario,
@@ -228,7 +229,8 @@ def test_serialize_rejects_invalid_trees():
         serialize_expanded(tree(action("a", children=("b",)), action("b")))
     # payload the writer could not write, or would drop
     for nd in (NodeDef("a", "condition", then="SUCCESS", else_="FAILURE"),
-               action("a", if_="x")):
+               action("a", if_="x"), NodeDef("a", "condition", if_="true"),
+               NodeDef("a", "action")):
         with pytest.raises(CanonicalizeError) as exc:
             serialize_expanded(tree(nd))
         assert exc.value.message == "tree fails validation: BAD_NODE on 'a'"
@@ -348,6 +350,29 @@ def _spans(value):
     if isinstance(value, ForeachBlock):
         return [value.span, _spans(value.nodes)]
     return value.span
+
+
+def _flat_spans(spans):
+    if isinstance(spans, list):
+        return [span for item in spans for span in _flat_spans(item)]
+    if isinstance(spans, tuple):  # (key, spans)
+        return _flat_spans(spans[1])
+    return [spans]
+
+
+def test_builtin_spans_name_their_file():
+    """Spans parsed from a builtin carry ``btt:templates/<file>``; a
+    document's spans carry no source and compare as before."""
+    for name, tmpl in builtin_templates().items():
+        path = TEMPLATES / f"{name}.yaml"
+        spans = _flat_spans(_spans(tmpl))
+        plain = _flat_spans(_spans(parse_templates(path.read_text(encoding="utf-8"))[name]))
+        assert len(spans) > 1 and {span.source for span in spans} == {f"btt:templates/{path.name}"}
+        assert [(s.line, s.column) for s in spans] == [(s.line, s.column) for s in plain]
+        assert {span.source for span in plain} == {None}
+    doc = parse_document("root: a\nnodes:\n  a: {type: action}\n")
+    assert doc.nodes["a"].span == SourceSpan(3, 6) == SourceSpan(3, 6, None)
+    assert SourceSpan(3, 6) != SourceSpan(3, 6, "btt:templates/latch.yaml")
 
 
 def _parse_with(monkeypatch, loader, parse, text):
