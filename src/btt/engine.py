@@ -12,8 +12,10 @@ lookups, and tree depth is unbounded.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import EngineError, ExprError, TickError
@@ -43,6 +45,28 @@ class TraceEvent(NamedTuple):
     tick: int
     node: str
     result: ReturnState
+
+
+class TickEvents(Sequence):
+    """One tick's events in visit order, read-only. The tick records only
+    node numbers and states; each TraceEvent is built when it is read."""
+
+    __slots__ = ("_tick", "_names", "_nodes", "_results")
+
+    def __init__(self, tick, names, nodes, results):
+        self._tick, self._names, self._nodes, self._results = tick, names, nodes, results
+
+    def __len__(self):
+        return len(self._nodes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return _new_event(TraceEvent, (self._tick, self._names[self._nodes[i]], self._results[i]))
+
+    def __iter__(self):
+        fields = zip(repeat(self._tick), map(self._names.__getitem__, self._nodes), self._results)
+        return map(_new_event, repeat(TraceEvent), fields)
 
 
 def render_trace_event(event: TraceEvent) -> str:
@@ -92,7 +116,6 @@ class Engine:
         self.memory = memory if memory is not None else {}
         self.scenario = scenario
         self.tick_count = 0
-        self.trace: list[TraceEvent] = []
 
         # The program: one slot per node, numbered in tree.nodes order, in
         # flat lists of kind codes, links, state keys and names. The
@@ -146,17 +169,17 @@ class Engine:
                          [None] * n, [None] * n, [None] * n, scripts, [0] * n, [_NONE_YET] * n)
 
     def tick(self):
-        """Run one traversal; returns (root state, this tick's events).
+        """Run one traversal; returns (root state, this tick's TickEvents).
 
         The walk descends through first-child links to a leaf, evaluates
-        it, then climbs: each completed node writes its state and event,
-        and its parent either moves on to the next sibling or completes.
+        it, then climbs: each completed node writes its state, appends its
+        number and state to the tick's two lists, and its parent either
+        moves on to the next sibling or completes.
         """
         self.tick_count = tick = self.tick_count + 1
         memory = self.memory
-        trace = self.trace
-        start = len(trace)
-        append = trace.append
+        visited, states = [], []
+        visit, record = visited.append, states.append
         (nodes, kinds, first, sibling, parent, keys, names,
          ifs, thens, elses, results, scripts, cursors, ranks) = self._program
         node = self._root
@@ -205,10 +228,11 @@ class Engine:
                     result = eval_state_expr(e, memory)
                 while True:
                     memory[keys[node]] = result
-                    append(_new_event(TraceEvent, (tick, names[node], result)))
+                    visit(node)
+                    record(result)
                     up = parent[node]
                     if up < 0:
-                        return result, trace[start:]
+                        return result, TickEvents(tick, names, visited, states)
                     kind = kinds[up]
                     if kind == _PARALLEL:
                         rank = _RANK(result)
@@ -223,4 +247,5 @@ class Engine:
                 node = sibling[node]
         except ExprError as exc:
             # abort the tick; no state write for the failing node or above
-            raise TickError(exc.render(), node=names[node], tick=tick) from exc
+            raise TickError(exc.render(), node=names[node], tick=tick,
+                            events=TickEvents(tick, names, visited, states)) from exc

@@ -79,9 +79,13 @@ class EngineError(BttError):
 
 
 class TickError(BttError):
-    """An expression error surfaced while ticking; aborts the whole tick."""
+    """An expression error surfaced while ticking; aborts the whole tick.
 
-    def __init__(self, message, *, node, tick):
+    ``events`` holds the aborted tick's events up to the failing node.
+    """
+
+    def __init__(self, message, *, node, tick, events=()):
         self.node = node
         self.tick = tick
+        self.events = events
         super().__init__("RUNTIME_ERROR", f"tick {tick}: {message}", subject=node)

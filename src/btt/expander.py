@@ -172,12 +172,21 @@ class _Text:
     def _text(self, key, v):
         if v is _UNBOUND:
             message = _NEVER_BOUND.get(key) or f"'${key}' is not bound"
-            raise ExpandError("UNBOUND_PLACEHOLDER", message, subject=self.pattern)
+            raise _Unfilled("UNBOUND_PLACEHOLDER", f"{message}, in '{self.pattern}'")
         if isinstance(v, tuple):
-            raise ExpandError("LIST_IN_SCALAR_POSITION",
-                              f"list parameter '{key}' used where a scalar is required",
-                              subject=self.pattern)
+            raise _Unfilled("LIST_IN_SCALAR_POSITION",
+                            f"list parameter '{key}' used where a scalar is required, "
+                            f"in '{self.pattern}'")
         return value_text(v)
+
+
+class _Unfilled(Exception):
+    """A placeholder ``_Text.fill`` cannot fill. The caller knows which
+    node the text belongs to and turns it into a located ExpandError."""
+
+    def at(self, subject, span):
+        code, message = self.args
+        return ExpandError(code, message, subject=subject, span=span)
 
 
 def _compile(pattern):
@@ -191,7 +200,10 @@ def _fill(text, env):
 
 def substitute(pattern: str, binding: Binding) -> str:
     """Single-pass placeholder substitution; output is not re-scanned."""
-    return _fill(_compile(pattern), {**binding.values, _INSTANCE: binding.instance})
+    try:
+        return _fill(_compile(pattern), {**binding.values, _INSTANCE: binding.instance})
+    except _Unfilled as exc:
+        raise exc.at(pattern, None) from None
 
 
 def _forward_value(v, env):
@@ -277,7 +289,10 @@ def _collect(level, env, stack, items):
     emitted = {}
     for entry in level:
         if entry.__class__ is _NodePlan:
-            items.append((_fill(entry.key, env), entry, env, emitted))
+            try:
+                items.append((_fill(entry.key, env), entry, env, emitted))
+            except _Unfilled as exc:
+                raise exc.at(env[_INSTANCE], entry.pattern.span) from None
         else:
             emitted[entry[0]] = _unroll(entry, env, stack, items)
 
@@ -307,7 +322,10 @@ def _unroll(plan, env, stack, items):
             if name in seen:
                 raise error("NAME_CLASH", f"iterations produce the same node name '{name}'", name)
             seen.add(name)
-        emitted.append(_fill(emit, ienv))
+        try:
+            emitted.append(_fill(emit, ienv))
+        except _Unfilled as exc:
+            raise exc.at(env[_INSTANCE], block.span) from None
     return emitted
 
 
@@ -362,7 +380,10 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
         _collect(level, env, stack, items)
 
         prefix = instance + "/"
-        root = _fill(root, env)
+        try:
+            root = _fill(root, env)
+        except _Unfilled as exc:
+            raise exc.at(instance, tmpl.span) from None
         root_q = root if root == instance or root.startswith(prefix) else prefix + root
         local_map = {}
         seen = set()
@@ -381,37 +402,41 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
                               f"template root '{tmpl.root}' does not resolve to a body node",
                               subject=instance, span=tmpl.span)
         out = []
-        for name, node, ienv, emitted in items:
-            final, span = local_map[name], node.pattern.span
-            type_ = _fill(node.type, ienv)
-            children = _children(node.children, ienv, local_map, emitted) if node.children else ()
-            if type_ in PRIMARY_KINDS:
-                if not NAME_RE.fullmatch(final):
-                    raise _invalid_name(final, span)
-                problem, (if_, then, else_, script, result) = node.leaf(type_)
-                if problem is not None:
-                    raise ExpandError("BAD_NODE", problem, subject=final, span=span)
-                # filled in field order, so that the first bad text wins
-                if_, then, else_ = _fill(if_, ienv), _fill(then, ienv), _fill(else_, ienv)
-                script = tuple(_fill(s, ienv) for s in script) if script else ()
-                out.append(NodeDef(final, type_, children, {}, if_, then, else_, script,
-                                   _fill(result, ienv), span))
-            elif type_ in registry:
-                if type_ in stack:
-                    raise ExpandError("RECURSIVE_TEMPLATE",
-                                      f"template '{type_}' is already being expanded",
+        try:
+            for name, node, ienv, emitted in items:
+                final, span = local_map[name], node.pattern.span
+                type_ = _fill(node.type, ienv)
+                children = (_children(node.children, ienv, local_map, emitted)
+                            if node.children else ())
+                if type_ in PRIMARY_KINDS:
+                    if not NAME_RE.fullmatch(final):
+                        raise _invalid_name(final, span)
+                    problem, (if_, then, else_, script, result) = node.leaf(type_)
+                    if problem is not None:
+                        raise ExpandError("BAD_NODE", problem, subject=final, span=span)
+                    # filled in field order, so that the first bad text wins
+                    if_, then, else_ = _fill(if_, ienv), _fill(then, ienv), _fill(else_, ienv)
+                    script = tuple(_fill(s, ienv) for s in script) if script else ()
+                    out.append(NodeDef(final, type_, children, {}, if_, then, else_, script,
+                                       _fill(result, ienv), span))
+                elif type_ in registry:
+                    if type_ in stack:
+                        raise ExpandError("RECURSIVE_TEMPLATE",
+                                          f"template '{type_}' is already being expanded",
+                                          subject=final, span=span, chain=stack)
+                    if not NAME_RE.fullmatch(final):
+                        raise _invalid_name(final, span)
+                    # the pattern's leaf payload rides along for instantiate to reject
+                    nested = replace(node.pattern, name=final, type=type_, children=children,
+                                     args=_forward_args(node.pattern.args, ienv))
+                    out.extend(instantiate(registry[type_], nested, registry, stack + (type_,),
+                                           max_depth=max_depth))
+                else:
+                    raise ExpandError("UNKNOWN_TYPE",
+                                      f"type '{type_}' is neither a primary kind nor a template",
                                       subject=final, span=span, chain=stack)
-                if not NAME_RE.fullmatch(final):
-                    raise _invalid_name(final, span)
-                # the pattern's leaf payload rides along for instantiate to reject
-                nested = replace(node.pattern, name=final, type=type_, children=children,
-                                 args=_forward_args(node.pattern.args, ienv))
-                out.extend(instantiate(registry[type_], nested, registry, stack + (type_,),
-                                       max_depth=max_depth))
-            else:
-                raise ExpandError("UNKNOWN_TYPE",
-                                  f"type '{type_}' is neither a primary kind nor a template",
-                                  subject=final, span=span, chain=stack)
+        except _Unfilled as exc:  # a fill of the current item's texts
+            raise exc.at(final, span) from None
         return out
 
 

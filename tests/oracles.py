@@ -72,17 +72,23 @@ class ReferenceEngine:
         self.scripts = dict(scenario.actions) if scenario is not None else {}
         self.cursors = dict.fromkeys(self.scripts, 0)
         self.tick_count = 0
-        self.trace = []
+        self.events = []  # the current tick's events
         for name in self.nodes:
             self.memory.setdefault(state_key(name), ReturnState.EMPTY)
         if scenario is not None:
             self.memory.update(scenario.memory)
 
     def tick(self):
+        """Returns (root state, this tick's events); a TickError carries
+        the events recorded before the failing node."""
         self.tick_count += 1
-        start = len(self.trace)
-        result = self.tick_node(self.root)
-        return result, self.trace[start:]
+        self.events = []
+        try:
+            result = self.tick_node(self.root)
+        except TickError as exc:
+            exc.events = self.events
+            raise
+        return result, self.events
 
     def tick_node(self, name):
         nd = self.nodes[name]
@@ -112,7 +118,7 @@ class ReferenceEngine:
         except ExprError as exc:
             raise TickError(exc.render(), node=name, tick=self.tick_count) from exc
         self.memory[state_key(name)] = result
-        self.trace.append(TraceEvent(self.tick_count, name, result))
+        self.events.append(TraceEvent(self.tick_count, name, result))
         return result
 
 
@@ -274,33 +280,32 @@ def _bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> _Binding:
     return _Binding(values=values, instance=inst.name)
 
 
-def _substitute(pattern: str, binding: _Binding) -> str:
-    """Single-pass placeholder substitution; output is not re-scanned."""
+def _substitute(pattern: str, binding: _Binding, where) -> str:
+    """Single-pass placeholder substitution; output is not re-scanned.
+    ``where`` is the (subject, span) an error names: the node the pattern
+    belongs to, or the instance for a body key, foreach emit or root."""
+    subject, span = where
+
+    def error(code, message):
+        return ExpandError(code, f"{message}, in '{pattern}'", subject=subject, span=span)
 
     def repl(m):
         if m.group(0) == "~":
             return binding.instance
         splice, ident = m.groups()
         if splice:
-            raise ExpandError(
-                "UNBOUND_PLACEHOLDER",
-                "'$@' splices are only valid as a whole children entry",
-                subject=pattern)
+            raise error("UNBOUND_PLACEHOLDER",
+                        "'$@' splices are only valid as a whole children entry")
         if ident is None:
-            raise ExpandError("UNBOUND_PLACEHOLDER",
-                              "'$' must be followed by a parameter name",
-                              subject=pattern)
+            raise error("UNBOUND_PLACEHOLDER", "'$' must be followed by a parameter name")
         if ident == "name":
             return binding.instance
         if ident not in binding.values:
-            raise ExpandError("UNBOUND_PLACEHOLDER", f"'${ident}' is not bound",
-                              subject=pattern)
+            raise error("UNBOUND_PLACEHOLDER", f"'${ident}' is not bound")
         v = binding.values[ident]
         if isinstance(v, tuple):
-            raise ExpandError(
-                "LIST_IN_SCALAR_POSITION",
-                f"list parameter '{ident}' used where a scalar is required",
-                subject=pattern)
+            raise error("LIST_IN_SCALAR_POSITION",
+                        f"list parameter '{ident}' used where a scalar is required")
         return value_text(v)
 
     return _SUBSTITUTE_RE.sub(repl, pattern)
@@ -332,7 +337,8 @@ def _expand_body_items(body, binding, stack=()):
             level_blocks[key] = emitted
             items.extend(sub_items)
         else:
-            items.append(_Pending(_substitute(key, binding), entry, binding, level_blocks))
+            items.append(_Pending(_substitute(key, binding, (binding.instance, entry.span)),
+                                  entry, binding, level_blocks))
     return items
 
 
@@ -363,11 +369,11 @@ def _expand_block_items(block, binding, stack=()):
                                   subject=it.name_sub, span=block.span, chain=stack)
             seen.add(it.name_sub)
             items.append(it)
-        emitted.append(_substitute(block.emit, ib))
+        emitted.append(_substitute(block.emit, ib, (binding.instance, block.span)))
     return items, emitted
 
 
-def _resolve_children(entries, binding, local_map, blocks):
+def _resolve_children(entries, binding, local_map, blocks, where):
     out = []
     for entry in entries:
         m = _SPLICE_RE.fullmatch(entry)
@@ -388,12 +394,12 @@ def _resolve_children(entries, binding, local_map, blocks):
                     t = value_text(v)
                     out.append(local_map.get(t, t))
                 continue
-        t = _substitute(entry, binding)
+        t = _substitute(entry, binding, where)
         out.append(local_map.get(t, t))
     return tuple(out)
 
 
-def _forward_value(v, binding):
+def _forward_value(v, binding, where):
     if not isinstance(v, str):
         return v
     w = _WHOLE_REF_RE.fullmatch(v)
@@ -403,23 +409,23 @@ def _forward_value(v, binding):
             return binding.instance
         if ident in binding.values:
             return binding.values[ident]  # forwarded with its kind intact
-    return _substitute(v, binding)
+    return _substitute(v, binding, where)
 
 
-def _forward_args(args, binding):
+def _forward_args(args, binding, where):
     out = {}
     for key, v in args.items():
         if isinstance(v, tuple):
             flat = []
             for elem in v:
-                fwd = _forward_value(elem, binding)
+                fwd = _forward_value(elem, binding, where)
                 if isinstance(fwd, tuple):
                     flat.extend(fwd)
                 else:
                     flat.append(fwd)
             out[key] = tuple(flat)
         else:
-            out[key] = _forward_value(v, binding)
+            out[key] = _forward_value(v, binding, where)
     return out
 
 
@@ -439,7 +445,8 @@ def _finalize_primary(it, type_sub, children):
                           f"substitution produced an invalid node name '{it.final}'",
                           subject=it.final, span=pat.span)
     _check_payload(pat, type_sub, it.final)
-    sub = lambda s: None if s is None else _substitute(s, binding)
+    where = (it.final, pat.span)
+    sub = lambda s: None if s is None else _substitute(s, binding, where)
     node = NodeDef(
         name=it.final,
         type=type_sub,
@@ -447,7 +454,7 @@ def _finalize_primary(it, type_sub, children):
         if_=sub(pat.if_),
         then=sub(pat.then),
         else_=sub(pat.else_),
-        script=tuple(_substitute(s, binding) for s in pat.script),
+        script=tuple(sub(s) for s in pat.script),
         result=sub(pat.result),
         span=pat.span,
     )
@@ -455,8 +462,9 @@ def _finalize_primary(it, type_sub, children):
 
 
 def _finalize_item(it, local_map, registry, stack, max_depth):
-    type_sub = _substitute(it.pattern.type, it.binding)
-    children = _resolve_children(it.pattern.children, it.binding, local_map, it.blocks)
+    where = (it.final, it.pattern.span)
+    type_sub = _substitute(it.pattern.type, it.binding, where)
+    children = _resolve_children(it.pattern.children, it.binding, local_map, it.blocks, where)
     if type_sub in PRIMARY_KINDS:
         return [_finalize_primary(it, type_sub, children)]
     if type_sub in registry:
@@ -470,7 +478,7 @@ def _finalize_item(it, local_map, registry, stack, max_depth):
                               subject=it.final, span=it.pattern.span)
         # the pattern's leaf payload rides along for instantiate to reject
         inst = replace(it.pattern, name=it.final, type=type_sub, children=children,
-                       args=_forward_args(it.pattern.args, it.binding))
+                       args=_forward_args(it.pattern.args, it.binding, where))
         return reference_instantiate(registry[type_sub], inst, registry,
                            stack + (type_sub,), max_depth=max_depth)
     raise ExpandError("UNKNOWN_TYPE",
@@ -495,7 +503,7 @@ def reference_instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
         _check_payload(inst, None, inst.name)
         binding = _bind_arguments(tmpl, inst)
         items = _expand_body_items(tmpl.body, binding, stack)
-        root_q = _qualify(inst.name, _substitute(tmpl.root, binding))
+        root_q = _qualify(inst.name, _substitute(tmpl.root, binding, (inst.name, tmpl.span)))
         local_map = {}
         finals = set()
         root_count = 0

@@ -36,7 +36,7 @@ from btt import (
 from btt.cli import main as cli_main
 from oracles import control_step, oracle_star_with_counts, parallel_step
 from util import (CORPUS_DOCS, EXAMPLES, GOLDEN, REPO, action, control, expand_path,
-                  expand_text, mutate, tree)
+                  expand_text, mutate, run_ticks, tree)
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -77,9 +77,9 @@ def test_criterion_2_latch_behavior():
         "root: unlatch\nnodes:\n  unlatch: {type: reset, args: {targets: [goto]}}\n")
     t0 = time.perf_counter()
     eng = Engine(tree, scenario=Scenario(actions={"goto": (R, R, S)}))
-    roots = [eng.tick()[0] for _ in range(5)]
+    roots, events = run_ticks(eng, 5)
     assert roots == [R, R, S, S, S]
-    assert sum(1 for e in eng.trace if e.node == "goto") == 3
+    assert sum(1 for e in events if e.node == "goto") == 3
 
     resetter = Engine(reset_tree, memory=eng.memory)
     resetter.tick()
@@ -112,9 +112,9 @@ def test_criterion_3_node_star_equivalence():
             for combo in itertools.product(per_child, repeat=n):
                 eng = Engine(tree, scenario=Scenario(
                     actions=dict(zip(names, combo))))
-                got = [eng.tick()[0] for _ in range(5)]
+                got, events = run_ticks(eng, 5)
                 counts = dict.fromkeys(names, 0)
-                for e in eng.trace:
+                for e in events:
                     if e.node in counts:
                         counts[e.node] += 1
                 want, want_counts = oracle_star_with_counts(

@@ -250,6 +250,56 @@ nodes:
     assert (code, err.split(": ")[0]) == (3, f"{tmp_path / 'own.yaml'}:3:6")
 
 
+_SUBSTITUTION_DOC = """\
+templates:
+  t:
+    args:
+      - {{name: xs, kind: scalar-list, default: [a, b]}}
+    root: "{root}"
+    nodes:
+      "~":
+        type: sequence
+        children: ["$@each", "{child}"]
+      each:
+        foreach: {{list: "$xs", var: x}}
+        emit: "{emit}"
+        nodes:
+          "~/e_$x": {{type: action}}
+      "{key}": {{type: condition, if: "{if_}"}}
+      "~/r": {{type: reset, args: {{targets: ["{target}"]}}}}
+root: inst
+nodes:
+  inst: {{type: t}}
+"""
+_SUBSTITUTION_OK = {"root": "~", "child": "~/check", "emit": "~/e_$x", "key": "~/check",
+                    "if_": "x == 1", "target": "a"}
+
+
+@pytest.mark.parametrize("field, pattern, where, subject, code, message", [
+    ("if_", "$nope == 1", "15:18", "inst/check", "UNBOUND_PLACEHOLDER",
+     "'$nope' is not bound"),
+    ("if_", "$xs == 1", "15:18", "inst/check", "LIST_IN_SCALAR_POSITION",
+     "list parameter 'xs' used where a scalar is required"),
+    ("if_", "$@each == 1", "15:18", "inst/check", "UNBOUND_PLACEHOLDER",
+     "'$@' splices are only valid as a whole children entry"),
+    ("if_", "x $ 1", "15:18", "inst/check", "UNBOUND_PLACEHOLDER",
+     "'$' must be followed by a parameter name"),
+    ("target", "$nope", "16:14", "inst/r", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
+    ("child", "~/c$nope", "8:9", "inst", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
+    ("key", "~/c$nope", "15:19", "inst", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
+    ("emit", "~/e$nope", "11:9", "inst", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
+    ("root", "~/$nope", "3:5", "inst", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
+])
+def test_substitution_error_names_the_node_and_its_line(tmp_path, capsys, field, pattern,
+                                                        where, subject, code, message):
+    doc = write(tmp_path, "t.yaml", _SUBSTITUTION_DOC.format(
+        **{**_SUBSTITUTION_OK, field: pattern}))
+    code_, out, err = run_cli(capsys, "expand", doc)
+    assert (code_, out) == (3, "")
+    assert err == (f"{doc}:{where}: {code}: {subject}: {message}, in '{pattern}' "
+                   f"(while instantiating t)\n")
+
+
 def test_run_on_expanded_document_gives_identical_trace(tmp_path, capsys):
     expanded = write(tmp_path, "expanded.yaml",
                      (GOLDEN / "latch_expanded.yaml").read_text())

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -9,12 +11,13 @@ from btt import (
     ReturnState,
     Scenario,
     TickError,
+    TraceEvent,
     render_memory_dump,
     render_trace_event,
     state_key,
 )
 from oracles import control_step, parallel_step
-from util import EXAMPLES, action, control, expand_path, expand_text, tree
+from util import EXAMPLES, action, control, expand_path, expand_text, run_ticks, tree
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -142,9 +145,9 @@ def test_latch_first_tick_event_order():
 
 def test_latch_remembers_and_stops_ticking_child():
     eng = Engine(latch_tree(), scenario=Scenario(actions={"goto": (R, R, S)}))
-    roots = [eng.tick()[0] for _ in range(5)]
+    roots, events = run_ticks(eng, 5)
     assert roots == [R, R, S, S, S]
-    goto_events = [e for e in eng.trace if e.node == "goto"]
+    goto_events = [e for e in events if e.node == "goto"]
     assert len(goto_events) == 3
     assert eng.memory[state_key("goto")] is S
 
@@ -222,15 +225,13 @@ def test_runtime_error_names_node_and_tick():
     assert "UNDEFINED_VARIABLE" in str(err)
     # the tick aborted: no state write for the failing node
     assert eng.memory[state_key("c")] is E
-    assert eng.trace == []
+    assert list(err.events) == []
 
 
 def test_determinism():
     def run():
         eng = Engine(latch_tree(), scenario=Scenario(actions={"goto": (R, S)}))
-        for _ in range(4):
-            eng.tick()
-        return ([render_trace_event(e) for e in eng.trace],
+        return ([render_trace_event(e) for e in run_ticks(eng, 4)[1]],
                 render_memory_dump(eng.memory))
 
     assert run() == run()
@@ -238,10 +239,8 @@ def test_determinism():
 
 def test_state_bookkeeping_matches_trace():
     eng = Engine(latch_tree(), scenario=Scenario(actions={"goto": (R, R, S)}))
-    for _ in range(5):
-        eng.tick()
     last = {}
-    for e in eng.trace:
+    for e in run_ticks(eng, 5)[1]:
         last[e.node] = e.result
     for nd in eng.tree.nodes:
         expected = last.get(nd.name, E)
@@ -250,9 +249,8 @@ def test_state_bookkeeping_matches_trace():
 
 def test_reset_tree_over_shared_memory_reenables_child():
     eng = Engine(latch_tree(), scenario=Scenario(actions={"goto": (S,)}))
-    eng.tick()
-    eng.tick()
-    assert [e.node for e in eng.trace].count("goto") == 1  # latched
+    _, events = run_ticks(eng, 2)
+    assert [e.node for e in events].count("goto") == 1  # latched
 
     reset_tree = expand_text(
         "root: unlatch\nnodes:\n  unlatch: {type: reset, args: {targets: [goto]}}\n")
@@ -260,8 +258,8 @@ def test_reset_tree_over_shared_memory_reenables_child():
     assert resetter.tick()[0] is S
     assert eng.memory[state_key("goto")] is E
 
-    eng.tick()
-    assert [e.node for e in eng.trace].count("goto") == 2  # ticked again
+    events += run_ticks(eng, 1)[1]
+    assert [e.node for e in events].count("goto") == 2  # ticked again
 
 
 def test_ticks_a_chain_deeper_than_the_recursion_limit():
@@ -291,8 +289,6 @@ def test_tree_that_would_not_end_a_tick_is_rejected(nodes):
 
 
 def test_trace_event_is_a_plain_tuple():
-    from btt import TraceEvent
-
     event = TraceEvent(2, "a", R)
     assert event == (2, "a", R)
     assert (event.tick, event.node, event.result) == (2, "a", R)
@@ -301,8 +297,87 @@ def test_trace_event_is_a_plain_tuple():
 
 
 def test_render_formats():
-    from btt import TraceEvent
-
     assert render_trace_event(TraceEvent(3, "a/b", R)) == "3\ta/b\tRUNNING"
     dump = render_memory_dump({"b": 2, "a": True, "c": "x", "d": S})
     assert dump == "a = true\nb = 2\nc = x\nd = SUCCESS"
+
+
+# --- per-tick state -------------------------------------------------------
+
+def scripted_star(n):
+    """A sequence over n scripted actions that all succeed, so a tick
+    visits every node."""
+    leaves = [action(f"a{i}") for i in range(n)]
+    root = control("root", "sequence", [leaf.name for leaf in leaves])
+    return Engine(tree(root, *leaves), scenario=Scenario(
+        actions={leaf.name: (S,) for leaf in leaves}))
+
+
+def test_tick_events_read_like_a_list():
+    eng = scripted_star(3)
+    eng.tick()
+    root, events = eng.tick()
+    want = [TraceEvent(2, "a0", S), TraceEvent(2, "a1", S), TraceEvent(2, "a2", S),
+            TraceEvent(2, "root", S)]
+    assert root is S
+    assert list(events) == want
+    assert len(events) == 4
+    assert [events[i] for i in range(-4, 4)] == want + want
+    assert events[1:3] == want[1:3]
+    assert list(reversed(events)) == want[::-1]
+    assert want[3] in events
+    with pytest.raises(IndexError):
+        events[4]
+    assert not hasattr(eng, "trace")
+
+
+def test_tick_error_carries_the_events_before_the_failing_node():
+    eng = Engine(expand_text("""
+root: main
+nodes:
+  main: {type: sequence, children: [ok, bad, never]}
+  ok: {type: action}
+  bad: {type: condition, if: 'missing == 1'}
+  never: {type: action}
+"""))
+    with pytest.raises(TickError) as exc:
+        eng.tick()
+    assert list(exc.value.events) == [TraceEvent(1, "ok", S)]
+
+
+def test_per_tick_memory_is_bounded():
+    eng = scripted_star(5000)
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            eng.tick()
+        after_20 = tracemalloc.get_traced_memory()[0]
+        for _ in range(180):
+            eng.tick()
+        after_200 = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_200 - after_20 < 4096
+
+
+def test_a_tick_allocates_no_object_per_node():
+    """The young-generation count rises by the same few objects whether a
+    tick visits 101 nodes or 5,001. The count also depends on CPython's
+    free lists, which the first tick measured may find empty, so each
+    size takes the least rise of three ticks."""
+    rises = {}
+    for n in (100, 5000):
+        eng = scripted_star(n)
+        counts = []
+        for _ in range(3):
+            gc.disable()
+            try:
+                before = gc.get_count()[0]
+                outcome = eng.tick()  # kept alive, so no free offsets the count
+                counts.append(gc.get_count()[0] - before)
+            finally:
+                gc.enable()
+            assert len(outcome[1]) == n + 1
+            del outcome
+        rises[n] = min(counts)
+    assert rises[100] == rises[5000] <= 8, rises

@@ -36,7 +36,8 @@ def step(engine):
     try:
         result, events = engine.tick()
     except TickError as exc:
-        return ("error", exc.code, exc.node, exc.tick, exc.message, snapshot(engine.memory))
+        return ("error", exc.code, exc.node, exc.tick, exc.message, list(exc.events),
+                snapshot(engine.memory))
     return ("ok", result, list(events), snapshot(engine.memory))
 
 
@@ -50,7 +51,6 @@ def assert_same_run(expanded, scenario_factory, ticks):
         outcome = step(new)
         assert outcome == step(ref), f"tick {tick}"
         failed += outcome[0] == "error"
-    assert new.trace == ref.trace
     return failed
 
 

@@ -14,7 +14,7 @@ from btt import (
     state_key,
 )
 from oracles import oracle_selector_star, oracle_sequence_star, oracle_star_with_counts
-from util import TEMPLATES, expand_text
+from util import TEMPLATES, expand_text, run_ticks
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -108,8 +108,8 @@ def star_tree(kind, n):
 def run_star(tree, names, scripts, ticks):
     eng = Engine(tree, scenario=Scenario(
         actions={names[i]: tuple(scripts[i]) for i in range(len(names))}))
-    results = [eng.tick()[0] for _ in range(ticks)]
-    counts = [sum(1 for e in eng.trace if e.node == name) for name in names]
+    results, events = run_ticks(eng, ticks)
+    counts = [sum(1 for e in events if e.node == name) for name in names]
     return results, counts
 
 
@@ -138,12 +138,12 @@ def test_latch_retick_property(scripts, data):
     tree = star_tree("sequence", n)
     eng = Engine(tree, scenario=Scenario(
         actions={names[i]: tuple(scripts[i]) for i in range(n)}))
-    for _ in range(6):
-        eng.tick()
+    _, events = run_ticks(eng, 6)
+    assert events
     # replay the trace: after a child SUCCESS, the only legal next event for
     # it comes after its reset action ran in some tick
     remembered = {}
-    for e in eng.trace:
+    for e in events:
         if e.node in remembered and remembered[e.node]:
             raise AssertionError(f"{e.node} ticked while remembered")
         if e.node.endswith("/reset"):

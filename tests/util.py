@@ -57,6 +57,17 @@ def tree(*nodes, root=None):
     return ExpandedTree(tuple(nodes), root if root is not None else nodes[0].name)
 
 
+def run_ticks(engine, k):
+    """Tick ``engine`` k times; return the root states and every event of
+    those ticks, in order."""
+    roots, events = [], []
+    for _ in range(k):
+        root, tick_events = engine.tick()
+        roots.append(root)
+        events.extend(tick_events)
+    return roots, events
+
+
 # A template whose body holds a templated node (``~/inner``) that carries
 # one leaf payload key; ``type_`` is ``latch`` or ``"$k"``, bound to latch.
 _BODY_PAYLOAD = """\
