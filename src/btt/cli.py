@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import Engine, render_memory_dump, render_trace_event
+from .engine import Engine, check_expressions, render_memory_dump, render_trace_event
 from .errors import (
     BttError,
     CanonicalizeError,
@@ -41,7 +41,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_ in (
         ("expand", "expand templates and print the canonical tree"),
-        ("validate", "parse, expand and validate without writing the tree"),
+        ("validate", "parse, expand and validate the tree and its expressions"),
         ("run", "expand and execute ticks over a blackboard"),
         ("dot", "render the expanded tree as Graphviz dot"),
     ):
@@ -70,15 +70,16 @@ def _positive_int(text):
     return value
 
 
+def _location(span, path):
+    return "" if span is None else f"{span.source or path}:{span.line}:{span.column}: "
+
+
 def _report(exc: BttError, path):
-    prefix = ""
-    if exc.span is not None:
-        prefix = f"{exc.span.source or path}:{exc.span.line}:{exc.span.column}: "
     if isinstance(exc, ValidationFailure):
         for d in exc.diagnostics:
-            print(f"{prefix}{diagnostic_render(d)}", file=sys.stderr)
+            print(f"{_location(d.span, path)}{diagnostic_render(d)}", file=sys.stderr)
     else:
-        print(f"{prefix}{exc.render()}", file=sys.stderr)
+        print(f"{_location(exc.span, path)}{exc.render()}", file=sys.stderr)
 
 
 def _write(text, output):
@@ -153,6 +154,10 @@ def main(argv=None) -> int:
             _write(serialize_expanded(tree), args.output)
         elif args.command == "dot":
             _write(render_dot(tree), args.output)
+        elif args.command == "validate":
+            diagnostics = check_expressions(tree)
+            if diagnostics:
+                raise ValidationFailure(diagnostics)
         elif args.command == "run":
             scenario = None
             if args.scenario is not None:

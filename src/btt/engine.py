@@ -19,8 +19,16 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .errors import EngineError, ExprError, TickError
-from .exprs import eval_expr, eval_state_expr, parse_assignment, parse_expr
-from .model import ExpandedTree, NodeKind, ReturnState, value_text
+from .exprs import compile_expr, not_a_state, parse_assignment, parse_expr
+from .model import (
+    LEAF_PAYLOAD,
+    PAYLOAD_FIELDS,
+    Diagnostic,
+    ExpandedTree,
+    NodeKind,
+    ReturnState,
+    value_text,
+)
 
 STATE_PREFIX = "__STATE__/"
 
@@ -92,13 +100,47 @@ _PARALLEL_ORDER = (ReturnState.FAILURE, ReturnState.RUNNING, ReturnState.SUCCESS
                    ReturnState.EMPTY)
 _RANK = _PARALLEL_ORDER.index
 _NONE_YET = len(_PARALLEL_ORDER) - 1
-
-
-# Expression ASTs are immutable, so parses are shared process-wide. Each
-# node looks its texts up once, the first time it evaluates them.
-_parsed_expr = lru_cache(maxsize=None)(parse_expr)
-_parsed_assignment = lru_cache(maxsize=None)(parse_assignment)
 _new_event = tuple.__new__  # skips NamedTuple's Python-level __new__
+
+
+# Each text is parsed and compiled once per process; only the compiled
+# function is kept. Each node looks its texts up once, the first time it
+# evaluates them. A text that does not parse is not cached.
+@lru_cache(maxsize=None)
+def _parsed_expr(text):
+    return compile_expr(parse_expr(text))
+
+
+@lru_cache(maxsize=None)
+def _parsed_assignment(text):
+    """``key := expr`` as the key and the compiled expression."""
+    a = parse_assignment(text)
+    return a.key, compile_expr(a.value)
+
+
+def check_expressions(tree: ExpandedTree) -> list[Diagnostic]:
+    """Parse and compile every expression text of ``tree`` through the
+    engine's per-text caches, as ``tick()`` would when it reaches them.
+
+    Returns one diagnostic per text that does not parse, in node order
+    and then payload key order, located at its node's span.
+    """
+    diags = []
+    for nd in tree.nodes:
+        for key in LEAF_PAYLOAD.get(nd.type, ()):
+            value = getattr(nd, PAYLOAD_FIELDS[key])
+            if key == "script":
+                texts = [(f"script[{i}]", _parsed_assignment, line)
+                         for i, line in enumerate(value)]
+            else:
+                texts = [(key, _parsed_expr, value)]
+            for where, parse, text in texts:
+                try:
+                    parse(text)
+                except ExprError as exc:
+                    diags.append(Diagnostic(exc.code, nd.name, f"{where}: {exc.message}",
+                                            nd.span))
+    return diags
 
 
 class Engine:
@@ -195,7 +237,7 @@ class Engine:
                     e = ifs[node]
                     if e is None:
                         e = ifs[node] = _parsed_expr(nodes[node].if_)
-                    branch = eval_expr(e, memory)
+                    branch = e(memory)
                     if branch.__class__ is not bool:
                         raise ExprError("TYPE_ERROR", "condition 'if' must evaluate to a boolean")
                     slots = thens if branch else elses
@@ -203,7 +245,9 @@ class Engine:
                     if e is None:
                         nd = nodes[node]
                         e = slots[node] = _parsed_expr(nd.then if branch else nd.else_)
-                    result = eval_state_expr(e, memory)
+                    result = e(memory)
+                    if result.__class__ is not ReturnState:
+                        raise not_a_state(result)
                 elif kind == _SCRIPTED:  # the last result repeats
                     script = scripts[node]
                     cursor = cursors[node]
@@ -215,17 +259,19 @@ class Engine:
                     if script is None:  # first run: parse each line just before it runs
                         script = []
                         for text in nodes[node].script:
-                            a = _parsed_assignment(text)
-                            memory[a.key] = eval_expr(a.value, memory)
-                            script.append(a)
+                            key, e = line = _parsed_assignment(text)
+                            memory[key] = e(memory)
+                            script.append(line)
                         scripts[node] = script
                     else:
-                        for a in script:
-                            memory[a.key] = eval_expr(a.value, memory)
+                        for key, e in script:
+                            memory[key] = e(memory)
                     e = results[node]
                     if e is None:
                         e = results[node] = _parsed_expr(nodes[node].result)
-                    result = eval_state_expr(e, memory)
+                    result = e(memory)
+                    if result.__class__ is not ReturnState:
+                        raise not_a_state(result)
                 while True:
                     memory[keys[node]] = result
                     visit(node)

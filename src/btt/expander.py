@@ -181,8 +181,9 @@ class _Text:
 
 
 class _Unfilled(Exception):
-    """A placeholder ``_Text.fill`` cannot fill. The caller knows which
-    node the text belongs to and turns it into a located ExpandError."""
+    """A placeholder ``_Text.fill`` cannot fill, or a children entry naming
+    no block. The caller knows which node the text belongs to and turns it
+    into a located ExpandError."""
 
     def at(self, subject, span):
         code, message = self.args
@@ -345,8 +346,7 @@ def _children(entries, env, local_map, emitted):
         elif tag == "block":
             out.extend(local_map.get(nm, nm) for nm in emitted[entry])
         else:
-            raise ExpandError("UNKNOWN_BLOCK", f"no foreach block named '{entry}'",
-                              subject=f"$@{entry}")
+            raise _Unfilled("UNKNOWN_BLOCK", f"no foreach block named '{entry}', in '$@{entry}'")
     return tuple(out)
 
 

@@ -19,9 +19,11 @@ needs spaces around the operators ("a - b", not "a-b").
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from functools import lru_cache
+from typing import Callable, Mapping, Union
 
 from .errors import ExprError
 from .model import ReturnState, Value, value_tag, values_equal
@@ -95,10 +97,14 @@ def _tokenize(text):
     return tokens
 
 
-# Parsing, evaluation and printing recurse once per level, so nesting is
-# capped: an atom is one level, and each operator or pair of parentheses
-# around an operand adds one.
+# Parsing, compiling, evaluation and printing recurse once per level, so
+# nesting is capped: an atom is one level, and each operator or pair of
+# parentheses around an operand adds one.
 MAX_EXPR_DEPTH = 64
+
+# CPython 3.11+ refuses to convert longer digit strings to int; the cap
+# holds on every version so that a document parses the same everywhere.
+_MAX_INT_DIGITS = 4300
 
 _CMP, _ADD, _MUL = frozenset(_CMP_OPS), frozenset({"+", "-"}), frozenset({"*", "/"})
 _PREFIX = frozenset({"!", "-"})
@@ -192,6 +198,9 @@ class _Parser:
         if kind == "number":
             if "." in value or "e" in value or "E" in value:
                 return Lit(float(value)), 1
+            if len(value) > _MAX_INT_DIGITS:
+                raise ExprError("EXPR_SYNTAX", f"integer literal longer than "
+                                f"{_MAX_INT_DIGITS} digits", offset=offset)
             return Lit(int(value)), 1
         if kind == "text":
             return Lit(value[1:-1]), 1
@@ -237,6 +246,19 @@ def parse_assignment(text: str) -> Assignment:
     return Assignment(key, value)
 
 
+# --- evaluation ----------------------------------------------------------
+#
+# compile_expr turns a parsed expression into nested closures, one per
+# operator, so that an evaluation dispatches on nothing: each closure
+# applies its own operator and checks its operands' types with the
+# language's error codes and messages. Key reads and literals are leaves
+# shared process-wide, like the engine's per-text caches. Each closure
+# takes its operands as default arguments rather than closure cells, which
+# would cost 40 bytes more per operand.
+
+_NUMBER = frozenset({int, float})  # exact types: bool is not a number
+
+
 def _require_bool(v, op):
     if not isinstance(v, bool):
         raise ExprError("TYPE_ERROR", f"'{op}' requires booleans, got {value_tag(v)}")
@@ -260,70 +282,109 @@ def _divide(a, b):
     return a / b
 
 
+_NUMERIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+            "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@lru_cache(maxsize=None)
+def _key(name):
+    def key(memory, name=name):
+        try:
+            return memory[name]
+        except KeyError:
+            raise ExprError("UNDEFINED_VARIABLE", f"'{name}' is not defined",
+                            subject=name) from None
+    return key
+
+
+@lru_cache(maxsize=None)
+def _constant(kind, value):
+    """One leaf per literal: ``kind`` keeps 1, 1.0 and true apart."""
+    return lambda memory, value=value: value
+
+
+def _not(operand):
+    def not_(memory, operand=operand):
+        return not _require_bool(operand(memory), "!")
+    return not_
+
+
+def _negate(operand):
+    def negate(memory, operand=operand):
+        return -_require_number(operand(memory), "-")
+    return negate
+
+
+def _and(left, right):
+    def and_(memory, left=left, right=right):
+        return _require_bool(left(memory), "&&") and _require_bool(right(memory), "&&")
+    return and_
+
+
+def _or(left, right):
+    def or_(memory, left=left, right=right):
+        return _require_bool(left(memory), "||") or _require_bool(right(memory), "||")
+    return or_
+
+
+def _equal(left, right):
+    def equal(memory, left=left, right=right):
+        return values_equal(left(memory), right(memory))
+    return equal
+
+
+def _numeric(op, left, right):
+    def numeric(memory, op=op, fn=_NUMERIC[op], left=left, right=right):
+        a = left(memory)
+        b = right(memory)
+        if type(a) in _NUMBER and type(b) in _NUMBER:
+            return fn(a, b)
+        return fn(_require_number(a, op), _require_number(b, op))
+    return numeric
+
+
+def compile_expr(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
+    """Compile ``e`` into a function of the memory that returns what
+    ``eval_expr(e, memory)`` returns and raises what it raises."""
+    t = type(e)
+    if t is Var:
+        return _key(e.name)
+    if t is Lit:
+        v = e.value
+        # 0.0 == -0.0, so float literals get a leaf of their own
+        return (_constant.__wrapped__ if type(v) is float else _constant)(type(v), v)
+    if t is Unary:
+        return (_not if e.op == "!" else _negate)(compile_expr(e.operand))
+    if t is not Binary:
+        raise TypeError(f"not an expression node: {e!r}")
+    op, left, right = e.op, compile_expr(e.left), compile_expr(e.right)
+    if op == "&&" or op == "||":
+        return (_and if op == "&&" else _or)(left, right)
+    if op == "==" or op == "!=":
+        equal = _equal(left, right)
+        return equal if op == "==" else _not(equal)  # a != b is !(a == b), errors too
+    return _numeric(op, left, right)
+
+
 def eval_expr(e: Expr, memory: Mapping[str, Value]) -> Value:
-    """Evaluate against the blackboard. Pure: never writes memory.
+    """Evaluate against the blackboard: compile ``e``, then call it. Pure:
+    never writes memory.
 
     && and || short-circuit, so the right operand is not evaluated (and may
     reference undefined keys) when the left side decides the result.
     """
-    t = type(e)
-    if t is Var:
-        try:
-            return memory[e.name]
-        except KeyError:
-            raise ExprError("UNDEFINED_VARIABLE", f"'{e.name}' is not defined",
-                            subject=e.name) from None
-    if t is Lit:
-        return e.value
-    if t is Binary:
-        op = e.op
-        if op == "&&":
-            left = _require_bool(eval_expr(e.left, memory), op)
-            if not left:
-                return False
-            return _require_bool(eval_expr(e.right, memory), op)
-        if op == "||":
-            left = _require_bool(eval_expr(e.left, memory), op)
-            if left:
-                return True
-            return _require_bool(eval_expr(e.right, memory), op)
-        left = eval_expr(e.left, memory)
-        right = eval_expr(e.right, memory)
-        if op == "==":
-            return values_equal(left, right)
-        if op == "!=":
-            return not values_equal(left, right)
-        if op in ("<", "<=", ">", ">="):
-            a = _require_number(left, op)
-            b = _require_number(right, op)
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            return a >= b
-        a = _require_number(left, op)
-        b = _require_number(right, op)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return _divide(a, b)
-    if t is Unary:
-        v = eval_expr(e.operand, memory)
-        if e.op == "!":
-            return not _require_bool(v, "!")
-        return -_require_number(v, "-")
-    raise TypeError(f"not an expression node: {e!r}")
+    return compile_expr(e)(memory)
+
+
+def not_a_state(v: Value) -> ExprError:
+    """The error for a state slot whose text evaluated to ``v``."""
+    return ExprError("NOT_A_STATE", f"expected a return state, got {value_tag(v)}")
 
 
 def eval_state_expr(e: Expr, memory: Mapping[str, Value]) -> ReturnState:
-    v = eval_expr(e, memory)
+    v = compile_expr(e)(memory)
     if not isinstance(v, ReturnState):
-        raise ExprError("NOT_A_STATE", f"expected a return state, got {value_tag(v)}")
+        raise not_a_state(v)
     return v
 
 

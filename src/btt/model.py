@@ -224,6 +224,7 @@ class Diagnostic:
     code: str
     node: str
     message: str
+    span: "SourceSpan | None" = field(default=None, compare=False, repr=False)
 
 
 def diagnostic_render(d: Diagnostic) -> str:

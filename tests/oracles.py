@@ -5,28 +5,38 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from btt import (
+    Binary,
     Document,
     ExpandedTree,
     ExpandError,
     ExprError,
     ForeachBlock,
+    Lit,
     NodeDef,
     NodeKind,
     ReturnState,
     TemplateDef,
     TickError,
     TraceEvent,
+    Unary,
     ValidationFailure,
-    eval_expr,
-    eval_state_expr,
+    Var,
     parse_assignment,
     parse_expr,
     state_key,
     validate_expanded,
     value_text,
+    values_equal,
     with_leaf_defaults,
 )
-from btt.model import LEAF_PAYLOAD, NAME_RE, PAYLOAD_FIELDS, PRIMARY_KINDS, TEMPLATED_PAYLOAD
+from btt.model import (
+    LEAF_PAYLOAD,
+    NAME_RE,
+    PAYLOAD_FIELDS,
+    PRIMARY_KINDS,
+    TEMPLATED_PAYLOAD,
+    value_tag,
+)
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -54,6 +64,97 @@ def parallel_step(results):
     """No short-circuit: FAILURE beats RUNNING beats SUCCESS beats EMPTY."""
     results = list(results)
     return next((s for s in PARALLEL_PRIORITY if s in results), E)
+
+
+def _require_bool(v, op):
+    if not isinstance(v, bool):
+        raise ExprError("TYPE_ERROR", f"'{op}' requires booleans, got {value_tag(v)}")
+    return v
+
+
+def _require_number(v, op):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ExprError("TYPE_ERROR", f"'{op}' requires numbers, got {value_tag(v)}")
+    return v
+
+
+def _divide(a, b):
+    if b == 0:
+        raise ExprError("DIVISION_BY_ZERO", "division by zero")
+    if isinstance(a, int) and isinstance(b, int):
+        q = a // b
+        if q < 0 and q * b != a:
+            q += 1  # truncate toward zero
+        return q
+    return a / b
+
+
+def reference_eval_expr(e, memory):
+    """The tree-walking interpreter that ``btt.eval_expr`` replaced: it
+    dispatches on the node type and operator at every node it evaluates.
+
+    && and || short-circuit, so the right operand is not evaluated (and may
+    reference undefined keys) when the left side decides the result.
+    """
+    t = type(e)
+    if t is Var:
+        try:
+            return memory[e.name]
+        except KeyError:
+            raise ExprError("UNDEFINED_VARIABLE", f"'{e.name}' is not defined",
+                            subject=e.name) from None
+    if t is Lit:
+        return e.value
+    if t is Binary:
+        op = e.op
+        if op == "&&":
+            left = _require_bool(reference_eval_expr(e.left, memory), op)
+            if not left:
+                return False
+            return _require_bool(reference_eval_expr(e.right, memory), op)
+        if op == "||":
+            left = _require_bool(reference_eval_expr(e.left, memory), op)
+            if left:
+                return True
+            return _require_bool(reference_eval_expr(e.right, memory), op)
+        left = reference_eval_expr(e.left, memory)
+        right = reference_eval_expr(e.right, memory)
+        if op == "==":
+            return values_equal(left, right)
+        if op == "!=":
+            return not values_equal(left, right)
+        if op in ("<", "<=", ">", ">="):
+            a = _require_number(left, op)
+            b = _require_number(right, op)
+            if op == "<":
+                return a < b
+            if op == "<=":
+                return a <= b
+            if op == ">":
+                return a > b
+            return a >= b
+        a = _require_number(left, op)
+        b = _require_number(right, op)
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        return _divide(a, b)
+    if t is Unary:
+        v = reference_eval_expr(e.operand, memory)
+        if e.op == "!":
+            return not _require_bool(v, "!")
+        return -_require_number(v, "-")
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def reference_eval_state_expr(e, memory):
+    v = reference_eval_expr(e, memory)
+    if not isinstance(v, ReturnState):
+        raise ExprError("NOT_A_STATE", f"expected a return state, got {value_tag(v)}")
+    return v
 
 
 class ReferenceEngine:
@@ -94,11 +195,11 @@ class ReferenceEngine:
         nd = self.nodes[name]
         try:
             if nd.type == "condition":
-                branch = eval_expr(parse_expr(nd.if_), self.memory)
+                branch = reference_eval_expr(parse_expr(nd.if_), self.memory)
                 if not isinstance(branch, bool):
                     raise ExprError("TYPE_ERROR", "condition 'if' must evaluate to a boolean")
                 text = nd.then if branch else nd.else_
-                result = eval_state_expr(parse_expr(text), self.memory)
+                result = reference_eval_state_expr(parse_expr(text), self.memory)
             elif nd.type == "action":
                 if name in self.scripts:
                     script = self.scripts[name]
@@ -108,8 +209,8 @@ class ReferenceEngine:
                 else:
                     for line in nd.script:
                         asg = parse_assignment(line)
-                        self.memory[asg.key] = eval_expr(asg.value, self.memory)
-                    result = eval_state_expr(parse_expr(nd.result), self.memory)
+                        self.memory[asg.key] = reference_eval_expr(asg.value, self.memory)
+                    result = reference_eval_state_expr(parse_expr(nd.result), self.memory)
             elif nd.type == "parallel":
                 result = parallel_step([self.tick_node(c) for c in nd.children])
             else:
@@ -380,8 +481,9 @@ def _resolve_children(entries, binding, local_map, blocks, where):
         if m is not None:
             name = m.group(1)
             if name not in blocks:
-                raise ExpandError("UNKNOWN_BLOCK", f"no foreach block named '{name}'",
-                                  subject=entry)
+                raise ExpandError("UNKNOWN_BLOCK",
+                                  f"no foreach block named '{name}', in '{entry}'",
+                                  subject=where[0], span=where[1])
             out.extend(local_map.get(nm, nm) for nm in blocks[name])
             continue
         w = _WHOLE_REF_RE.fullmatch(entry)

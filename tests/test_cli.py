@@ -2,8 +2,8 @@ import pytest
 
 from btt import textio
 from btt.cli import main
-from util import (BODY_PAYLOAD_LINE, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES, NESTED_FORMS,
-                  TEMPLATES, body_payload_doc, nested)
+from util import (BODY_PAYLOAD_LINE, CORPUS_DOCS, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES,
+                  NESTED_FORMS, TEMPLATES, body_payload_doc, nested)
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +38,56 @@ def test_validate_ok_prints_nothing(capsys):
     code, out, _ = run_cli(capsys, "validate", EXAMPLES / "sequence_star.yaml")
     assert code == 0
     assert out == ""
+
+
+@pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.name)
+def test_validate_accepts_every_shipped_document(capsys, path):
+    code, out, _ = run_cli(capsys, "validate", path)  # latch.yaml shadows a builtin
+    assert (code, out) == (0, "")
+
+
+_BAD_EXPRESSIONS_DOC = """\
+root: main
+nodes:
+  main: {type: sequence, children: [guard, act, ok, t]}
+  guard: {type: condition, if: "true", then: "SUCCESS", else: "(("}
+  act:
+    type: action
+    script: ["n := 1", "m = 2", "k := n +* 2"]
+    result: "n +"
+  ok: {type: latch, children: [leaf]}
+  leaf: {type: condition, if: "n == 1 && ", then: "SUCCESS"}
+  t: {type: check, args: {v: "+"}}
+templates:
+  check:
+    args: [{name: v, kind: scalar}]
+    root: "~"
+    nodes:
+      "~": {type: condition, if: "1 $v"}
+"""
+
+
+def test_validate_reports_each_bad_expression_with_its_node_and_line(tmp_path, capsys):
+    doc = write(tmp_path, "x.yaml", _BAD_EXPRESSIONS_DOC)
+    code, out, err = run_cli(capsys, "validate", doc)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        f"{doc}:4:10: EXPR_SYNTAX: guard: else: expected a value (at offset 2)",
+        f"{doc}:6:5: EXPR_SYNTAX: act: script[1]: unexpected character '=' (at offset 2)",
+        f"{doc}:6:5: EXPR_SYNTAX: act: script[2]: expected a value, found '*' (at offset 8)",
+        f"{doc}:6:5: EXPR_SYNTAX: act: result: expected a value (at offset 3)",
+        f"{doc}:10:9: EXPR_SYNTAX: leaf: if: expected a value (at offset 10)",
+        f"{doc}:17:12: EXPR_SYNTAX: t: if: expected a value (at offset 3)",
+    ]
+
+
+def test_run_parses_a_text_only_when_it_is_reached(tmp_path, capsys):
+    doc = write(tmp_path, "c.yaml", "root: c\nnodes:\n  c: {type: condition, if: 'true', "
+                                    "else: '(('}\n")
+    assert run_cli(capsys, "run", doc) == (0, "result=SUCCESS\n", "")
+    code, out, err = run_cli(capsys, "validate", doc)
+    assert (code, out) == (3, "")
+    assert err == f"{doc}:3:6: EXPR_SYNTAX: c: else: expected a value (at offset 2)\n"
 
 
 def test_validate_duplicate_name(tmp_path, capsys):
@@ -286,6 +336,7 @@ _SUBSTITUTION_OK = {"root": "~", "child": "~/check", "emit": "~/e_$x", "key": "~
      "'$' must be followed by a parameter name"),
     ("target", "$nope", "16:14", "inst/r", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
     ("child", "~/c$nope", "8:9", "inst", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
+    ("child", "$@nosuch", "8:9", "inst", "UNKNOWN_BLOCK", "no foreach block named 'nosuch'"),
     ("key", "~/c$nope", "15:19", "inst", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
     ("emit", "~/e$nope", "11:9", "inst", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
     ("root", "~/$nope", "3:5", "inst", "UNBOUND_PLACEHOLDER", "'$nope' is not bound"),
@@ -383,11 +434,29 @@ def test_deeply_nested_condition_exits_4(tmp_path, capsys, form):
     doc = write(tmp_path, "c.yaml",
                 f"root: c\nnodes:\n  c: {{type: condition, if: '{nested(form, 3000)}'}}\n")
     code, out, err = run_cli(capsys, "validate", doc)
-    assert (code, out, err) == (0, "", "")  # expressions are checked when ticked
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert err.startswith(f"{doc}:3:6: EXPR_SYNTAX: c: if: expression is nested too deeply")
     code, out, err = run_cli(capsys, "run", doc)
     assert code == 4
     assert out == ""
     assert err.startswith("RUNTIME_ERROR: c: tick 1: EXPR_SYNTAX: expression is nested too deeply")
+
+
+@pytest.mark.parametrize("digits", [4300, 4301, 5000])
+def test_long_integer_literal_is_a_syntax_error(tmp_path, capsys, digits):
+    """Python 3.11+ refuses int() past 4,300 digits; the language caps
+    integer literals there on every version, as an EXPR_SYNTAX error."""
+    doc = write(tmp_path, "c.yaml", "root: c\nnodes:\n  c: {type: condition, "
+                f"if: '{'1' * digits} == 1', then: SUCCESS, else: FAILURE}}\n")
+    validate, run = run_cli(capsys, "validate", doc), run_cli(capsys, "run", doc)
+    if digits <= 4300:
+        assert validate == (0, "", "")
+        assert run == (0, "result=FAILURE\n", "")
+        return
+    message = "EXPR_SYNTAX: integer literal longer than 4300 digits (at offset 0)"
+    assert validate == (3, "", f"{doc}:3:6: {message.replace(': ', ': c: if: ', 1)}\n")
+    assert run[:2] == (4, "")
+    assert run[2].startswith(f"RUNTIME_ERROR: c: tick 1: {message}")
 
 
 @pytest.mark.parametrize("key", list(LEAF_PAYLOAD_VALUES))

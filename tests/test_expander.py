@@ -230,7 +230,8 @@ nodes:
     with pytest.raises(ExpandError) as exc:
         instantiate_text(text.replace('"$@ws"', '"$@nope"'))
     assert exc.value.code == "UNKNOWN_BLOCK"
-    assert exc.value.subject == "$@nope"
+    assert exc.value.subject == "a"
+    assert exc.value.message == "no foreach block named 'nope', in '$@nope'"
 
 
 # --- instantiate ---------------------------------------------------------

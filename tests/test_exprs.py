@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btt import (
@@ -18,6 +18,7 @@ from btt import (
     parse_expr,
     print_expr,
 )
+from oracles import reference_eval_expr, reference_eval_state_expr
 from util import NESTED_FORMS, nested
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
@@ -226,16 +227,91 @@ _leaves = st.one_of(
     _names.map(Var),
 )
 _ops = ["||", "&&", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/"]
-_exprs = st.recursive(
-    _leaves,
-    lambda ch: st.one_of(
-        st.tuples(st.sampled_from(["!", "-"]), ch).map(lambda t: Unary(*t)),
-        st.tuples(st.sampled_from(_ops), ch, ch).map(lambda t: Binary(*t)),
-    ),
-    max_leaves=25,
-)
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda ch: st.one_of(
+            st.tuples(st.sampled_from(["!", "-"]), ch).map(lambda t: Unary(*t)),
+            st.tuples(st.sampled_from(_ops), ch, ch).map(lambda t: Binary(*t)),
+        ),
+        max_leaves=25,
+    )
+
+
+_exprs = _trees(_leaves)
 
 
 @given(e=_exprs)
 def test_print_parse_round_trip(e):
     assert parse_expr(print_expr(e)) == e
+
+
+# --- the compiled evaluator against the reference interpreter -------------
+
+# A few keys that memories may or may not hold, and values of every tag,
+# with zeros, negatives and a value that is not a scalar.
+_POOL = ("a", "b", "c")
+_values = st.sampled_from([True, False, 0, 1, -3, 7, 0.0, -0.0, 0.5, -2.5, "", "x",
+                           S, F, R, E, [1]])
+_memories = st.dictionaries(st.sampled_from(_POOL), _values)
+_eval_exprs = _trees(st.one_of(
+    st.sampled_from(_POOL).map(Var),
+    _values.filter(lambda v: not isinstance(v, list)).map(Lit),
+    _leaves,
+))
+
+
+def _outcome(evaluate, e, memory):
+    try:
+        v = evaluate(e, memory)
+    except ExprError as exc:
+        return "error", type(exc), exc.code, exc.message, exc.subject
+    except Exception as exc:  # e.g. the TypeError of a value that is not a scalar
+        return "error", type(exc), str(exc)
+    return "value", type(v), repr(v)  # repr tells -0.0 from 0.0 and matches nan
+
+
+def _assert_same(e, memory):
+    before = dict(memory)
+    assert _outcome(eval_expr, e, memory) == _outcome(reference_eval_expr, e, memory)
+    assert (_outcome(eval_state_expr, e, memory)
+            == _outcome(reference_eval_state_expr, e, memory))
+    assert memory == before
+
+
+_MEMORY = {"a": 4, "b": -2.5}
+_NON_SCALAR = {"a": [1], "b": 2}
+_NAMED_CASES = [(text, _MEMORY) for text in (
+    # short-circuit && and || over undefined keys
+    "false && missing", "true || missing", "true && missing", "false || missing",
+    "missing && false", "1 && missing", "1 || missing", "'x' || true",
+    # bool in arithmetic and ordering
+    "true + 1", "-true", "a * false", "true < 1",
+    # integer division truncates toward zero; a float makes it true division
+    "-7 / 2", "7 / -2", "a / 3", "b / 2", "-7.0 / 2", "a / 0.5",
+    "1 / 0", "a / 0", "b / 0.0", "0 / 0", "'x' / 0",
+    # cross-tag equality is false, never an error
+    "1 == 1.0", "true == 1", "'SUCCESS' == SUCCESS", "a != 'x'", "b == -2.5",
+)] + [(text, _NON_SCALAR) for text in (
+    "a == 1", "a != 1", "a + 1", "b - a", "a && true", "!a", "a", "a < b", "b == a",
+)]
+
+
+@pytest.mark.parametrize("text, memory", _NAMED_CASES)
+def test_compiled_evaluator_matches_the_reference_on_named_cases(text, memory):
+    _assert_same(parse_expr(text), memory)
+
+
+@settings(max_examples=500)
+@given(e=_eval_exprs, memory=_memories)
+def test_compiled_evaluator_matches_the_reference(e, memory):
+    _assert_same(e, memory)
+
+
+def test_equal_literals_of_other_types_or_signs_stay_apart():
+    # literal leaves are shared process-wide, but 1 == 1.0 == true and 0.0 == -0.0
+    for v in (1, 1.0, True, 0, 0.0, -0.0, False):
+        got = eval_expr(Lit(v), {})
+        assert (type(got), repr(got)) == (type(v), repr(v))
