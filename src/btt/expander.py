@@ -33,7 +33,9 @@ from dataclasses import dataclass, replace
 
 from .errors import ExpandError, ValidationFailure
 from .model import (
+    BLOCK_NAME,
     NAME_RE,
+    PARAM_NAME,
     PRIMARY_KINDS,
     Document,
     ExpandedTree,
@@ -48,9 +50,9 @@ from .model import (
 
 DEFAULT_MAX_DEPTH = 64
 
-_PLACEHOLDER_RE = re.compile(r"\$(@?)([A-Za-z_][A-Za-z0-9_]*)?|~")
-_WHOLE_REF_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
-_SPLICE_RE = re.compile(r"\$@([A-Za-z0-9_.\-]+)")
+_PLACEHOLDER_RE = re.compile(rf"\$(@?)({PARAM_NAME})?|~")
+_WHOLE_REF_RE = re.compile(rf"\$({PARAM_NAME})")
+_SPLICE_RE = re.compile(rf"\$@({BLOCK_NAME})")
 
 # Fill-environment keys no parameter or foreach variable can take, since
 # those are strings: _INSTANCE holds the instance name; a misplaced "$@"

@@ -13,6 +13,10 @@ Grammar (EBNF), tightest binding last:
     IDENT  := [A-Za-z_][A-Za-z0-9_/.-]*     (excluding the reserved words above)
     assignment := IDENT ":=" expr
 
+The binary operators, their levels and the prefix operators are written
+once, in the operator table below; the tokenizer, the parser, the compiler
+and the printer all read it.
+
 Note that IDENT may contain "-", "/" and ".", so arithmetic over variables
 needs spaces around the operators ("a - b", not "a-b").
 """
@@ -26,7 +30,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Union
 
 from .errors import ExprError
-from .model import ReturnState, Value, value_tag, values_equal
+from .model import MAX_INT_DIGITS, ReturnState, Value, value_tag, value_text, values_equal
 
 
 @dataclass(frozen=True)
@@ -70,191 +74,15 @@ _RESERVED = {
     "EMPTY": Lit(ReturnState.EMPTY),
 }
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | (?P<text>'[^']*')
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_/.\-]*)
-      | (?P<op>\|\||&&|==|!=|<=|>=|:=|[-<>+*/!()])
-    """,
-    re.VERBOSE,
-)
-
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprError("EXPR_SYNTAX", f"unexpected character {text[pos]!r}", offset=pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(0), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
-# Parsing, compiling, evaluation and printing recurse once per level, so
-# nesting is capped: an atom is one level, and each operator or pair of
-# parentheses around an operand adds one.
-MAX_EXPR_DEPTH = 64
-
-# CPython 3.11+ refuses to convert longer digit strings to int; the cap
-# holds on every version so that a document parses the same everywhere.
-_MAX_INT_DIGITS = 4300
-
-_CMP, _ADD, _MUL = frozenset(_CMP_OPS), frozenset({"+", "-"}), frozenset({"*", "/"})
-_PREFIX = frozenset({"!", "-"})
-
-
-class _Parser:
-    """Recursive descent over the token list. Each rule returns the parsed
-    node with its nesting depth. Only operator tokens can have an operator
-    as their text, so rules match operators by text alone."""
-
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.open = 0  # enclosing parentheses and prefix operators
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message):
-        raise ExprError("EXPR_SYNTAX", message, offset=self.peek()[2])
-
-    def too_deep(self, offset):
-        raise ExprError("EXPR_SYNTAX", "expression is nested too deeply", offset=offset)
-
-    def join(self, left, operand):
-        """Consume the operator at the cursor and its right operand."""
-        _, op, offset = self.advance()
-        right = operand()
-        depth = max(left[1], right[1]) + 1
-        if depth > MAX_EXPR_DEPTH:
-            self.too_deep(offset)
-        return Binary(op, left[0], right[0]), depth
-
-    def expr(self):
-        left = self.and_()
-        while self.tokens[self.pos][1] == "||":
-            left = self.join(left, self.and_)
-        return left
-
-    def and_(self):
-        left = self.cmp()
-        while self.tokens[self.pos][1] == "&&":
-            left = self.join(left, self.cmp)
-        return left
-
-    def cmp(self):
-        left = self.add()
-        if self.tokens[self.pos][1] in _CMP:
-            return self.join(left, self.add)
-        return left
-
-    def add(self):
-        left = self.mul()
-        while self.tokens[self.pos][1] in _ADD:
-            left = self.join(left, self.mul)
-        return left
-
-    def mul(self):
-        left = self.unary()
-        while self.tokens[self.pos][1] in _MUL:
-            left = self.join(left, self.unary)
-        return left
-
-    def enter(self, offset):
-        """Open a prefix operator or parenthesis. Its operand is at least
-        one level deep, so the cap is hit before the recursion goes on."""
-        self.open += 1
-        if self.open >= MAX_EXPR_DEPTH:
-            self.too_deep(offset)
-
-    def unary(self):
-        _, op, offset = self.tokens[self.pos]
-        if op not in _PREFIX:
-            return self.atom()
-        self.pos += 1
-        self.enter(offset)
-        operand, depth = self.unary()
-        self.open -= 1
-        if depth >= MAX_EXPR_DEPTH:
-            self.too_deep(offset)
-        return Unary(op, operand), depth + 1
-
-    def atom(self):
-        kind, value, offset = self.advance()
-        if kind == "number":
-            if "." in value or "e" in value or "E" in value:
-                return Lit(float(value)), 1
-            if len(value) > _MAX_INT_DIGITS:
-                raise ExprError("EXPR_SYNTAX", f"integer literal longer than "
-                                f"{_MAX_INT_DIGITS} digits", offset=offset)
-            return Lit(int(value)), 1
-        if kind == "text":
-            return Lit(value[1:-1]), 1
-        if kind == "ident":
-            return _RESERVED.get(value) or Var(value), 1
-        if value == "(":
-            self.enter(offset)
-            inner, depth = self.expr()
-            self.open -= 1
-            if self.tokens[self.pos][1] != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            if depth >= MAX_EXPR_DEPTH:
-                self.too_deep(offset)
-            return inner, depth + 1
-        self.pos -= 1
-        self.fail(f"expected a value, found {value!r}" if value else "expected a value")
-
-
-def parse_expr(text: str) -> Expr:
-    p = _Parser(text)
-    e, _ = p.expr()
-    kind, value, offset = p.peek()
-    if kind != "eof":
-        raise ExprError("EXPR_SYNTAX", f"unexpected trailing {value!r}", offset=offset)
-    return e
-
-
-def parse_assignment(text: str) -> Assignment:
-    """Parse ``<key> := <expr>``. A single ``=`` is reserved and rejected."""
-    p = _Parser(text)
-    kind, key, offset = p.peek()
-    if kind != "ident" or key in _RESERVED:
-        raise ExprError("EXPR_SYNTAX", "assignment must start with a memory key", offset=offset)
-    p.advance()
-    if p.peek()[1] != ":=":
-        raise ExprError("EXPR_SYNTAX", "expected ':='", offset=p.peek()[2])
-    p.advance()
-    value, _ = p.expr()
-    kind, tok, offset = p.peek()
-    if kind != "eof":
-        raise ExprError("EXPR_SYNTAX", f"unexpected trailing {tok!r}", offset=offset)
-    return Assignment(key, value)
-
-
-# --- evaluation ----------------------------------------------------------
+# --- operators -----------------------------------------------------------
 #
 # compile_expr turns a parsed expression into nested closures, one per
 # operator, so that an evaluation dispatches on nothing: each closure
 # applies its own operator and checks its operands' types with the
-# language's error codes and messages. Key reads and literals are leaves
-# shared process-wide, like the engine's per-text caches. Each closure
-# takes its operands as default arguments rather than closure cells, which
-# would cost 40 bytes more per operand.
+# language's error codes and messages. An operator's builder makes its
+# closure from its compiled operands. Each closure takes its operands as
+# default arguments rather than closure cells, which would cost 40 bytes
+# more per operand.
 
 _NUMBER = frozenset({int, float})  # exact types: bool is not a number
 
@@ -280,27 +108,6 @@ def _divide(a, b):
             q += 1  # truncate toward zero
         return q
     return a / b
-
-
-_NUMERIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
-            "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-@lru_cache(maxsize=None)
-def _key(name):
-    def key(memory, name=name):
-        try:
-            return memory[name]
-        except KeyError:
-            raise ExprError("UNDEFINED_VARIABLE", f"'{name}' is not defined",
-                            subject=name) from None
-    return key
-
-
-@lru_cache(maxsize=None)
-def _constant(kind, value):
-    """One leaf per literal: ``kind`` keeps 1, 1.0 and true apart."""
-    return lambda memory, value=value: value
 
 
 def _not(operand):
@@ -333,14 +140,195 @@ def _equal(left, right):
     return equal
 
 
-def _numeric(op, left, right):
-    def numeric(memory, op=op, fn=_NUMERIC[op], left=left, right=right):
-        a = left(memory)
-        b = right(memory)
-        if type(a) in _NUMBER and type(b) in _NUMBER:
-            return fn(a, b)
-        return fn(_require_number(a, op), _require_number(b, op))
-    return numeric
+def _unequal(left, right):
+    return _not(_equal(left, right))  # a != b is !(a == b), errors too
+
+
+def _numeric(op, fn):
+    """The builder of ``op``, which applies ``fn`` to two numbers."""
+    def build(left, right):
+        def numeric(memory, op=op, fn=fn, left=left, right=right):
+            a = left(memory)
+            b = right(memory)
+            if type(a) in _NUMBER and type(b) in _NUMBER:
+                return fn(a, b)
+            return fn(_require_number(a, op), _require_number(b, op))
+        return numeric
+    return build
+
+
+# The operator table. A binary operator has a precedence level, 1 binding
+# loosest, and a builder; it is left-associative, except that comparisons
+# do not chain. A prefix operator binds tighter than every binary one.
+_BINARY = {"||": (1, _or), "&&": (2, _and), "==": (3, _equal), "!=": (3, _unequal)} | {
+    op: (level, _numeric(op, fn)) for op, level, fn in (
+        ("<", 3, operator.lt), ("<=", 3, operator.le), (">", 3, operator.gt),
+        (">=", 3, operator.ge), ("+", 4, operator.add), ("-", 4, operator.sub),
+        ("*", 5, operator.mul), ("/", 5, _divide))}
+_COMPARISON = _BINARY["=="][0]
+_PREFIX = {"!": _not, "-": _negate}
+_PREFIX_LEVEL = 1 + max(level for level, _ in _BINARY.values())  # atoms bind tighter still
+
+_OPERATORS = sorted({*_BINARY, *_PREFIX, ":=", "(", ")"}, key=lambda op: (-len(op), op))
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<text>'[^']*')
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_/.\-]*)
+      | (?P<op>""" + "|".join(map(re.escape, _OPERATORS)) + ")",
+    re.VERBOSE,
+)
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ExprError("EXPR_SYNTAX", f"unexpected character {text[pos]!r}", offset=pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(0), pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+# Parsing, compiling, evaluation and printing recurse once per level, so
+# nesting is capped: an atom is one level, and each operator or pair of
+# parentheses around an operand adds one.
+MAX_EXPR_DEPTH = 64
+
+
+class _Parser:
+    """Precedence climbing over the token list. Each rule returns the parsed
+    node with its nesting depth. Only operator tokens can have an operator
+    as their text, so rules match operators by text alone."""
+
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.open = 0  # enclosing parentheses and prefix operators
+
+    def fail(self, message):
+        raise ExprError("EXPR_SYNTAX", message, offset=self.tokens[self.pos][2])
+
+    def too_deep(self, offset):
+        raise ExprError("EXPR_SYNTAX", "expression is nested too deeply", offset=offset)
+
+    def to_end(self):
+        """An expression that runs to the end of the text."""
+        e, _ = self.binary(1)
+        kind, value, offset = self.tokens[self.pos]
+        if kind != "eof":
+            raise ExprError("EXPR_SYNTAX", f"unexpected trailing {value!r}", offset=offset)
+        return e
+
+    def binary(self, floor):
+        """Operands joined by the binary operators of level ``floor`` or
+        tighter. An operator's right operand takes every tighter operator
+        after it, so the next operator joined here binds no tighter than the
+        last one: operators are left-associative. A comparison drops that
+        ceiling below its own level, so comparisons do not chain."""
+        left = self.unary()
+        ceiling = _PREFIX_LEVEL
+        while True:
+            _, op, offset = self.tokens[self.pos]
+            level = _BINARY[op][0] if op in _BINARY else 0
+            if not floor <= level <= ceiling:
+                return left
+            self.pos += 1
+            right = self.binary(level + 1)
+            depth = max(left[1], right[1]) + 1
+            if depth > MAX_EXPR_DEPTH:
+                self.too_deep(offset)
+            left = Binary(op, left[0], right[0]), depth
+            ceiling = level - 1 if level == _COMPARISON else level
+
+    def enter(self, offset):
+        """Open a prefix operator or parenthesis. Its operand is at least
+        one level deep, so the cap is hit before the recursion goes on."""
+        self.open += 1
+        if self.open >= MAX_EXPR_DEPTH:
+            self.too_deep(offset)
+
+    def unary(self):
+        _, op, offset = self.tokens[self.pos]
+        if op not in _PREFIX:
+            return self.atom()
+        self.pos += 1
+        self.enter(offset)
+        operand, depth = self.unary()
+        self.open -= 1
+        if depth >= MAX_EXPR_DEPTH:
+            self.too_deep(offset)
+        return Unary(op, operand), depth + 1
+
+    def atom(self):
+        kind, value, offset = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "number":
+            if "." in value or "e" in value or "E" in value:
+                return Lit(float(value)), 1
+            if len(value) > MAX_INT_DIGITS:
+                raise ExprError("EXPR_SYNTAX", f"integer literal longer than "
+                                f"{MAX_INT_DIGITS} digits", offset=offset)
+            return Lit(int(value)), 1
+        if kind == "text":
+            return Lit(value[1:-1]), 1
+        if kind == "ident":
+            return _RESERVED.get(value) or Var(value), 1
+        if value == "(":
+            self.enter(offset)
+            inner, depth = self.binary(1)
+            self.open -= 1
+            if self.tokens[self.pos][1] != ")":
+                self.fail("expected ')'")
+            self.pos += 1
+            if depth >= MAX_EXPR_DEPTH:
+                self.too_deep(offset)
+            return inner, depth + 1
+        self.pos -= 1
+        self.fail(f"expected a value, found {value!r}" if value else "expected a value")
+
+
+def parse_expr(text: str) -> Expr:
+    return _Parser(text).to_end()
+
+
+def parse_assignment(text: str) -> Assignment:
+    """Parse ``<key> := <expr>``. A single ``=`` is reserved and rejected."""
+    p = _Parser(text)
+    kind, key, offset = p.tokens[0]
+    if kind != "ident" or key in _RESERVED:
+        raise ExprError("EXPR_SYNTAX", "assignment must start with a memory key", offset=offset)
+    _, op, offset = p.tokens[1]
+    if op != ":=":
+        raise ExprError("EXPR_SYNTAX", "expected ':='", offset=offset)
+    p.pos = 2
+    return Assignment(key, p.to_end())
+
+
+# --- compiling and evaluation ----------------------------------------------
+#
+# Key reads and literals are leaves shared process-wide, like the engine's
+# per-text caches.
+
+@lru_cache(maxsize=None)
+def _key(name):
+    def key(memory, name=name):
+        try:
+            return memory[name]
+        except KeyError:
+            raise ExprError("UNDEFINED_VARIABLE", f"'{name}' is not defined",
+                            subject=name) from None
+    return key
+
+
+@lru_cache(maxsize=None)
+def _constant(kind, value):
+    """One leaf per literal: ``kind`` keeps 1, 1.0 and true apart."""
+    return lambda memory, value=value: value
 
 
 def compile_expr(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
@@ -354,16 +342,10 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
         # 0.0 == -0.0, so float literals get a leaf of their own
         return (_constant.__wrapped__ if type(v) is float else _constant)(type(v), v)
     if t is Unary:
-        return (_not if e.op == "!" else _negate)(compile_expr(e.operand))
+        return _PREFIX[e.op](compile_expr(e.operand))
     if t is not Binary:
         raise TypeError(f"not an expression node: {e!r}")
-    op, left, right = e.op, compile_expr(e.left), compile_expr(e.right)
-    if op == "&&" or op == "||":
-        return (_and if op == "&&" else _or)(left, right)
-    if op == "==" or op == "!=":
-        equal = _equal(left, right)
-        return equal if op == "==" else _not(equal)  # a != b is !(a == b), errors too
-    return _numeric(op, left, right)
+    return _BINARY[e.op][1](compile_expr(e.left), compile_expr(e.right))
 
 
 def eval_expr(e: Expr, memory: Mapping[str, Value]) -> Value:
@@ -388,32 +370,20 @@ def eval_state_expr(e: Expr, memory: Mapping[str, Value]) -> ReturnState:
     return v
 
 
-# Precedence levels for the minimal-parentheses printer.
-_LEVELS = {"||": 1, "&&": 2}
-_LEVELS.update({op: 3 for op in _CMP_OPS})
-_LEVELS.update({"+": 4, "-": 4, "*": 5, "/": 5})
-_UNARY_LEVEL = 6
-_ATOM_LEVEL = 7
-
+# --- printing ------------------------------------------------------------
 
 def _level(e):
     if isinstance(e, Binary):
-        return _LEVELS[e.op]
-    if isinstance(e, Unary):
-        return _UNARY_LEVEL
-    return _ATOM_LEVEL
+        return _BINARY[e.op][0]
+    return _PREFIX_LEVEL if isinstance(e, Unary) else _PREFIX_LEVEL + 1
 
 
 def print_expr(e: Expr) -> str:
     """Render with the fewest parentheses such that parse_expr round-trips."""
     if isinstance(e, Lit):
         v = e.value
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, ReturnState):
-            return v.value
-        if isinstance(v, (int, float)):
-            return repr(v) if isinstance(v, float) else str(v)
+        if not isinstance(v, str):
+            return value_text(v)
         if "'" in v:
             raise ValueError("text literals cannot contain a single quote")
         return f"'{v}'"
@@ -421,23 +391,16 @@ def print_expr(e: Expr) -> str:
         return e.name
     if isinstance(e, Unary):
         inner = print_expr(e.operand)
-        if _level(e.operand) < _UNARY_LEVEL:
-            inner = f"({inner})"
-        return e.op + inner
+        return e.op + (f"({inner})" if _level(e.operand) < _PREFIX_LEVEL else inner)
     if isinstance(e, Binary):
-        lvl = _LEVELS[e.op]
+        level = _BINARY[e.op][0]
         left = print_expr(e.left)
         right = print_expr(e.right)
-        if e.op in _CMP_OPS:
-            # comparisons do not chain: both operands must bind tighter
-            if _level(e.left) <= lvl:
-                left = f"({left})"
-            if _level(e.right) <= lvl:
-                right = f"({right})"
-        else:
-            if _level(e.left) < lvl:
-                left = f"({left})"
-            if _level(e.right) <= lvl:
-                right = f"({right})"
+        # left-associative, except that a comparison's left operand must
+        # bind tighter too: comparisons do not chain
+        if _level(e.left) < level + (level == _COMPARISON):
+            left = f"({left})"
+        if _level(e.right) <= level:
+            right = f"({right})"
         return f"{left} {e.op} {right}"
     raise TypeError(f"not an expression node: {e!r}")

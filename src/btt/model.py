@@ -19,6 +19,15 @@ from typing import Union
 NAME_RE = re.compile(r"[A-Za-z0-9_/.\-]+")
 # Template-body keys may additionally carry substitution markers.
 PATTERN_NAME_RE = re.compile(r"[A-Za-z0-9_/.\-$~]+")
+# Template args and foreach variables, which "$name" refers to.
+PARAM_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# Template and foreach block names; "$@name" splices a block.
+BLOCK_NAME = r"[A-Za-z0-9_.\-]+"
+
+# CPython 3.11+ refuses to convert longer digit strings to int; the cap on
+# integer literals and YAML integers holds on every version, so that a
+# document reads the same everywhere.
+MAX_INT_DIGITS = 4300
 
 
 class ReturnState(enum.Enum):
@@ -246,18 +255,16 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
     the same order. An empty list means the tree is valid.
     """
     diags = []
-    defined = {}
-    order = []
+    seen = set()
     for nd in tree.nodes:
-        if nd.name in defined:
+        if nd.name in seen:
             diags.append(
                 Diagnostic("DUPLICATE_NAME", nd.name, "node name defined more than once")
             )
-        else:
-            defined[nd.name] = nd
-            order.append(nd)
+        seen.add(nd.name)
+    defined = tree.by_name()
 
-    for nd in order:
+    for nd in defined.values():
         if nd.type not in PRIMARY_KINDS:
             diags.append(
                 Diagnostic("UNKNOWN_TYPE", nd.name,
@@ -294,11 +301,11 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
                 )
 
     parents = {}
-    for nd in order:
+    for nd in defined.values():
         for child in nd.children:
             if child in defined:
                 parents.setdefault(child, []).append(nd.name)
-    for nd in order:
+    for nd in defined.values():
         ps = parents.get(nd.name, ())
         if len(ps) > 1:
             diags.append(
@@ -340,7 +347,7 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
         diags.append(
             Diagnostic("CYCLE", hit, "node participates in a reference cycle")
         )
-    for nd in order:
+    for nd in defined.values():
         if color[nd.name] == WHITE:
             diags.append(
                 Diagnostic("UNREACHABLE", nd.name, "node is not reachable from the root")

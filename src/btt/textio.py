@@ -34,8 +34,11 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from .engine import Scenario
 from .errors import CanonicalizeError, ParseError, SchemaError
 from .model import (
+    BLOCK_NAME,
     LEAF_PAYLOAD,
+    MAX_INT_DIGITS,
     NAME_RE,
+    PARAM_NAME,
     PATTERN_NAME_RE,
     PAYLOAD_FIELDS,
     PRIMARY_KINDS,
@@ -60,8 +63,9 @@ class SourceSpan:
     source: str | None = None  # None: the file being read; builtins: btt:templates/<file>
 
 
-_PARAM_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TEMPLATE_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+_PARAM_NAME_RE = re.compile(PARAM_NAME)
+_LIST_REF_RE = re.compile(r"\$" + PARAM_NAME)
+_TEMPLATE_NAME_RE = re.compile(BLOCK_NAME)
 _CHILD_PATTERN_RE = re.compile(r"[A-Za-z0-9_/.\-$~@]+")
 
 # A node whose type is not a primary kind names a template, or a type that
@@ -71,6 +75,15 @@ _OPEN_PAYLOAD = {**TEMPLATED_PAYLOAD,
                  **{key: default for row in LEAF_PAYLOAD.values() for key, default in row.items()}}
 
 _constructor = yaml.constructor.SafeConstructor()
+# The YAML types a plain scalar argument may take: what each must be, and
+# its constructor. An integer is capped like an integer literal.
+_TYPED = {
+    "tag:yaml.org,2002:bool": ("a boolean", _constructor.construct_yaml_bool),
+    "tag:yaml.org,2002:int": (f"an integer of at most {MAX_INT_DIGITS} digits",
+                              _constructor.construct_yaml_int),
+    "tag:yaml.org,2002:float": ("a float", _constructor.construct_yaml_float),
+}
+_INT_BOUND = 10 ** MAX_INT_DIGITS
 
 # libyaml when PyYAML was built with it; the pure-Python parser otherwise.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -195,15 +208,17 @@ def _typed_scalar(node, what):
     """Plain scalars get YAML bool/int/float typing; anything quoted is text."""
     if not isinstance(node, yaml.nodes.ScalarNode):
         raise SchemaError("SCHEMA_ERROR", f"{what} must be a scalar", span=_span(node))
-    if node.style is not None:
+    typed = _TYPED.get(node.tag) if node.style is None else None
+    if typed is None:
         return node.value
-    if node.tag == "tag:yaml.org,2002:bool":
-        return _constructor.construct_yaml_bool(node)
-    if node.tag == "tag:yaml.org,2002:int":
-        return _constructor.construct_yaml_int(node)
-    if node.tag == "tag:yaml.org,2002:float":
-        return _constructor.construct_yaml_float(node)
-    return node.value
+    expected, construct = typed
+    try:
+        value = construct(node)
+    except (ValueError, KeyError):  # "0x_", "!!bool maybe", or past CPython's digit limit
+        value = None
+    if value is None or type(value) is int and not -_INT_BOUND < value < _INT_BOUND:
+        raise SchemaError("SCHEMA_ERROR", f"{what} is not {expected}", span=_span(node))
+    return value
 
 
 def _scalar_or_list(node, what):
@@ -308,7 +323,7 @@ def _parse_foreach(key, node, items, key_node):
         if required not in spec:
             raise SchemaError("SCHEMA_ERROR", f"foreach is missing '{required}'",
                               span=_span(keys["foreach"]), subject=key)
-    if not re.fullmatch(r"\$[A-Za-z_][A-Za-z0-9_]*", spec["list"]):
+    if not _LIST_REF_RE.fullmatch(spec["list"]):
         raise SchemaError("SCHEMA_ERROR",
                           f"foreach 'list' must be a $param reference, got '{spec['list']}'",
                           span=_span(keys["foreach"]), subject=key)

@@ -5,6 +5,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from btt import (
+    MAX_EXPR_DEPTH,
+    Assignment,
     Binary,
     Document,
     ExpandedTree,
@@ -21,8 +23,6 @@ from btt import (
     Unary,
     ValidationFailure,
     Var,
-    parse_assignment,
-    parse_expr,
     state_key,
     validate_expanded,
     value_text,
@@ -64,6 +64,187 @@ def parallel_step(results):
     """No short-circuit: FAILURE beats RUNNING beats SUCCESS beats EMPTY."""
     results = list(results)
     return next((s for s in PARALLEL_PRIORITY if s in results), E)
+
+
+# The recursive-descent parser that ``btt.parse_expr`` replaced: one rule
+# per precedence level, each with its own operator set.
+
+_RESERVED = {
+    "true": Lit(True),
+    "false": Lit(False),
+    "SUCCESS": Lit(ReturnState.SUCCESS),
+    "FAILURE": Lit(ReturnState.FAILURE),
+    "RUNNING": Lit(ReturnState.RUNNING),
+    "EMPTY": Lit(ReturnState.EMPTY),
+}
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<text>'[^']*')
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_/.\-]*)
+      | (?P<op>\|\||&&|==|!=|<=|>=|:=|[-<>+*/!()])
+    """,
+    re.VERBOSE,
+)
+
+_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ExprError("EXPR_SYNTAX", f"unexpected character {text[pos]!r}", offset=pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(0), pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+_MAX_INT_DIGITS = 4300
+
+_CMP, _ADD, _MUL = frozenset(_CMP_OPS), frozenset({"+", "-"}), frozenset({"*", "/"})
+_PREFIX = frozenset({"!", "-"})
+
+
+class _Parser:
+    """Recursive descent over the token list. Each rule returns the parsed
+    node with its nesting depth. Only operator tokens can have an operator
+    as their text, so rules match operators by text alone."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.open = 0  # enclosing parentheses and prefix operators
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message):
+        raise ExprError("EXPR_SYNTAX", message, offset=self.peek()[2])
+
+    def too_deep(self, offset):
+        raise ExprError("EXPR_SYNTAX", "expression is nested too deeply", offset=offset)
+
+    def join(self, left, operand):
+        """Consume the operator at the cursor and its right operand."""
+        _, op, offset = self.advance()
+        right = operand()
+        depth = max(left[1], right[1]) + 1
+        if depth > MAX_EXPR_DEPTH:
+            self.too_deep(offset)
+        return Binary(op, left[0], right[0]), depth
+
+    def expr(self):
+        left = self.and_()
+        while self.tokens[self.pos][1] == "||":
+            left = self.join(left, self.and_)
+        return left
+
+    def and_(self):
+        left = self.cmp()
+        while self.tokens[self.pos][1] == "&&":
+            left = self.join(left, self.cmp)
+        return left
+
+    def cmp(self):
+        left = self.add()
+        if self.tokens[self.pos][1] in _CMP:
+            return self.join(left, self.add)
+        return left
+
+    def add(self):
+        left = self.mul()
+        while self.tokens[self.pos][1] in _ADD:
+            left = self.join(left, self.mul)
+        return left
+
+    def mul(self):
+        left = self.unary()
+        while self.tokens[self.pos][1] in _MUL:
+            left = self.join(left, self.unary)
+        return left
+
+    def enter(self, offset):
+        """Open a prefix operator or parenthesis. Its operand is at least
+        one level deep, so the cap is hit before the recursion goes on."""
+        self.open += 1
+        if self.open >= MAX_EXPR_DEPTH:
+            self.too_deep(offset)
+
+    def unary(self):
+        _, op, offset = self.tokens[self.pos]
+        if op not in _PREFIX:
+            return self.atom()
+        self.pos += 1
+        self.enter(offset)
+        operand, depth = self.unary()
+        self.open -= 1
+        if depth >= MAX_EXPR_DEPTH:
+            self.too_deep(offset)
+        return Unary(op, operand), depth + 1
+
+    def atom(self):
+        kind, value, offset = self.advance()
+        if kind == "number":
+            if "." in value or "e" in value or "E" in value:
+                return Lit(float(value)), 1
+            if len(value) > _MAX_INT_DIGITS:
+                raise ExprError("EXPR_SYNTAX", f"integer literal longer than "
+                                f"{_MAX_INT_DIGITS} digits", offset=offset)
+            return Lit(int(value)), 1
+        if kind == "text":
+            return Lit(value[1:-1]), 1
+        if kind == "ident":
+            return _RESERVED.get(value) or Var(value), 1
+        if value == "(":
+            self.enter(offset)
+            inner, depth = self.expr()
+            self.open -= 1
+            if self.tokens[self.pos][1] != ")":
+                self.fail("expected ')'")
+            self.pos += 1
+            if depth >= MAX_EXPR_DEPTH:
+                self.too_deep(offset)
+            return inner, depth + 1
+        self.pos -= 1
+        self.fail(f"expected a value, found {value!r}" if value else "expected a value")
+
+
+def reference_parse_expr(text):
+    p = _Parser(text)
+    e, _ = p.expr()
+    kind, value, offset = p.peek()
+    if kind != "eof":
+        raise ExprError("EXPR_SYNTAX", f"unexpected trailing {value!r}", offset=offset)
+    return e
+
+
+def reference_parse_assignment(text):
+    """Parse ``<key> := <expr>``. A single ``=`` is reserved and rejected."""
+    p = _Parser(text)
+    kind, key, offset = p.peek()
+    if kind != "ident" or key in _RESERVED:
+        raise ExprError("EXPR_SYNTAX", "assignment must start with a memory key", offset=offset)
+    p.advance()
+    if p.peek()[1] != ":=":
+        raise ExprError("EXPR_SYNTAX", "expected ':='", offset=p.peek()[2])
+    p.advance()
+    value, _ = p.expr()
+    kind, tok, offset = p.peek()
+    if kind != "eof":
+        raise ExprError("EXPR_SYNTAX", f"unexpected trailing {tok!r}", offset=offset)
+    return Assignment(key, value)
 
 
 def _require_bool(v, op):
@@ -195,11 +376,11 @@ class ReferenceEngine:
         nd = self.nodes[name]
         try:
             if nd.type == "condition":
-                branch = reference_eval_expr(parse_expr(nd.if_), self.memory)
+                branch = reference_eval_expr(reference_parse_expr(nd.if_), self.memory)
                 if not isinstance(branch, bool):
                     raise ExprError("TYPE_ERROR", "condition 'if' must evaluate to a boolean")
                 text = nd.then if branch else nd.else_
-                result = reference_eval_state_expr(parse_expr(text), self.memory)
+                result = reference_eval_state_expr(reference_parse_expr(text), self.memory)
             elif nd.type == "action":
                 if name in self.scripts:
                     script = self.scripts[name]
@@ -208,9 +389,9 @@ class ReferenceEngine:
                     result = script[min(cursor, len(script) - 1)]
                 else:
                     for line in nd.script:
-                        asg = parse_assignment(line)
+                        asg = reference_parse_assignment(line)
                         self.memory[asg.key] = reference_eval_expr(asg.value, self.memory)
-                    result = reference_eval_state_expr(parse_expr(nd.result), self.memory)
+                    result = reference_eval_state_expr(reference_parse_expr(nd.result), self.memory)
             elif nd.type == "parallel":
                 result = parallel_step([self.tick_node(c) for c in nd.children])
             else:

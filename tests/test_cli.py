@@ -459,6 +459,61 @@ def test_long_integer_literal_is_a_syntax_error(tmp_path, capsys, digits):
     assert run[2].startswith(f"RUNTIME_ERROR: c: tick 1: {message}")
 
 
+_ARG_DOC = """\
+templates:
+  t:
+    args: [{{name: n, kind: scalar, default: {default}}}, {{name: l, kind: scalar-list}}]
+    root: "~"
+    nodes:
+      "~": {{type: condition, if: "$n == 1"}}
+root: a
+nodes:
+  a: {{type: t, args: {{n: {arg}, l: [{entry}]}}}}
+"""
+_MAX_INT = "9" * 4300
+
+
+@pytest.mark.parametrize("text", [_MAX_INT, "-" + _MAX_INT, "1_" + "0" * 4299,
+                                  hex(10 ** 4300 - 1)], ids=["9s", "negative", "_", "hex"])
+def test_yaml_integer_of_4300_digits_is_an_argument(tmp_path, capsys, text):
+    doc = write(tmp_path, "doc.yaml", _ARG_DOC.format(default=text, arg=text, entry=text))
+    code, out, err = run_cli(capsys, "expand", doc)
+    assert (code, err) == (0, "")
+    assert f"{int(text, 0)} == 1" in out
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1" + "0" * 4300, "an integer of at most 4300 digits"),
+    ("-1" + "0" * 4300, "an integer of at most 4300 digits"),
+    ("1_" + "0" * 4300, "an integer of at most 4300 digits"),
+    (hex(10 ** 4300), "an integer of at most 4300 digits"),  # int() takes it: no digit limit
+    ("0b_", "an integer of at most 4300 digits"),
+    ("!!int seven", "an integer of at most 4300 digits"),
+    ("!!bool maybe", "a boolean"),
+    ("!!float x", "a float"),
+], ids=["4301", "negative", "_", "hex", "0b_", "!!int", "!!bool", "!!float"])
+@pytest.mark.parametrize("where", ["default", "arg", "entry"])
+def test_yaml_scalar_that_is_not_its_type_exits_2(tmp_path, capsys, text, expected, where):
+    """A YAML-typed argument, default, list entry or memory seed that cannot
+    be constructed, or an integer past 4,300 digits, is located, not a
+    traceback."""
+    values = {"default": "1", "arg": "1", "entry": "1", where: text}
+    doc_text = _ARG_DOC.format(**values)
+    doc = write(tmp_path, "doc.yaml", doc_text)
+    line = 3 if where == "default" else 9
+    column = doc_text.splitlines()[line - 1].index(text) + 1
+    what = {"default": "default", "arg": "argument 'n'", "entry": "argument 'l' entry"}[where]
+    code, out, err = run_cli(capsys, "expand", doc)
+    assert (code, out, err) == (2, "", f"{doc}:{line}:{column}: SCHEMA_ERROR: {what} is not "
+                                       f"{expected}\n")
+
+    scenario = write(tmp_path, "s.yaml", f"memory:\n  x: {text}\n")
+    code, out, err = run_cli(capsys, "run", EXAMPLES / "latch.yaml", "--scenario", scenario)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{scenario}:2:6: SCHEMA_ERROR: memory value for 'x' is not "
+                        f"{expected}\n")
+
+
 @pytest.mark.parametrize("key", list(LEAF_PAYLOAD_VALUES))
 @pytest.mark.parametrize("type_", ["latch", '"$k"'])
 def test_templated_node_in_a_body_with_leaf_payload_exits_3(tmp_path, capsys, type_, key):

@@ -18,7 +18,12 @@ from btt import (
     parse_expr,
     print_expr,
 )
-from oracles import reference_eval_expr, reference_eval_state_expr
+from oracles import (
+    reference_eval_expr,
+    reference_eval_state_expr,
+    reference_parse_assignment,
+    reference_parse_expr,
+)
 from util import NESTED_FORMS, nested
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
@@ -175,6 +180,53 @@ def test_parse_assignment():
 def test_assignment_rejects_single_equals():
     assert err(parse_assignment, "x = 1").code == "EXPR_SYNTAX"
     assert err(parse_assignment, "SUCCESS := 1").code == "EXPR_SYNTAX"
+
+
+# --- the parser against the reference parser ------------------------------
+
+def _parsed(parse, text):
+    try:
+        return "ast", repr(parse(text))
+    except ExprError as exc:
+        return "error", exc.code, exc.message, exc.offset
+
+
+def _assert_parses_alike(text):
+    """The same AST, or the same error code, message and offset, as an
+    expression, after an assignment's ``k := `` and as an assignment."""
+    for parse, reference, prefix in ((parse_expr, reference_parse_expr, ""),
+                                     (parse_assignment, reference_parse_assignment, "k := "),
+                                     (parse_assignment, reference_parse_assignment, "")):
+        assert _parsed(parse, prefix + text) == _parsed(reference, prefix + text)
+
+
+# Every operator and the lone characters of the two-character ones, literals
+# of every kind, keys, reserved words, an unbalanced quote and parentheses.
+_SOUP = ["||", "&&", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "!", "(", ")",
+         ":=", "|", "&", "=", ":", "'", "''", "'a b'", "0", "12", "2.5", "1e3", "a",
+         "b/c.d", "x-y", "true", "false", "SUCCESS", "EMPTY", "k", "?", " ", "\t"]
+
+
+@settings(max_examples=1000)
+@given(tokens=st.lists(st.sampled_from(_SOUP), max_size=14), sep=st.sampled_from(["", " "]))
+def test_parser_matches_the_reference_on_token_soup(tokens, sep):
+    _assert_parses_alike(sep.join(tokens))
+
+
+# Besides the nesting forms: chains of ||, && over comparisons, -( chains and
+# right-nested sums.
+_CHAINS = {
+    "or": lambda depth: " || ".join(["true"] * depth),
+    "and_cmp": lambda depth: " && ".join(["1 < 2"] * depth),
+    "neg_paren": lambda depth: "-(" * depth + "1" + ")" * depth,
+    "right_sum": lambda depth: "1 + (" * depth + "1" + ")" * depth,
+}
+
+
+@pytest.mark.parametrize("depth", [MAX_EXPR_DEPTH - 1, MAX_EXPR_DEPTH, MAX_EXPR_DEPTH + 1, 3000])
+@pytest.mark.parametrize("form", NESTED_FORMS + list(_CHAINS))
+def test_parser_matches_the_reference_on_deep_nesting(form, depth):
+    _assert_parses_alike(nested(form, depth) if form in NESTED_FORMS else _CHAINS[form](depth))
 
 
 # --- printing ------------------------------------------------------------

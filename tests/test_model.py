@@ -100,6 +100,16 @@ def test_duplicate_name():
     assert "DUPLICATE_NAME" in codes(validate_expanded(t))
 
 
+def test_each_repeated_entry_is_one_duplicate_name_and_the_first_entry_counts():
+    x = action("x")
+    # the second x lists the same object again; the third x, a selector over
+    # y, would give y a second parent if it counted
+    t = tree(control("r", "sequence", ["x", "y"]), x, action("y"), x, action("y"),
+             control("x", "selector", ["y"]))
+    assert [(d.code, d.node) for d in validate_expanded(t)] == [
+        ("DUPLICATE_NAME", "x"), ("DUPLICATE_NAME", "y"), ("DUPLICATE_NAME", "x")]
+
+
 def test_cycle_reported_at_back_edge_target():
     t = tree(
         control("a", "sequence", ["b"]),
