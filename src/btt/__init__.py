@@ -8,6 +8,7 @@ node kinds, and the engine ticks the result over a blackboard memory.
 from .errors import (
     BttError,
     CanonicalizeError,
+    DumpError,
     EngineError,
     ExpandError,
     ExprError,
@@ -61,13 +62,7 @@ from .textio import (
     parse_templates,
     serialize_expanded,
 )
-from .expander import (
-    Binding,
-    bind_arguments,
-    expand_document,
-    instantiate,
-    substitute,
-)
+from .expander import bind_arguments, expand_document, instantiate
 from .stdlib import builtin_templates, shadowed_builtins
 
 __version__ = "0.1.0"

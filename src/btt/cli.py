@@ -15,6 +15,7 @@ from .engine import Engine, check_expressions, render_memory_dump, render_trace_
 from .errors import (
     BttError,
     CanonicalizeError,
+    DumpError,
     EngineError,
     ExpandError,
     ParseError,
@@ -23,7 +24,7 @@ from .errors import (
     ValidationFailure,
 )
 from .expander import DEFAULT_MAX_DEPTH, expand_document
-from .model import NodeKind, diagnostic_render, dfs_preorder
+from .model import MAX_INT_DIGITS, NodeKind, diagnostic_render, dfs_preorder, value_text
 from .stdlib import SHADOWED_BUILTIN, builtin_templates, shadowed_builtins
 from .textio import parse_document, parse_scenario, serialize_expanded
 
@@ -138,11 +139,24 @@ def _run(args, tree, scenario):
             lines.extend(render_trace_event(e) for e in events)
     if args.memory_dump:
         lines.append("---")
-        dump = render_memory_dump(engine.memory)
+        try:
+            dump = render_memory_dump(engine.memory)
+        except ValueError:  # CPython writes no integer past 4,300 digits
+            key = next(k for k in sorted(engine.memory) if not _has_text(engine.memory[k]))
+            raise DumpError("RUNTIME_ERROR", f"memory value is an integer of more than "
+                            f"{MAX_INT_DIGITS} digits, too long to write", subject=key) from None
         if dump:
             lines.append(dump)
     lines.append(f"result={result.value}")
     _write("\n".join(lines) + "\n", args.output)
+
+
+def _has_text(value):
+    try:
+        value_text(value)
+    except ValueError:
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -171,7 +185,7 @@ def main(argv=None) -> int:
     except (ValidationFailure, ExpandError, CanonicalizeError, EngineError) as exc:
         _report(exc, args.input)
         return 3
-    except TickError as exc:
+    except (TickError, DumpError) as exc:
         _report(exc, args.input)
         return 4
     except OSError as exc:

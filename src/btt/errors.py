@@ -89,3 +89,7 @@ class TickError(BttError):
         self.tick = tick
         self.events = events
         super().__init__("RUNTIME_ERROR", f"tick {tick}: {message}", subject=node)
+
+
+class DumpError(BttError):
+    """The final memory cannot be written out (``--memory-dump``)."""

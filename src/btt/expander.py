@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .errors import ExpandError, ValidationFailure
 from .model import (
@@ -63,19 +63,6 @@ _NEVER_BOUND = {("$@",): "'$@' splices are only valid as a whole children entry"
 _UNBOUND = object()
 
 
-@dataclass
-class Binding:
-    """Bound parameter values for one instantiation.
-
-    ``values`` maps param names (plus foreach loop/index variables) to
-    scalars, tuples (lists), or node-name text. ``instance`` is the
-    qualified name of the templated node being instantiated.
-    """
-
-    values: dict
-    instance: str
-
-
 @contextmanager
 def _chained(stack):
     """Annotate errors from nested operations with the instantiation chain."""
@@ -88,7 +75,9 @@ def _chained(stack):
                           span=exc.span, chain=stack) from exc
 
 
-def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> Binding:
+def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> dict:
+    """The instance's values for the template's params: node names from
+    its children, scalars and lists from its args or their defaults."""
     values = {}
     node_params = [p for p in tmpl.params if p.kind in ("node", "nodes")]
     singles = [p for p in node_params if p.kind == "node"]
@@ -137,7 +126,7 @@ def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> Binding:
                     "MISSING_ARG",
                     f"arg '{p.name}' of template '{tmpl.name}' has no value and no default",
                     subject=inst.name, span=inst.span)
-    return Binding(values=values, instance=inst.name)
+    return values
 
 
 # --- compiled pattern strings ---------------------------------------------
@@ -199,14 +188,6 @@ def _compile(pattern):
 
 def _fill(text, env):
     return text.fill(env) if text.__class__ is _Text else text
-
-
-def substitute(pattern: str, binding: Binding) -> str:
-    """Single-pass placeholder substitution; output is not re-scanned."""
-    try:
-        return _fill(_compile(pattern), {**binding.values, _INSTANCE: binding.instance})
-    except _Unfilled as exc:
-        raise exc.at(pattern, None) from None
 
 
 def _forward_value(v, env):
@@ -375,7 +356,7 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
         problem = payload_problem(inst, None)  # a templated node takes only args
         if problem is not None:
             raise ExpandError("BAD_NODE", problem, subject=inst.name, span=inst.span)
-        env = bind_arguments(tmpl, inst).values
+        env = bind_arguments(tmpl, inst)
         instance = env[_INSTANCE] = inst.name
         level, root = _plan(tmpl)
         items = []
@@ -447,8 +428,9 @@ def expand_document(doc: Document, builtins: dict | None = None,
     """Expand every templated node; primary nodes pass through verbatim.
 
     Document-local templates take precedence over builtins of the same
-    name. The result always passes validate_expanded; any diagnostics are
-    promoted to a ValidationFailure.
+    name. The result always passes validate_expanded, and is marked
+    ``validated`` so that serializing it does not check it again; any
+    diagnostics are promoted to a ValidationFailure.
     """
     registry = dict(builtins) if builtins else {}
     registry.update(doc.templates)
@@ -467,4 +449,5 @@ def expand_document(doc: Document, builtins: dict | None = None,
     diags = validate_expanded(tree)
     if diags:
         raise ValidationFailure(diags)
+    object.__setattr__(tree, "validated", True)
     return tree

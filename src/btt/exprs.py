@@ -23,6 +23,7 @@ needs spaces around the operators ("a - b", not "a-b").
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -176,7 +177,7 @@ _TOKEN_RE = re.compile(
       | (?P<text>'[^']*')
       | (?P<ident>[A-Za-z_][A-Za-z0-9_/.\-]*)
       | (?P<op>""" + "|".join(map(re.escape, _OPERATORS)) + ")",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # digits and spaces are ASCII ones, as in identifiers
 )
 
 
@@ -269,7 +270,11 @@ class _Parser:
         self.pos += 1
         if kind == "number":
             if "." in value or "e" in value or "E" in value:
-                return Lit(float(value)), 1
+                number = float(value)
+                if number == math.inf:
+                    raise ExprError("EXPR_SYNTAX", "float literal too large for a float",
+                                    offset=offset)
+                return Lit(number), 1
             if len(value) > MAX_INT_DIGITS:
                 raise ExprError("EXPR_SYNTAX", f"integer literal longer than "
                                 f"{MAX_INT_DIGITS} digits", offset=offset)

@@ -11,6 +11,8 @@ import enum
 import keyword
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 from typing import Union
 
 # Node names, memory keys and expression identifiers share one alphabet;
@@ -138,6 +140,8 @@ class NodeDef:
 
 # NodeDef's values for a payload key the node does not carry.
 _ABSENT = (None, (), {})
+_NAME, _TYPE, _CHILDREN, _SCRIPT = map(attrgetter, ("name", "type", "children", "script"))
+_TEXTS = tuple(map(attrgetter, ("if_", "then", "else_", "result")))
 
 
 def payload_problem(nd: NodeDef, kind: str | None) -> str | None:
@@ -206,26 +210,33 @@ class Document:
     root: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpandedTree:
     """Flat collection of primary nodes plus the root name.
 
     Nodes are kept as an ordered sequence (not a mapping) so that
-    validation can still report duplicated names.
+    validation can still report duplicated names. ``validated`` is set
+    only by ``expand_document``, once the tree has passed
+    ``validate_expanded``; a tree built by hand, or by ``replace`` from
+    one, starts unmarked.
     """
 
     nodes: tuple[NodeDef, ...]
     root: str
-    _index: dict = field(default=None, compare=False, repr=False)
+    validated: bool = field(default=False, init=False, compare=False, repr=False)
+    _index: dict = field(default=None, init=False, compare=False, repr=False)
 
     def by_name(self) -> dict:
         """Name -> NodeDef for the first occurrence of each name."""
-        if self._index is None:
-            index = {}
-            for nd in self.nodes:
-                index.setdefault(nd.name, nd)
-            self._index = index
-        return self._index
+        index = self._index
+        if index is None:
+            index = dict(zip(map(_NAME, self.nodes), self.nodes))
+            if len(index) != len(self.nodes):  # a later duplicate overwrote the first
+                index = {}
+                for nd in self.nodes:
+                    index.setdefault(nd.name, nd)
+            object.__setattr__(self, "_index", index)
+        return index
 
 
 @dataclass(frozen=True)
@@ -248,6 +259,43 @@ def _texts_with_placeholder(nd: NodeDef):
             or "$" in f"{nd.if_}{nd.then}{nd.else_}{nd.result}{''.join(nd.script or ())}")
 
 
+def _may_carry_placeholder(defined: dict) -> bool:
+    """False only if no node of ``defined`` carries residue: one scan over
+    all their texts, so that the per-node test runs only on a tree that may
+    fail it. A value that is not text makes it answer True."""
+    nodes = defined.values()
+    try:
+        names = "".join(chain(defined, map(_TYPE, nodes),
+                              chain.from_iterable(map(_CHILDREN, nodes))))
+        texts = "".join(chain(*(filter(None, map(text, nodes)) for text in _TEXTS),
+                              chain.from_iterable(filter(None, map(_SCRIPT, nodes)))))
+    except TypeError:
+        return True
+    return "$" in names or "~" in names or "$" in texts
+
+
+# A node's payload shape: its kind, the class of each payload field, and
+# whether args and script are empty. When args is a dict, script a tuple
+# and the other fields text or None, the shape alone decides which keys
+# are carried and which are None, so one verdict holds for its every node.
+_TEXT_CLASSES = {str, type(None)}
+_UNJUDGED = object()
+
+
+def _payload_verdict(nd: NodeDef, shape, verdicts) -> str | None:
+    """What is wrong with a primary-kind node's payload, or None: a key
+    its kind does not take, a required key missing, or an optional key
+    without its default. Kept in ``verdicts`` if the shape decides it."""
+    kind = nd.type
+    unset = [key for key, default in LEAF_PAYLOAD.get(kind, {}).items()
+             if default is not None and getattr(nd, PAYLOAD_FIELDS[key]) is None]
+    verdict = payload_problem(nd, kind) or unset and f"a {kind} node has no '{unset[0]}'" or None
+    _, args, _, if_, then, else_, script, _, result = shape
+    if args is dict and script is tuple and {if_, then, else_, result} <= _TEXT_CLASSES:
+        verdicts[shape] = verdict
+    return verdict
+
+
 def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
     """Check all structural invariants; return one Diagnostic per violation.
 
@@ -255,77 +303,118 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
     the same order. An empty list means the tree is valid.
     """
     diags = []
-    seen = set()
-    for nd in tree.nodes:
-        if nd.name in seen:
-            diags.append(
-                Diagnostic("DUPLICATE_NAME", nd.name, "node name defined more than once")
-            )
-        seen.add(nd.name)
+    nodes = tree.nodes
     defined = tree.by_name()
+    if len(defined) != len(nodes):
+        seen = set()
+        for nd in nodes:
+            if nd.name in seen:
+                diags.append(
+                    Diagnostic("DUPLICATE_NAME", nd.name, "node name defined more than once")
+                )
+            seen.add(nd.name)
 
+    residue = _may_carry_placeholder(defined)
+    verdicts = {}  # payload shape -> verdict
+    parent = {}  # child entry -> the last node listing it
+    entries = 0  # child entries of all nodes
+    dangling = False
     for nd in defined.values():
-        if nd.type not in PRIMARY_KINDS:
+        kind = nd.type
+        children = nd.children
+        if kind not in PRIMARY_KINDS:
             diags.append(
                 Diagnostic("UNKNOWN_TYPE", nd.name,
-                           f"type '{nd.type}' is not a primary node kind")
+                           f"type '{kind}' is not a primary node kind")
             )
         else:
-            if nd.type in LEAF_PAYLOAD and nd.children:
+            if kind in LEAF_PAYLOAD and children:
                 diags.append(
                     Diagnostic("LEAF_WITH_CHILDREN", nd.name,
-                               f"{nd.type} node must not have children")
+                               f"{kind} node must not have children")
                 )
-            elif nd.type not in LEAF_PAYLOAD and not nd.children:
+            elif kind not in LEAF_PAYLOAD and not children:
                 diags.append(
                     Diagnostic("CONTROL_WITHOUT_CHILDREN", nd.name,
-                               f"{nd.type} node requires at least one child")
+                               f"{kind} node requires at least one child")
                 )
-            # an expanded leaf also carries the default of every optional key
-            unset = [key for key, default in LEAF_PAYLOAD.get(nd.type, {}).items()
-                     if default is not None and getattr(nd, PAYLOAD_FIELDS[key]) is None]
-            problem = (payload_problem(nd, nd.type)
-                       or unset and f"a {nd.type} node has no '{unset[0]}'")
+            args, script = nd.args, nd.script
+            shape = (kind, args.__class__, not args, nd.if_.__class__, nd.then.__class__,
+                     nd.else_.__class__, script.__class__, not script, nd.result.__class__)
+            problem = verdicts.get(shape, _UNJUDGED)
+            if problem is _UNJUDGED:
+                problem = _payload_verdict(nd, shape, verdicts)
             if problem:
                 diags.append(Diagnostic("BAD_NODE", nd.name, problem))
-        if _texts_with_placeholder(nd):
+        if residue and _texts_with_placeholder(nd):
             diags.append(
                 Diagnostic("UNSUBSTITUTED_PLACEHOLDER", nd.name,
                            "node carries an unsubstituted '$' or '~'")
             )
-        for child in nd.children:
-            if child not in defined:
+        if children:
+            entries += len(children)
+            for child in children:
+                parent[child] = nd.name
+                if child not in defined:
+                    dangling = True
+                    diags.append(
+                        Diagnostic("UNRESOLVED_CHILD", nd.name,
+                                   f"child '{child}' is not defined")
+                    )
+
+    shared = entries != len(parent)  # some entry is listed more than once
+    if shared:
+        parents = {}
+        for nd in defined.values():
+            for child in nd.children:
+                if child in defined:
+                    parents.setdefault(child, []).append(nd.name)
+        for nd in defined.values():
+            ps = parents.get(nd.name, ())
+            if len(ps) > 1:
                 diags.append(
-                    Diagnostic("UNRESOLVED_CHILD", nd.name,
-                               f"child '{child}' is not defined")
+                    Diagnostic("MULTIPLE_PARENTS", nd.name,
+                               f"listed as child of multiple nodes: {', '.join(ps)}")
                 )
 
-    parents = {}
-    for nd in defined.values():
-        for child in nd.children:
-            if child in defined:
-                parents.setdefault(child, []).append(nd.name)
-    for nd in defined.values():
-        ps = parents.get(nd.name, ())
-        if len(ps) > 1:
-            diags.append(
-                Diagnostic("MULTIPLE_PARENTS", nd.name,
-                           f"listed as child of multiple nodes: {', '.join(ps)}")
-            )
-
-    if tree.root not in defined:
+    root = tree.root
+    if root not in defined:
         diags.append(
-            Diagnostic("BAD_ROOT", tree.root, "root does not name a defined node")
+            Diagnostic("BAD_ROOT", root, "root does not name a defined node")
         )
         return diags
 
-    # Iterative DFS from the root: flags back edges (cycles) and, afterwards,
-    # nodes the traversal never reached.
+    if shared or dangling or root in parent:
+        reached, cycle_hits = _depth_first(defined, root)
+    else:
+        # Every node has at most one parent and the root has none, so no
+        # cycle is reachable and the walk meets each node it reaches once.
+        reached = [root]
+        for name in reached:
+            reached.extend(defined[name].children)
+        cycle_hits = ()
+    for hit in cycle_hits:
+        diags.append(
+            Diagnostic("CYCLE", hit, "node participates in a reference cycle")
+        )
+    if len(reached) != len(defined):
+        reached = set(reached)
+        for name in defined:
+            if name not in reached:
+                diags.append(
+                    Diagnostic("UNREACHABLE", name, "node is not reachable from the root")
+                )
+    return diags
+
+
+def _depth_first(defined, root):
+    """Iterative DFS from the root: the nodes it reaches, and the back
+    edges' targets (cycles) in the order it meets them."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {name: WHITE for name in defined}
     cycle_hits = []
-    stack = [(tree.root, iter(defined[tree.root].children))]
-    color[tree.root] = GRAY
+    stack = [(root, iter(defined[root].children))]
+    color[root] = GRAY
     while stack:
         name, children = stack[-1]
         advanced = False
@@ -343,16 +432,7 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
         if not advanced:
             color[name] = BLACK
             stack.pop()
-    for hit in cycle_hits:
-        diags.append(
-            Diagnostic("CYCLE", hit, "node participates in a reference cycle")
-        )
-    for nd in defined.values():
-        if color[nd.name] == WHITE:
-            diags.append(
-                Diagnostic("UNREACHABLE", nd.name, "node is not reachable from the root")
-            )
-    return diags
+    return [name for name in defined if color[name] != WHITE], cycle_hits
 
 
 def dfs_preorder(tree: ExpandedTree) -> list[str]:

@@ -92,12 +92,12 @@ _COLLECTIONS = {SequenceStartEvent: SequenceNode, MappingStartEvent: MappingNode
 _resolve = yaml.resolver.Resolver().resolve
 
 
-def _mark_span(mark) -> SourceSpan:
-    return SourceSpan(mark.line + 1, mark.column + 1)
+def _mark_span(mark, source=None) -> SourceSpan:
+    return SourceSpan(mark.line + 1, mark.column + 1, source)
 
 
-def _span(node) -> SourceSpan:
-    return _mark_span(node.start_mark)
+def _span(node, source=None) -> SourceSpan:
+    return _mark_span(node.start_mark, source)
 
 
 def _compose(text, what):
@@ -234,7 +234,7 @@ def _check_name(name, what, span, pattern=False):
                           span=span, subject=name)
 
 
-def _parse_node(name, node, pattern):
+def _parse_node(name, node, pattern, source=None):
     items = _mapping_items(node, f"node '{name}'")
     keys = {k: v for k, v, _ in items}
     if "type" not in keys:
@@ -273,7 +273,8 @@ def _parse_node(name, node, pattern):
         else:
             value = _text(value, key)
         fields[PAYLOAD_FIELDS[key]] = value
-    return with_leaf_defaults(NodeDef(name, type_, children, span=_span(node), **fields))
+    return with_leaf_defaults(NodeDef(name, type_, children, span=_span(node, source),
+                                      **fields))
 
 
 def _args(node, owner):
@@ -286,21 +287,21 @@ def _args(node, owner):
     return args
 
 
-def _parse_body(node, owner):
+def _parse_body(node, owner, source):
     """Template body: node patterns and foreach blocks, in source order."""
     body = {}
     for key, value_node, key_node in _mapping_items(node, f"nodes of {owner}"):
         items = _mapping_items(value_node, f"entry '{key}'")
         entry_keys = {k for k, _, _ in items}
         if "foreach" in entry_keys:
-            body[key] = _parse_foreach(key, value_node, items, key_node)
+            body[key] = _parse_foreach(key, value_node, items, key_node, source)
         else:
             _check_name(key, "node name pattern", _span(key_node), pattern=True)
-            body[key] = _parse_node(key, value_node, pattern=True)
+            body[key] = _parse_node(key, value_node, pattern=True, source=source)
     return body
 
 
-def _parse_foreach(key, node, items, key_node):
+def _parse_foreach(key, node, items, key_node, source):
     if not _TEMPLATE_NAME_RE.fullmatch(key):
         raise SchemaError("SCHEMA_ERROR", f"invalid foreach block name '{key}'",
                           span=_span(key_node), subject=key)
@@ -342,12 +343,12 @@ def _parse_foreach(key, node, items, key_node):
         var=var,
         index=index,
         emit=_text(keys["emit"], "emit"),
-        nodes=_parse_body(keys["nodes"], f"foreach block '{key}'"),
-        span=_span(node),
+        nodes=_parse_body(keys["nodes"], f"foreach block '{key}'", source),
+        span=_span(node, source),
     )
 
 
-def _parse_template(name, node):
+def _parse_template(name, node, source):
     items = _mapping_items(node, f"template '{name}'")
     keys = {k: v for k, v, _ in items}
     for k, _, kn in items:
@@ -412,7 +413,7 @@ def _parse_template(name, node):
         raise SchemaError("SCHEMA_ERROR", "the 'nodes' arg must be the last node-kind arg",
                           span=_span(node), subject=name)
 
-    body = _parse_body(keys["nodes"], f"template '{name}'")
+    body = _parse_body(keys["nodes"], f"template '{name}'", source)
     if not body:
         raise SchemaError("SCHEMA_ERROR", f"template '{name}' must define at least one node",
                           span=_span(keys["nodes"]), subject=name)
@@ -421,11 +422,11 @@ def _parse_template(name, node):
         params=tuple(params),
         body=body,
         root=_text(keys["root"], "template root"),
-        span=_span(node),
+        span=_span(node, source),
     )
 
 
-def _parse_templates_map(node):
+def _parse_templates_map(node, source=None):
     templates = {}
     for name, value_node, key_node in _mapping_items(node, "templates"):
         if not _TEMPLATE_NAME_RE.fullmatch(name):
@@ -435,7 +436,7 @@ def _parse_templates_map(node):
             raise SchemaError("SCHEMA_ERROR",
                               f"template name '{name}' collides with a primary node kind",
                               span=_span(key_node), subject=name)
-        templates[name] = _parse_template(name, value_node)
+        templates[name] = _parse_template(name, value_node, source)
     return templates
 
 
@@ -468,8 +469,9 @@ def parse_document(text: str) -> Document:
     return Document(templates=templates, nodes=nodes, root=root)
 
 
-def parse_templates(text: str) -> dict:
-    """Parse a templates-only fragment (used for the builtin definitions)."""
+def parse_templates(text: str, source: str | None = None) -> dict:
+    """Parse a templates-only fragment (used for the builtin definitions).
+    ``source`` names the text on the spans of its definitions."""
     root_node = _compose(text, "templates")
     if root_node is None:
         raise ParseError("PARSE_ERROR", "templates document is empty")
@@ -478,7 +480,7 @@ def parse_templates(text: str) -> dict:
         if key != "templates":
             raise SchemaError("SCHEMA_ERROR", f"unknown key '{key}' in templates document",
                               subject=key)
-        templates = _parse_templates_map(value_node)
+        templates = _parse_templates_map(value_node, source)
     return templates
 
 
@@ -550,9 +552,10 @@ def serialize_expanded(tree: ExpandedTree) -> str:
     Nodes appear in depth-first pre-order from the root; per-node keys are
     in fixed order (type, if, then, else, script, result, children) with
     defaulted fields omitted. Two-space indent, LF endings, byte-identical
-    across runs for equal trees.
+    across runs for equal trees. A tree that ``expand_document`` returned
+    has been validated already; any other is validated first.
     """
-    diags = validate_expanded(tree)
+    diags = () if tree.validated else validate_expanded(tree)
     if diags:
         raise CanonicalizeError("CANONICALIZE_ERROR",
                                 f"tree fails validation: {diags[0].code} on '{diags[0].node}'")

@@ -1,5 +1,6 @@
 """Test-only reference implementations, kept independent of the code under test."""
 
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -8,6 +9,7 @@ from btt import (
     MAX_EXPR_DEPTH,
     Assignment,
     Binary,
+    Diagnostic,
     Document,
     ExpandedTree,
     ExpandError,
@@ -85,7 +87,7 @@ _TOKEN_RE = re.compile(
       | (?P<ident>[A-Za-z_][A-Za-z0-9_/.\-]*)
       | (?P<op>\|\||&&|==|!=|<=|>=|:=|[-<>+*/!()])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -198,7 +200,11 @@ class _Parser:
         kind, value, offset = self.advance()
         if kind == "number":
             if "." in value or "e" in value or "E" in value:
-                return Lit(float(value)), 1
+                number = float(value)
+                if number == math.inf:
+                    raise ExprError("EXPR_SYNTAX", "float literal too large for a float",
+                                    offset=offset)
+                return Lit(number), 1
             if len(value) > _MAX_INT_DIGITS:
                 raise ExprError("EXPR_SYNTAX", f"integer literal longer than "
                                 f"{_MAX_INT_DIGITS} digits", offset=offset)
@@ -837,3 +843,122 @@ def reference_expand_document(doc: Document, builtins: dict | None = None,
     if diags:
         raise ValidationFailure(diags)
     return tree
+
+
+# --- reference validation -------------------------------------------------
+
+def _texts_with_placeholder(nd: NodeDef):
+    # "$" is residue anywhere; "~" only counts in name positions, since
+    # quoted expression text may legitimately contain a tilde.
+    names = "".join((nd.name, nd.type, *nd.children))
+    return ("$" in names or "~" in names
+            or "$" in f"{nd.if_}{nd.then}{nd.else_}{nd.result}{''.join(nd.script or ())}")
+
+
+def reference_validate_expanded(tree: ExpandedTree) -> list:
+    """The validation that per-shape payload verdicts, one residue scan per
+    tree and a plain walk for trees without shared children replaced: every
+    node's payload is checked key by key, every node's texts are scanned,
+    and the walk is a DFS with colours. It builds its own first-occurrence
+    index instead of calling ``tree.by_name()``."""
+    diags = []
+    seen = set()
+    for nd in tree.nodes:
+        if nd.name in seen:
+            diags.append(
+                Diagnostic("DUPLICATE_NAME", nd.name, "node name defined more than once")
+            )
+        seen.add(nd.name)
+    defined = {}
+    for nd in tree.nodes:
+        defined.setdefault(nd.name, nd)
+
+    for nd in defined.values():
+        if nd.type not in PRIMARY_KINDS:
+            diags.append(
+                Diagnostic("UNKNOWN_TYPE", nd.name,
+                           f"type '{nd.type}' is not a primary node kind")
+            )
+        else:
+            if nd.type in LEAF_PAYLOAD and nd.children:
+                diags.append(
+                    Diagnostic("LEAF_WITH_CHILDREN", nd.name,
+                               f"{nd.type} node must not have children")
+                )
+            elif nd.type not in LEAF_PAYLOAD and not nd.children:
+                diags.append(
+                    Diagnostic("CONTROL_WITHOUT_CHILDREN", nd.name,
+                               f"{nd.type} node requires at least one child")
+                )
+            # an expanded leaf also carries the default of every optional key
+            unset = [key for key, default in LEAF_PAYLOAD.get(nd.type, {}).items()
+                     if default is not None and getattr(nd, PAYLOAD_FIELDS[key]) is None]
+            problem = (_payload_problem(nd, nd.type)
+                       or unset and f"a {nd.type} node has no '{unset[0]}'")
+            if problem:
+                diags.append(Diagnostic("BAD_NODE", nd.name, problem))
+        if _texts_with_placeholder(nd):
+            diags.append(
+                Diagnostic("UNSUBSTITUTED_PLACEHOLDER", nd.name,
+                           "node carries an unsubstituted '$' or '~'")
+            )
+        for child in nd.children:
+            if child not in defined:
+                diags.append(
+                    Diagnostic("UNRESOLVED_CHILD", nd.name,
+                               f"child '{child}' is not defined")
+                )
+
+    parents = {}
+    for nd in defined.values():
+        for child in nd.children:
+            if child in defined:
+                parents.setdefault(child, []).append(nd.name)
+    for nd in defined.values():
+        ps = parents.get(nd.name, ())
+        if len(ps) > 1:
+            diags.append(
+                Diagnostic("MULTIPLE_PARENTS", nd.name,
+                           f"listed as child of multiple nodes: {', '.join(ps)}")
+            )
+
+    if tree.root not in defined:
+        diags.append(
+            Diagnostic("BAD_ROOT", tree.root, "root does not name a defined node")
+        )
+        return diags
+
+    # Iterative DFS from the root: flags back edges (cycles) and, afterwards,
+    # nodes the traversal never reached.
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {name: WHITE for name in defined}
+    cycle_hits = []
+    stack = [(tree.root, iter(defined[tree.root].children))]
+    color[tree.root] = GRAY
+    while stack:
+        name, children = stack[-1]
+        advanced = False
+        for child in children:
+            if child not in defined:
+                continue
+            if color[child] == GRAY:
+                if child not in cycle_hits:
+                    cycle_hits.append(child)
+            elif color[child] == WHITE:
+                color[child] = GRAY
+                stack.append((child, iter(defined[child].children)))
+                advanced = True
+                break
+        if not advanced:
+            color[name] = BLACK
+            stack.pop()
+    for hit in cycle_hits:
+        diags.append(
+            Diagnostic("CYCLE", hit, "node participates in a reference cycle")
+        )
+    for nd in defined.values():
+        if color[nd.name] == WHITE:
+            diags.append(
+                Diagnostic("UNREACHABLE", nd.name, "node is not reachable from the root")
+            )
+    return diags

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from btt import textio
+from btt import expander, textio, validate_expanded
 from btt.cli import main
 from util import (BODY_PAYLOAD_LINE, CORPUS_DOCS, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES,
                   NESTED_FORMS, TEMPLATES, body_payload_doc, nested)
@@ -24,6 +26,21 @@ def test_expand_latch_matches_golden(capsys):
     assert out == (GOLDEN / "latch_expanded.yaml").read_text()
     # the reference document shadows the builtin latch: warned, not fatal
     assert "SHADOWED_BUILTIN" in err
+
+
+def test_expand_validates_the_tree_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(tree):
+        calls.append(tree)
+        return validate_expanded(tree)
+
+    monkeypatch.setattr(expander, "validate_expanded", counting)
+    monkeypatch.setattr(textio, "validate_expanded", counting)
+    code, out, _ = run_cli(capsys, "expand", EXAMPLES / "sequence_star.yaml")
+    assert code == 0
+    assert out == (GOLDEN / "sequence_star_expanded.yaml").read_text()
+    assert len(calls) == 1
 
 
 def test_expand_to_file(tmp_path, capsys):
@@ -182,6 +199,24 @@ def test_run_memory_dump_after_separator(tmp_path, capsys):
     assert "x = 1" in lines
     assert "__STATE__/a = SUCCESS" in lines
     assert lines[-1] == "result=SUCCESS"
+
+
+def test_memory_dump_of_an_integer_too_long_to_write_exits_4(tmp_path, capsys):
+    doc = write(tmp_path, "sq.yaml",
+                "root: sq\nnodes:\n  sq: {type: action, script: ['x := x * x']}\n")
+    scenario = write(tmp_path, "s.yaml", "memory: {x: 10}\n")
+    code, out, err = run_cli(capsys, "run", doc, "--scenario", scenario,
+                             "--ticks", 13, "--memory-dump")
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit: any integer is written
+        assert code == 0 and out.endswith("result=SUCCESS\n")
+        return
+    assert (code, out) == (4, "")
+    assert err == ("RUNTIME_ERROR: x: memory value is an integer of more than 4300 digits, "
+                   "too long to write\n")
+    # 12 squarings give 4,097 digits, which the dump still writes
+    code, out, _ = run_cli(capsys, "run", doc, "--scenario", scenario,
+                           "--ticks", 12, "--memory-dump")
+    assert code == 0 and f"x = 1{'0' * 4096}" in out.splitlines()
 
 
 def test_run_undefined_variable_exit_4(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import pytest
 
 from btt import (
-    Binding,
     ExpandError,
     ForeachBlock,
     NodeDef,
@@ -13,8 +12,8 @@ from btt import (
     instantiate,
     parse_document,
     serialize_expanded,
-    substitute,
 )
+from btt.expander import _INSTANCE, _Text, _Unfilled
 from util import (BODY_PAYLOAD_LINE, CORPUS_DOCS, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES,
                   body_payload_doc, expand_path, expand_text)
 
@@ -36,15 +35,13 @@ def inst(name, type_, children=(), args=None):
 # --- bind_arguments ------------------------------------------------------
 
 def test_bind_single_node_param():
-    b = bind_arguments(USER_LATCH, inst("example", "latch", ["goto"]))
-    assert b.values == {"child": "goto"}
-    assert b.instance == "example"
+    assert bind_arguments(USER_LATCH, inst("example", "latch", ["goto"])) == {"child": "goto"}
 
 
 def test_bind_variadic_nodes_param():
     star = BUILTINS["sequence_star"]
-    b = bind_arguments(star, inst("task", "sequence_star", ["a", "b"]))
-    assert b.values == {"children": ("a", "b")}
+    values = bind_arguments(star, inst("task", "sequence_star", ["a", "b"]))
+    assert values == {"children": ("a", "b")}
 
 
 def test_arity_mismatch():
@@ -58,10 +55,10 @@ def test_arity_mismatch():
 
 def test_scalar_args_defaults_and_errors():
     latch = BUILTINS["latch"]
-    b = bind_arguments(latch, inst("x", "latch", ["a"]))
-    assert b.values["remember"] == ("SUCCESS", "FAILURE")  # declared default
-    b2 = bind_arguments(latch, inst("x", "latch", ["a"], args={"remember": ("SUCCESS",)}))
-    assert b2.values["remember"] == ("SUCCESS",)
+    values = bind_arguments(latch, inst("x", "latch", ["a"]))
+    assert values["remember"] == ("SUCCESS", "FAILURE")  # declared default
+    values = bind_arguments(latch, inst("x", "latch", ["a"], args={"remember": ("SUCCESS",)}))
+    assert values["remember"] == ("SUCCESS",)
 
     assert pytest.raises(ExpandError, bind_arguments, latch,
                          inst("x", "latch", ["a"], args={"wat": 1})).value.code == "UNKNOWN_ARG"
@@ -77,35 +74,46 @@ def test_scalar_args_defaults_and_errors():
                          inst("x", "reset")).value.code == "MISSING_ARG"
 
 
-# --- substitute ----------------------------------------------------------
+# --- substitution, one pattern string at a time ---------------------------
+
+def fill(pattern, values, instance="i"):
+    """``pattern`` filled as instantiate fills a body text of the instance."""
+    return _Text(pattern).fill({**values, _INSTANCE: instance})
+
 
 def test_substitute_examples():
-    b = Binding({"child": "goto"}, "example")
-    assert substitute("__STATE__/$child == SUCCESS", b) == "__STATE__/goto == SUCCESS"
-    assert substitute("~/saved", b) == "example/saved"
-    assert substitute("$name/saved", b) == "example/saved"
-    assert substitute("$child$child", Binding({"child": "a"}, "i")) == "aa"
-    assert substitute("a~b", b) == "aexampleb"
-    assert substitute("pre/$name/post", b) == "pre/example/post"
-    assert substitute("$a$b", Binding({"a": "x", "b": "y"}, "i")) == "xy"
-    typed = Binding({"t": True, "f": False, "n": -3, "r": 0.1}, "i")
-    assert substitute("$t $f $n $r", typed) == "true false -3 0.1"
+    b = {"child": "goto"}
+    assert fill("__STATE__/$child == SUCCESS", b, "example") == "__STATE__/goto == SUCCESS"
+    assert fill("~/saved", b, "example") == "example/saved"
+    assert fill("$name/saved", b, "example") == "example/saved"
+    assert fill("$child$child", {"child": "a"}) == "aa"
+    assert fill("a~b", b, "example") == "aexampleb"
+    assert fill("pre/$name/post", b, "example") == "pre/example/post"
+    assert fill("$a$b", {"a": "x", "b": "y"}) == "xy"
+    typed = {"t": True, "f": False, "n": -3, "r": 0.1}
+    assert fill("$t $f $n $r", typed) == "true false -3 0.1"
 
 
 def test_substitute_is_single_pass():
     # a value containing placeholder syntax is not re-scanned
-    b = Binding({"x": "$y", "y": "boom"}, "i")
-    assert substitute("$x", b) == "$y"
+    assert fill("$x", {"x": "$y", "y": "boom"}) == "$y"
 
 
 def test_substitute_errors():
-    b = Binding({"xs": ("a", "b")}, "i")
-    assert pytest.raises(ExpandError, substitute, "$nope", b).value.code == "UNBOUND_PLACEHOLDER"
-    assert pytest.raises(ExpandError, substitute, "$", b).value.code == "UNBOUND_PLACEHOLDER"
-    for pattern in ("ab$", "$1", "$$", "a $@x b"):
-        e = pytest.raises(ExpandError, substitute, pattern, b).value
-        assert (e.code, e.subject) == ("UNBOUND_PLACEHOLDER", pattern)
-    assert pytest.raises(ExpandError, substitute, "$xs", b).value.code == "LIST_IN_SCALAR_POSITION"
+    b = {"xs": ("a", "b")}
+    for pattern in ("$nope", "$", "ab$", "$1", "$$", "a $@x b"):
+        code, message = pytest.raises(_Unfilled, fill, pattern, b).value.args
+        assert code == "UNBOUND_PLACEHOLDER"
+        assert message.endswith(f", in '{pattern}'")
+    code, _ = pytest.raises(_Unfilled, fill, "$xs", b).value.args
+    assert code == "LIST_IN_SCALAR_POSITION"
+    # instantiate locates the error at the node whose text it fills
+    tmpl = parse_document(
+        "templates:\n  t:\n    root: c\n    nodes:\n"
+        "      c: {type: condition, if: '$nope == 1'}\n"
+        "root: x\nnodes:\n  x: {type: t}\n").templates["t"]
+    e = pytest.raises(ExpandError, instantiate, tmpl, inst("x", "t"), {"t": tmpl}).value
+    assert (e.code, e.subject, e.span.line) == ("UNBOUND_PLACEHOLDER", "x", 5)
 
 
 # --- foreach blocks and splices, through instantiate ---------------------

@@ -76,6 +76,24 @@ def test_literals():
     assert parse_expr("-3") == Unary("-", Lit(3))
 
 
+def test_digits_and_spaces_are_ascii_only():
+    # Arabic-Indic digits, a no-break space and an ideographic space
+    for text, offset in (("\u0661\u0662 == 12", 0), ("x ==\u00a012", 4), ("\u3000x", 0)):
+        e = err(parse_expr, text)
+        assert (e.code, e.offset) == ("EXPR_SYNTAX", offset)
+    assert parse_expr(" \t12\n== 12\r") == Binary("==", Lit(12), Lit(12))
+
+
+def test_float_literal_too_large_for_a_float_is_a_syntax_error():
+    for text, offset in (("x < 1e999", 4), ("-1e999", 1), ("1" * 400 + ".0", 0)):
+        e = err(parse_expr, text)
+        assert (e.code, e.offset) == ("EXPR_SYNTAX", offset)
+        assert "float literal too large" in e.message
+    # the largest finite literals, and one that underflows, still print back
+    for text in ("x < 1e308", "1.7976931348623157e308", "1e-999"):
+        assert parse_expr(print_expr(parse_expr(text))) == parse_expr(text)
+
+
 def test_identifiers_may_contain_path_chars():
     assert parse_expr("__STATE__/a.b-c") == Var("__STATE__/a.b-c")
     # consequence: subtraction between variables needs spaces
@@ -204,7 +222,8 @@ def _assert_parses_alike(text):
 # of every kind, keys, reserved words, an unbalanced quote and parentheses.
 _SOUP = ["||", "&&", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "!", "(", ")",
          ":=", "|", "&", "=", ":", "'", "''", "'a b'", "0", "12", "2.5", "1e3", "a",
-         "b/c.d", "x-y", "true", "false", "SUCCESS", "EMPTY", "k", "?", " ", "\t"]
+         "b/c.d", "x-y", "true", "false", "SUCCESS", "EMPTY", "k", "?", " ", "\t",
+         "1e999", "\u0661", "\u00a0"]
 
 
 @settings(max_examples=1000)

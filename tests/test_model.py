@@ -1,11 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btt import (
     Diagnostic,
+    ExpandedTree,
     NodeDef,
     ReturnState,
     diagnostic_render,
@@ -15,6 +17,7 @@ from btt import (
     values_equal,
     with_leaf_defaults,
 )
+from oracles import reference_validate_expanded
 from util import CORPUS_DOCS, action, condition, control, expand_path, tree
 
 
@@ -211,3 +214,86 @@ def test_dfs_visits_every_node_exactly_once(path):
     assert sorted(order) == sorted(nd.name for nd in t.nodes)
     assert len(order) == len(set(order))
     assert order[0] == t.root
+
+
+# --- validation against the reference -----------------------------------
+
+# Small pools, so that names repeat, children dangle or point back, and a
+# text or a name now and then carries residue.
+_NAMES = ["a", "b", "c", "d", "e", "f$", "g~"]
+_TYPES = ["sequence", "selector", "skipper", "parallel", "action", "condition",
+          "latch", "se$q", "sel~"]
+_TEXTS = st.sampled_from([None, "", "true", "SUCCESS", "x == $y", "a~b", "n := 1"])
+_SCRIPTS = st.sampled_from([(), ("n := 1",), ("n := 1", "m := $k"), None, ("a~b",)])
+_ARGS = st.sampled_from([{}, {"k": 1}, None])
+
+
+@st.composite
+def _node(draw, name=None, type_=None, children=None):
+    nd = NodeDef(
+        name=draw(st.sampled_from(_NAMES)) if name is None else name,
+        type=draw(st.sampled_from(_TYPES)) if type_ is None else type_,
+        children=(tuple(draw(st.lists(st.sampled_from(_NAMES + ["zz"]), max_size=3)))
+                  if children is None else children),
+        args=draw(_ARGS), if_=draw(_TEXTS), then=draw(_TEXTS), else_=draw(_TEXTS),
+        script=draw(_SCRIPTS), result=draw(_TEXTS))
+    return with_leaf_defaults(nd) if draw(st.booleans()) else nd
+
+
+@st.composite
+def _soup(draw):
+    """Anything: random names, kinds, payloads and links."""
+    nodes = draw(st.lists(_node(), max_size=7))
+    if nodes and draw(st.booleans()):  # the same NodeDef object listed twice
+        nodes.insert(draw(st.integers(0, len(nodes))), draw(st.sampled_from(nodes)))
+    root = draw(st.sampled_from(_NAMES + ["missing"]))
+    return ExpandedTree(tuple(nodes), root)
+
+
+@st.composite
+def _mostly_tree(draw):
+    """A well-formed tree, then a few edits: an extra link, a lost node, a
+    stray payload key or residue, a new root."""
+    n = draw(st.integers(1, 8))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    children = [[j for j in range(n) if parents[j] == i] for i in range(n)]
+    names = [f"n{i}" for i in range(n)]
+    nodes = []
+    for i in range(n):
+        if children[i]:
+            kind = draw(st.sampled_from(_TYPES[:4]))
+            nodes.append(NodeDef(names[i], kind, tuple(names[j] for j in children[i])))
+        elif draw(st.booleans()):
+            nodes.append(action(names[i], result=draw(st.sampled_from(["SUCCESS", "x"]))))
+        else:
+            nodes.append(condition(names[i], draw(st.sampled_from(["true", "y < 2"]))))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(nodes) - 1))
+        edit = draw(st.sampled_from(["link", "drop", "payload", "swap"]))
+        if edit == "link":
+            extra = draw(st.sampled_from(names + ["zz"]))
+            nodes[i] = replace(nodes[i], children=nodes[i].children + (extra,))
+        elif edit == "drop" and len(nodes) > 1:
+            del nodes[i]
+        elif edit == "payload":
+            nodes[i] = draw(_node(name=nodes[i].name, type_=nodes[i].type,
+                                  children=nodes[i].children))
+        elif edit == "swap":
+            nodes.append(draw(_node()))
+    root = draw(st.sampled_from(["n0", "n0", draw(st.sampled_from(names + ["missing"]))]))
+    return ExpandedTree(tuple(nodes), root)
+
+
+@settings(max_examples=600)
+@given(t=st.one_of(_soup(), _mostly_tree()))
+def test_validation_matches_the_reference(t):
+    assert validate_expanded(t) == reference_validate_expanded(t)
+    # the message and the order too, not only what Diagnostic compares
+    assert ([diagnostic_render(d) for d in validate_expanded(t)]
+            == [diagnostic_render(d) for d in reference_validate_expanded(t)])
+
+
+@pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.name)
+def test_expanded_documents_validate_as_the_reference_does(path):
+    t = expand_path(path)
+    assert validate_expanded(t) == reference_validate_expanded(t) == []

@@ -1,12 +1,16 @@
+import dataclasses
 import random
 import time
+from dataclasses import replace
 
 import pytest
 import yaml
 
 from btt import (
     BttError,
+    CanonicalizeError,
     Document,
+    ExpandedTree,
     ForeachBlock,
     NodeDef,
     ParamDecl,
@@ -234,6 +238,23 @@ def test_serialize_rejects_invalid_trees():
         with pytest.raises(CanonicalizeError) as exc:
             serialize_expanded(tree(nd))
         assert exc.value.message == "tree fails validation: BAD_NODE on 'a'"
+
+
+def test_serialize_trusts_only_trees_that_expand_document_validated():
+    t = expand_path(EXAMPLES / "sequence_star.yaml")
+    assert t.validated
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.root = "nowhere"
+    # a copy, or a tree built by hand, is validated again when it is written
+    for other in (replace(t, root="nowhere"), ExpandedTree(t.nodes, "nowhere")):
+        assert not other.validated
+        with pytest.raises(CanonicalizeError) as exc:
+            serialize_expanded(other)
+        assert exc.value.code == "CANONICALIZE_ERROR"
+        assert exc.value.message == "tree fails validation: BAD_ROOT on 'nowhere'"
+    with pytest.raises(CanonicalizeError):
+        serialize_expanded(replace(t, nodes=t.nodes + t.nodes[-1:]))
+    assert serialize_expanded(replace(t)) == serialize_expanded(t)
 
 
 # --- parse_scenario ------------------------------------------------------
