@@ -27,6 +27,7 @@ from .model import (
     ExpandedTree,
     NodeKind,
     ReturnState,
+    validate_expanded,
     value_text,
 )
 
@@ -144,7 +145,8 @@ def check_expressions(tree: ExpandedTree) -> list[Diagnostic]:
 
 
 class Engine:
-    """Ticks one expanded tree. Callers must pass a tree that validates.
+    """Ticks one expanded tree. A tree that ``expand_document`` did not
+    return is validated first, and one that fails is ``NOT_A_TREE``.
 
     ``memory`` may be a dict shared with other engines (the blackboard is
     one memory layer; several trees may operate on it). Existing entries
@@ -154,6 +156,12 @@ class Engine:
 
     def __init__(self, tree: ExpandedTree, scenario: Scenario | None = None,
                  memory: dict | None = None):
+        # A valid tree gives each node one parent and the root none, so the
+        # walk from the root cannot meet a cycle and a tick always ends.
+        diags = () if tree.validated else validate_expanded(tree)
+        if diags:
+            raise EngineError("NOT_A_TREE", f"tree fails validation: {diags[0].code} "
+                              f"on '{diags[0].node}'")
         self.tree = tree
         self.memory = memory if memory is not None else {}
         self.scenario = scenario
@@ -183,10 +191,8 @@ class Engine:
                 scripts[i] = results
 
         first, sibling, parent = [-1] * n, [-1] * n, [-1] * n
-        edges = 0
         for i, nd in enumerate(nodes):
             if nd.children:
-                edges += len(nd.children)
                 prev = first[i] = numbers[nd.children[0]]
                 parent[prev] = i
                 for child in nd.children[1:]:
@@ -195,11 +201,6 @@ class Engine:
                     sibling[prev] = j
                     prev = j
         self._root = numbers[tree.root]
-        # With one parent per child and none for the root, the walk from
-        # the root cannot meet a cycle, so a tick always ends.
-        if parent[self._root] >= 0 or n - parent.count(-1) != edges:
-            raise EngineError("NOT_A_TREE", "a node has several parents, or the root "
-                              "has one; validate the tree first", subject=tree.root)
 
         keys = [STATE_PREFIX + name for name in names]
         # setdefault for every key, in one C-level merge: entries already
@@ -293,5 +294,5 @@ class Engine:
                 node = sibling[node]
         except ExprError as exc:
             # abort the tick; no state write for the failing node or above
-            raise TickError(exc.render(), node=names[node], tick=tick,
+            raise TickError(exc.render(), node=names[node], tick=tick, span=nodes[node].span,
                             events=TickEvents(tick, names, visited, states)) from exc

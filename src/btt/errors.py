@@ -81,14 +81,15 @@ class EngineError(BttError):
 class TickError(BttError):
     """An expression error surfaced while ticking; aborts the whole tick.
 
-    ``events`` holds the aborted tick's events up to the failing node.
+    ``events`` holds the aborted tick's events up to the failing node, and
+    ``span`` is that node's source span.
     """
 
-    def __init__(self, message, *, node, tick, events=()):
+    def __init__(self, message, *, node, tick, events=(), span=None):
         self.node = node
         self.tick = tick
         self.events = events
-        super().__init__("RUNTIME_ERROR", f"tick {tick}: {message}", subject=node)
+        super().__init__("RUNTIME_ERROR", f"tick {tick}: {message}", subject=node, span=span)
 
 
 class DumpError(BttError):

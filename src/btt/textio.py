@@ -103,10 +103,10 @@ def _span(node, source=None) -> SourceSpan:
 def _compose(text, what):
     """Build the node tree in one pass over the parser's events.
 
-    Anchors, aliases and extra documents are recorded as the first schema
-    problem and raised only once the whole stream has parsed, so a syntax
-    error anywhere still wins. Collections nested deeper than MAX_NESTING
-    stop the pass at once with a PARSE_ERROR at the offending start.
+    Anchors, aliases and extra documents are recorded, located, as the
+    first schema problem and raised only once the whole stream has parsed,
+    so a syntax error anywhere still wins. Collections nested deeper than
+    MAX_NESTING stop the pass at once with a PARSE_ERROR at their start.
     """
     root = None
     stack = []  # open collections, innermost last
@@ -119,11 +119,11 @@ def _compose(text, what):
                 documents += 1
             if problem is None:
                 if kind is AliasEvent:
-                    problem = "YAML aliases are not supported"
+                    problem = "YAML aliases are not supported", ev.start_mark
                 elif getattr(ev, "anchor", None) is not None:
-                    problem = "YAML anchors are not supported"
+                    problem = "YAML anchors are not supported", ev.start_mark
                 elif documents > 1:
-                    problem = "multi-document streams are not supported"
+                    problem = "multi-document streams are not supported", ev.start_mark
             if kind is ScalarEvent:
                 tag = ev.tag
                 if tag is None or tag == "!":
@@ -159,7 +159,7 @@ def _compose(text, what):
     except UnicodeEncodeError as exc:  # libyaml takes UTF-8: a lone surrogate fails there
         raise ParseError("PARSE_ERROR", f"{what}: {exc.reason}") from None
     if problem is not None:
-        raise SchemaError("SCHEMA_ERROR", problem)
+        raise SchemaError("SCHEMA_ERROR", problem[0], span=_mark_span(problem[1]))
     return root
 
 
@@ -170,26 +170,59 @@ def _parse_error(exc, what):
     return ParseError("PARSE_ERROR", f"{what}: {problem}", span=span)
 
 
-def _mapping_items(node, what):
+def _mapping_items(node, what, subject=None):
     if not isinstance(node, yaml.nodes.MappingNode):
         raise SchemaError("SCHEMA_ERROR", f"{what} must be a mapping",
-                          span=_span(node) if node is not None else None)
+                          span=_span(node) if node is not None else None, subject=subject)
     items = []
     seen = set()
     for key_node, value_node in node.value:
         if not isinstance(key_node, yaml.nodes.ScalarNode):
             raise SchemaError("SCHEMA_ERROR", f"{what} keys must be scalars",
-                              span=_span(key_node))
+                              span=_span(key_node), subject=subject)
         key = key_node.value
         if key == "<<":
             raise SchemaError("SCHEMA_ERROR", "YAML merge keys are not supported",
-                              span=_span(key_node))
+                              span=_span(key_node), subject=subject)
         if key in seen:
             raise SchemaError("SCHEMA_ERROR", f"duplicate key '{key}' in {what}",
-                              span=_span(key_node), subject=key)
+                              span=_span(key_node), subject=subject or key)
         seen.add(key)
         items.append((key, value_node, key_node))
     return items
+
+
+# Every mapping whose keys are fixed: the keys it takes and those it requires.
+# Which payload keys a node takes also depends on its type; _parse_node checks that.
+_KEYS = {
+    "node": (("type", "children", *_OPEN_PAYLOAD), ("type",)),
+    "document": (("templates", "nodes", "root"), ("root",)),
+    "templates document": (("templates",), ()),
+    "scenario": (("memory", "actions"), ()),
+    "template": (("args", "root", "nodes"), ("root", "nodes")),
+    "arg declaration": (("name", "kind", "default"), ("name", "kind")),
+    "foreach block": (("foreach", "emit", "nodes"), ("emit", "nodes")),
+    "foreach": (("list", "var", "index"), ("list", "var")),
+}
+
+
+def _fields(node, what, subject=None):
+    """The value node of each key of ``node``, a ``what`` mapping of _KEYS.
+    Its keys are judged before any value is read: an unknown one is an error
+    at the key, a missing required one at the mapping. ``subject`` names the
+    owner; a top-level mapping, which has none, names the key."""
+    takes, requires = _KEYS[what]
+    fields = {}
+    for key, value_node, key_node in _mapping_items(node, what, subject):
+        if key not in takes:
+            raise SchemaError("SCHEMA_ERROR", f"unknown key '{key}' in {what}",
+                              span=_span(key_node), subject=subject or key)
+        fields[key] = value_node
+    for key in requires:
+        if key not in fields:
+            raise SchemaError("SCHEMA_ERROR", f"{what} is missing '{key}'",
+                              span=_span(node), subject=subject or key)
+    return fields
 
 
 def _text(node, what):
@@ -235,35 +268,27 @@ def _check_name(name, what, span, pattern=False):
 
 
 def _parse_node(name, node, pattern, source=None):
-    items = _mapping_items(node, f"node '{name}'")
-    keys = {k: v for k, v, _ in items}
-    if "type" not in keys:
-        raise SchemaError("SCHEMA_ERROR", f"node '{name}' is missing 'type'",
-                          span=_span(node), subject=name)
+    keys = _fields(node, "node", name)
     type_ = _text(keys["type"], "type")
     payload = LEAF_PAYLOAD.get(type_, {}) if type_ in PRIMARY_KINDS else _OPEN_PAYLOAD
-    for key, value_node, key_node in items:
-        if key not in payload and key not in ("type", "children"):
-            raise SchemaError("SCHEMA_ERROR",
-                              f"unknown key '{key}' for node '{name}' of type '{type_}'",
+    for key_node, _ in node.value:  # the keys a node of this type does not take
+        if key_node.value not in payload and key_node.value not in ("type", "children"):
+            raise SchemaError("SCHEMA_ERROR", f"unknown key '{key_node.value}' in {type_} node",
                               span=_span(key_node), subject=name)
 
-    children = ()
-    if "children" in keys:
-        entries = _text_list(keys["children"], "children")
-        for entry in entries:
-            rx = _CHILD_PATTERN_RE if pattern else NAME_RE
-            if not rx.fullmatch(entry):
-                raise SchemaError("SCHEMA_ERROR", f"invalid child reference '{entry}'",
-                                  span=_span(keys["children"]), subject=name)
-        children = tuple(entries)
+    children = tuple(_text_list(keys["children"], "children")) if "children" in keys else ()
+    rx = _CHILD_PATTERN_RE if pattern else NAME_RE
+    for entry in children:
+        if not rx.fullmatch(entry):
+            raise SchemaError("SCHEMA_ERROR", f"invalid child reference '{entry}'",
+                              span=_span(keys["children"]), subject=name)
 
     fields = {}
     for key, default in payload.items():
         value = keys.get(key)
         if value is None:
             if default is None and type_ in PRIMARY_KINDS:
-                raise SchemaError("SCHEMA_ERROR", f"{type_} node '{name}' is missing '{key}'",
+                raise SchemaError("SCHEMA_ERROR", f"{type_} node is missing '{key}'",
                                   span=_span(node), subject=name)
             continue
         if isinstance(default, dict):
@@ -291,99 +316,63 @@ def _parse_body(node, owner, source):
     """Template body: node patterns and foreach blocks, in source order."""
     body = {}
     for key, value_node, key_node in _mapping_items(node, f"nodes of {owner}"):
-        items = _mapping_items(value_node, f"entry '{key}'")
-        entry_keys = {k for k, _, _ in items}
-        if "foreach" in entry_keys:
-            body[key] = _parse_foreach(key, value_node, items, key_node, source)
+        entry = value_node.value if isinstance(value_node, yaml.nodes.MappingNode) else ()
+        if any(k.value == "foreach" for k, _ in entry):
+            body[key] = _parse_foreach(key, value_node, key_node, source)
         else:
             _check_name(key, "node name pattern", _span(key_node), pattern=True)
             body[key] = _parse_node(key, value_node, pattern=True, source=source)
     return body
 
 
-def _parse_foreach(key, node, items, key_node, source):
+def _parse_foreach(key, node, key_node, source):
     if not _TEMPLATE_NAME_RE.fullmatch(key):
         raise SchemaError("SCHEMA_ERROR", f"invalid foreach block name '{key}'",
                           span=_span(key_node), subject=key)
-    keys = {k: v for k, v, _ in items}
-    for k, _, kn in items:
-        if k not in ("foreach", "emit", "nodes"):
-            raise SchemaError("SCHEMA_ERROR", f"unknown key '{k}' in foreach block '{key}'",
-                              span=_span(kn), subject=key)
-    for required in ("emit", "nodes"):
-        if required not in keys:
-            raise SchemaError("SCHEMA_ERROR", f"foreach block '{key}' is missing '{required}'",
-                              span=_span(node), subject=key)
-
-    spec = {}
-    for k, v, kn in _mapping_items(keys["foreach"], "foreach"):
-        if k not in ("list", "var", "index"):
-            raise SchemaError("SCHEMA_ERROR", f"unknown key '{k}' in foreach", span=_span(kn))
-        spec[k] = _text(v, k)
-    for required in ("list", "var"):
-        if required not in spec:
-            raise SchemaError("SCHEMA_ERROR", f"foreach is missing '{required}'",
-                              span=_span(keys["foreach"]), subject=key)
+    fields = _fields(node, "foreach block", key)
+    spec = {k: _text(v, k) for k, v in _fields(fields["foreach"], "foreach", key).items()}
+    spec_span = _span(fields["foreach"])
     if not _LIST_REF_RE.fullmatch(spec["list"]):
         raise SchemaError("SCHEMA_ERROR",
                           f"foreach 'list' must be a $param reference, got '{spec['list']}'",
-                          span=_span(keys["foreach"]), subject=key)
+                          span=spec_span, subject=key)
     var = spec["var"]
     index = spec.get("index", "i")
     for label, token in (("var", var), ("index", index)):
         if not _PARAM_NAME_RE.fullmatch(token) or token == "name":
             raise SchemaError("SCHEMA_ERROR", f"invalid foreach {label} '{token}'",
-                              span=_span(keys["foreach"]), subject=key)
+                              span=spec_span, subject=key)
     if var == index:
         raise SchemaError("SCHEMA_ERROR", "foreach var and index must differ",
-                          span=_span(keys["foreach"]), subject=key)
+                          span=spec_span, subject=key)
 
     return ForeachBlock(
         list_ref=spec["list"],
         var=var,
         index=index,
-        emit=_text(keys["emit"], "emit"),
-        nodes=_parse_body(keys["nodes"], f"foreach block '{key}'", source),
+        emit=_text(fields["emit"], "emit"),
+        nodes=_parse_body(fields["nodes"], f"foreach block '{key}'", source),
         span=_span(node, source),
     )
 
 
 def _parse_template(name, node, source):
-    items = _mapping_items(node, f"template '{name}'")
-    keys = {k: v for k, v, _ in items}
-    for k, _, kn in items:
-        if k not in ("args", "root", "nodes"):
-            raise SchemaError("SCHEMA_ERROR", f"unknown key '{k}' in template '{name}'",
-                              span=_span(kn), subject=name)
-    for required in ("root", "nodes"):
-        if required not in keys:
-            raise SchemaError("SCHEMA_ERROR", f"template '{name}' is missing '{required}'",
-                              span=_span(node), subject=name)
-
+    fields = _fields(node, "template", name)
     params = []
-    if "args" in keys:
-        if not isinstance(keys["args"], yaml.nodes.SequenceNode):
+    if "args" in fields:
+        if not isinstance(fields["args"], yaml.nodes.SequenceNode):
             raise SchemaError("SCHEMA_ERROR", "template args must be a list",
-                              span=_span(keys["args"]), subject=name)
-        seen = set()
-        for item in keys["args"].value:
-            decl = {k: v for k, v, _ in _mapping_items(item, "arg declaration")}
-            for k in decl:
-                if k not in ("name", "kind", "default"):
-                    raise SchemaError("SCHEMA_ERROR", f"unknown key '{k}' in arg declaration",
-                                      span=_span(item), subject=name)
-            if "name" not in decl or "kind" not in decl:
-                raise SchemaError("SCHEMA_ERROR", "arg declaration needs 'name' and 'kind'",
-                                  span=_span(item), subject=name)
+                              span=_span(fields["args"]), subject=name)
+        for item in fields["args"].value:
+            decl = _fields(item, "arg declaration", name)
             pname = _text(decl["name"], "arg name")
             kind = _text(decl["kind"], "arg kind")
             if not _PARAM_NAME_RE.fullmatch(pname) or pname == "name":
                 raise SchemaError("SCHEMA_ERROR", f"invalid arg name '{pname}'",
                                   span=_span(item), subject=name)
-            if pname in seen:
+            if any(p.name == pname for p in params):
                 raise SchemaError("SCHEMA_ERROR", f"duplicate arg '{pname}'",
                                   span=_span(item), subject=name)
-            seen.add(pname)
             if kind not in ParamDecl.PARAM_KINDS:
                 raise SchemaError("SCHEMA_ERROR",
                                   f"arg kind must be one of {', '.join(ParamDecl.PARAM_KINDS)}, "
@@ -396,11 +385,9 @@ def _parse_template(name, node, source):
                                       "defaults are only allowed for scalar kinds",
                                       span=_span(item), subject=name)
                 default = _scalar_or_list(decl["default"], "default")
-                if kind == "scalar-list" and not isinstance(default, tuple):
-                    raise SchemaError("SCHEMA_ERROR", "scalar-list default must be a list",
-                                      span=_span(item), subject=name)
-                if kind == "scalar" and isinstance(default, tuple):
-                    raise SchemaError("SCHEMA_ERROR", "scalar default must not be a list",
+                if isinstance(default, tuple) != (kind == "scalar-list"):
+                    must = "must" if kind == "scalar-list" else "must not"
+                    raise SchemaError("SCHEMA_ERROR", f"{kind} default {must} be a list",
                                       span=_span(item), subject=name)
             params.append(ParamDecl(pname, kind, default))
 
@@ -413,15 +400,15 @@ def _parse_template(name, node, source):
         raise SchemaError("SCHEMA_ERROR", "the 'nodes' arg must be the last node-kind arg",
                           span=_span(node), subject=name)
 
-    body = _parse_body(keys["nodes"], f"template '{name}'", source)
+    body = _parse_body(fields["nodes"], f"template '{name}'", source)
     if not body:
         raise SchemaError("SCHEMA_ERROR", f"template '{name}' must define at least one node",
-                          span=_span(keys["nodes"]), subject=name)
+                          span=_span(fields["nodes"]), subject=name)
     return TemplateDef(
         name=name,
         params=tuple(params),
         body=body,
-        root=_text(keys["root"], "template root"),
+        root=_text(fields["root"], "template root"),
         span=_span(node, source),
     )
 
@@ -446,26 +433,17 @@ def parse_document(text: str) -> Document:
     root_node = _compose(text, "document")
     if root_node is None:
         raise ParseError("PARSE_ERROR", "document is empty")
-    templates = {}
+    fields = _fields(root_node, "document")
+    templates = _parse_templates_map(fields["templates"]) if "templates" in fields else {}
     nodes = {}
-    root = None
-    for key, value_node, key_node in _mapping_items(root_node, "document"):
-        if key == "templates":
-            templates = _parse_templates_map(value_node)
-        elif key == "nodes":
-            for name, nd_node, nd_key in _mapping_items(value_node, "nodes"):
-                _check_name(name, "node name", _span(nd_key))
-                nodes[name] = _parse_node(name, nd_node, pattern=False)
-        elif key == "root":
-            root = _text(value_node, "root")
-        else:
-            raise SchemaError("SCHEMA_ERROR", f"unknown document key '{key}'",
-                              span=_span(key_node), subject=key)
-    if root is None:
-        raise SchemaError("SCHEMA_ERROR", "document is missing 'root'")
+    if "nodes" in fields:
+        for name, nd_node, nd_key in _mapping_items(fields["nodes"], "nodes"):
+            _check_name(name, "node name", _span(nd_key))
+            nodes[name] = _parse_node(name, nd_node, pattern=False)
+    root = _text(fields["root"], "root")
     if root not in nodes:
         raise SchemaError("SCHEMA_ERROR", f"root '{root}' does not name a defined node",
-                          subject=root)
+                          span=_span(fields["root"]), subject=root)
     return Document(templates=templates, nodes=nodes, root=root)
 
 
@@ -475,13 +453,8 @@ def parse_templates(text: str, source: str | None = None) -> dict:
     root_node = _compose(text, "templates")
     if root_node is None:
         raise ParseError("PARSE_ERROR", "templates document is empty")
-    templates = {}
-    for key, value_node, _ in _mapping_items(root_node, "templates document"):
-        if key != "templates":
-            raise SchemaError("SCHEMA_ERROR", f"unknown key '{key}' in templates document",
-                              subject=key)
-        templates = _parse_templates_map(value_node, source)
-    return templates
+    fields = _fields(root_node, "templates document")
+    return _parse_templates_map(fields["templates"], source) if "templates" in fields else {}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -489,31 +462,26 @@ def parse_scenario(text: str) -> Scenario:
     root_node = _compose(text, "scenario")
     if root_node is None:
         return Scenario()
+    fields = _fields(root_node, "scenario")
     memory = {}
     actions = {}
-    for key, value_node, key_node in _mapping_items(root_node, "scenario"):
-        if key == "memory":
-            for mkey, mvalue, mkey_node in _mapping_items(value_node, "memory"):
-                _check_name(mkey, "memory key", _span(mkey_node))
-                memory[mkey] = _typed_scalar(mvalue, f"memory value for '{mkey}'")
-        elif key == "actions":
-            for aname, avalue, akey_node in _mapping_items(value_node, "actions"):
-                _check_name(aname, "action name", _span(akey_node))
-                states = []
-                for entry in _text_list(avalue, f"results for '{aname}'"):
-                    if entry not in RETURN_STATES:
-                        raise SchemaError("UNKNOWN_STATE",
-                                          f"'{entry}' is not a return state",
-                                          span=_span(avalue), subject=aname)
-                    states.append(RETURN_STATES[entry])
-                if not states:
-                    raise SchemaError("SCHEMA_ERROR",
-                                      f"action '{aname}' needs at least one result",
+    if "memory" in fields:
+        for mkey, mvalue, mkey_node in _mapping_items(fields["memory"], "memory"):
+            _check_name(mkey, "memory key", _span(mkey_node))
+            memory[mkey] = _typed_scalar(mvalue, f"memory value for '{mkey}'")
+    if "actions" in fields:
+        for aname, avalue, akey_node in _mapping_items(fields["actions"], "actions"):
+            _check_name(aname, "action name", _span(akey_node))
+            states = []
+            for entry in _text_list(avalue, f"results for '{aname}'"):
+                if entry not in RETURN_STATES:
+                    raise SchemaError("UNKNOWN_STATE", f"'{entry}' is not a return state",
                                       span=_span(avalue), subject=aname)
-                actions[aname] = tuple(states)
-        else:
-            raise SchemaError("SCHEMA_ERROR", f"unknown scenario key '{key}'",
-                              span=_span(key_node), subject=key)
+                states.append(RETURN_STATES[entry])
+            if not states:
+                raise SchemaError("SCHEMA_ERROR", f"action '{aname}' needs at least one result",
+                                  span=_span(avalue), subject=aname)
+            actions[aname] = tuple(states)
     return Scenario(memory=memory, actions=actions)
 
 

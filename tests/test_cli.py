@@ -228,6 +228,21 @@ def test_run_undefined_variable_exit_4(tmp_path, capsys):
     assert "c" in err and "tick 1" in err
 
 
+def test_runtime_error_in_a_builtin_is_located_in_its_file(tmp_path, capsys):
+    """A remembered state that does not parse fails in latch's check node,
+    which ``run`` reports at its line of the builtin file, as ``validate`` does."""
+    doc = write(tmp_path, "l.yaml", "root: l\nnodes:\n"
+                "  l: {type: latch, children: [goto], args: {remember: ['SUCCESS +']}}\n"
+                "  goto: {type: action}\n")
+    lines = (TEMPLATES / "latch.yaml").read_text().splitlines()
+    where = f"btt:templates/latch.yaml:{lines.index('            type: condition') + 1}:13: "
+    message = "EXPR_SYNTAX: expected a value (at offset 27)"
+    assert run_cli(capsys, "run", doc) == (
+        4, "", f"{where}RUNTIME_ERROR: l/saved/check_0: tick 1: {message}\n")
+    assert run_cli(capsys, "validate", doc) == (
+        3, "", f"{where}{message.replace(': ', ': l/saved/check_0: if: ', 1)}\n")
+
+
 def test_unknown_scenario_action_exit_3(tmp_path, capsys):
     doc = write(tmp_path, "a.yaml", "root: a\nnodes:\n  a: {type: action}\n")
     scenario = write(tmp_path, "s.yaml", "actions: {ghost: [SUCCESS]}\n")
@@ -238,7 +253,7 @@ def test_unknown_scenario_action_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("memory: {k: 1}\nactions: {goto: [SUCCESS]}\nbogus: 1\n",
-     "3:1: SCHEMA_ERROR: bogus: unknown scenario key 'bogus'"),
+     "3:1: SCHEMA_ERROR: bogus: unknown key 'bogus' in scenario"),
     ("actions: {goto: [NOPE]}\n",
      "1:17: UNKNOWN_STATE: goto: 'NOPE' is not a return state"),
 ], ids=["SCHEMA_ERROR", "UNKNOWN_STATE"])
@@ -474,7 +489,8 @@ def test_deeply_nested_condition_exits_4(tmp_path, capsys, form):
     code, out, err = run_cli(capsys, "run", doc)
     assert code == 4
     assert out == ""
-    assert err.startswith("RUNTIME_ERROR: c: tick 1: EXPR_SYNTAX: expression is nested too deeply")
+    assert err.startswith(f"{doc}:3:6: RUNTIME_ERROR: c: tick 1: EXPR_SYNTAX: "
+                          "expression is nested too deeply")
 
 
 @pytest.mark.parametrize("digits", [4300, 4301, 5000])
@@ -491,7 +507,7 @@ def test_long_integer_literal_is_a_syntax_error(tmp_path, capsys, digits):
     message = "EXPR_SYNTAX: integer literal longer than 4300 digits (at offset 0)"
     assert validate == (3, "", f"{doc}:3:6: {message.replace(': ', ': c: if: ', 1)}\n")
     assert run[:2] == (4, "")
-    assert run[2].startswith(f"RUNTIME_ERROR: c: tick 1: {message}")
+    assert run[2].startswith(f"{doc}:3:6: RUNTIME_ERROR: c: tick 1: {message}")
 
 
 _ARG_DOC = """\

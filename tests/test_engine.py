@@ -1,6 +1,7 @@
 import gc
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,8 @@ from btt import (
     state_key,
 )
 from oracles import control_step, parallel_step
-from util import EXAMPLES, action, control, expand_path, expand_text, run_ticks, tree
+from util import (EXAMPLES, action, condition, control, expand_path, expand_text, run_ticks,
+                  tree)
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -274,17 +276,25 @@ def test_ticks_a_chain_deeper_than_the_recursion_limit():
     assert eng.memory[state_key("n0")] is S
 
 
-@pytest.mark.parametrize("nodes", [
-    (control("a", "sequence", ["b"]), control("b", "sequence", ["a"])),
-    (control("a", "sequence", ["b"]), control("b", "sequence", ["c"]),
-     control("c", "sequence", ["b"])),
-    (control("a", "parallel", ["b", "b"]), action("b")),
-], ids=["through-root", "below-root", "repeated-child"])
-def test_tree_that_would_not_end_a_tick_is_rejected(nodes):
+@pytest.mark.parametrize("nodes, root, first", [
+    ((control("a", "sequence", ["b"]), control("b", "sequence", ["a"])), None, "CYCLE"),
+    ((control("a", "sequence", ["b"]), control("b", "sequence", ["c"]),
+      control("c", "sequence", ["b"])), None, "MULTIPLE_PARENTS"),
+    ((control("a", "parallel", ["b", "b"]), action("b")), None, "MULTIPLE_PARENTS"),
+    ((control("a", "sequence", ["ghost"]),), None, "UNRESOLVED_CHILD"),
+    ((control("a", "sequnce", ["b"]), action("b")), None, "UNKNOWN_TYPE"),
+    ((action("a"),), "ghost", "BAD_ROOT"),
+    ((replace(condition("a", "true"), then=None),), None, "BAD_NODE"),
+], ids=["through-root", "below-root", "repeated-child", "dangling-child", "unknown-type",
+        "undefined-root", "condition-without-then"])
+def test_tree_that_would_not_end_a_tick_is_rejected(nodes, root, first):
+    """Engine validates a tree that expand_document did not mark, and
+    rejects one that fails, naming the first diagnostic."""
     memory = {}
     with pytest.raises(EngineError) as exc:
-        Engine(tree(*nodes), memory=memory)
+        Engine(tree(*nodes, root=root), memory=memory)
     assert exc.value.code == "NOT_A_TREE"
+    assert f": {first} on " in exc.value.message
     assert memory == {}  # rejected before seeding
 
 

@@ -28,6 +28,7 @@ from btt import (
     serialize_expanded,
     textio,
 )
+from btt.cli import main
 from util import (
     CORPUS,
     CORPUS_DOCS,
@@ -129,15 +130,86 @@ nodes:
     assert schema_err("root: a\nnodes: {a: {type: action, args: {x: 1}}}\n").code == "SCHEMA_ERROR"
 
 
+# A document that uses every fixed-key mapping but the scenario; each case
+# below edits it once, by replacing the first occurrence of a text.
+_FIXED_KEYS = """\
+templates:
+  t:
+    args: [{name: xs, kind: scalar-list}]
+    root: "~"
+    nodes:
+      "~": {type: sequence, children: ["$@b"]}
+      b: {foreach: {list: "$xs", var: s}, emit: "~/c$i", nodes: {"~/c$i": {type: action}}}
+root: a
+nodes:
+  a: {type: t, args: {xs: [1]}}
+"""
+_TEMPLATE_NODES = _FIXED_KEYS[_FIXED_KEYS.index("    nodes:"):_FIXED_KEYS.index("root: a")]
+
+
+@pytest.mark.parametrize("old, new, located", [
+    ("{type: t,", "{type: t, zz: 1,", "10:16: SCHEMA_ERROR: a: unknown key 'zz' in node"),
+    ("{type: t, ", "{", "10:6: SCHEMA_ERROR: a: node is missing 'type'"),
+    ("{type: action}}}", "{type: action, zz: 1}}}",
+     "7:90: SCHEMA_ERROR: ~/c$i: unknown key 'zz' in node"),
+    ("{type: action}}}", "{type: action, if: 'true'}}}",
+     "7:90: SCHEMA_ERROR: ~/c$i: unknown key 'if' in action node"),
+    ("[1]}}\n", "[1]}}\nzz: 1\n", "11:1: SCHEMA_ERROR: zz: unknown key 'zz' in document"),
+    ("root: a\n", "", "1:1: SCHEMA_ERROR: root: document is missing 'root'"),
+    ("root: a", "root: b", "8:7: SCHEMA_ERROR: b: root 'b' does not name a defined node"),
+    ('root: "~"\n', 'root: "~"\n    zz: 1\n', "5:5: SCHEMA_ERROR: t: unknown key 'zz' in template"),
+    ('    root: "~"\n', "", "3:5: SCHEMA_ERROR: t: template is missing 'root'"),
+    (_TEMPLATE_NODES, "", "3:5: SCHEMA_ERROR: t: template is missing 'nodes'"),
+    ("scalar-list}", "scalar-list, zz: 1}",
+     "3:42: SCHEMA_ERROR: t: unknown key 'zz' in arg declaration"),
+    ("{name: xs, ", "{", "3:12: SCHEMA_ERROR: t: arg declaration is missing 'name'"),
+    (", kind: scalar-list", "", "3:12: SCHEMA_ERROR: t: arg declaration is missing 'kind'"),
+    ("b: {", "b: {zz: 1, ", "7:11: SCHEMA_ERROR: b: unknown key 'zz' in foreach block"),
+    (', emit: "~/c$i"', "", "7:10: SCHEMA_ERROR: b: foreach block is missing 'emit'"),
+    (', nodes: {"~/c$i": {type: action}}', "",
+     "7:10: SCHEMA_ERROR: b: foreach block is missing 'nodes'"),
+    ("var: s}", "var: s, zz: 1}", "7:42: SCHEMA_ERROR: b: unknown key 'zz' in foreach"),
+    ('list: "$xs", ', "", "7:20: SCHEMA_ERROR: b: foreach is missing 'list'"),
+    (", var: s}", "}", "7:20: SCHEMA_ERROR: b: foreach is missing 'var'"),
+], ids=["node-unknown", "node-missing-type", "body-node-unknown", "body-node-payload",
+        "document-unknown", "document-missing-root", "root-undefined", "template-unknown",
+        "template-missing-root", "template-missing-nodes", "arg-unknown", "arg-missing-name",
+        "arg-missing-kind", "block-unknown", "block-missing-emit", "block-missing-nodes",
+        "foreach-unknown", "foreach-missing-list", "foreach-missing-var"])
+def test_fixed_key_errors_are_located(tmp_path, capsys, old, new, located):
+    """A key that a fixed mapping does not take is reported at the key; a
+    required key it lacks, at the mapping; a root naming no node, at the root."""
+    assert old in _FIXED_KEYS
+    path = tmp_path / "doc.yaml"
+    path.write_text(_FIXED_KEYS.replace(old, new, 1), encoding="utf-8")
+    assert main(["expand", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}:{located}\n")
+
+
+def test_top_level_unknown_keys_are_located(tmp_path, capsys):
+    doc, scenario = tmp_path / "doc.yaml", tmp_path / "s.yaml"
+    doc.write_text(_FIXED_KEYS, encoding="utf-8")
+    scenario.write_text("memory: {k: 1}\nzz: 1\n", encoding="utf-8")
+    assert main(["run", str(doc), "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr() == ("", f"{scenario}:2:1: SCHEMA_ERROR: zz: "
+                                       "unknown key 'zz' in scenario\n")
+    with pytest.raises(SchemaError) as exc:
+        parse_templates("templates: {}\nbogus: 1\n")
+    assert exc.value.span == SourceSpan(2, 1)
+    assert exc.value.render() == "SCHEMA_ERROR: bogus: unknown key 'bogus' in templates document"
+
+
 def test_yaml_features_are_rejected():
     anchored = "root: a\nnodes:\n  a: &x {type: action}\n"
     assert schema_err(anchored).message.startswith("YAML anchors")
+    assert schema_err(anchored).span == SourceSpan(3, 6)  # each is located at its first one
     aliased = "root: a\nnodes:\n  a: &x {type: action}\n  b: *x\n"
     assert "not supported" in schema_err(aliased).message
     merge = "root: a\nnodes:\n  a: {<<: {type: action}}\n"
     assert "merge keys" in schema_err(merge).message
     multi = "---\nroot: a\nnodes: {a: {type: action}}\n---\nroot: b\nnodes: {}\n"
     assert "multi-document" in schema_err(multi).message
+    assert schema_err(multi).span == SourceSpan(4, 1)
     assert schema_err("- just\n- a list\n").code == "SCHEMA_ERROR"
     assert schema_err("root: a\nroot: b\nnodes: {a: {type: action}}\n").code == "SCHEMA_ERROR"
 
