@@ -81,23 +81,33 @@ _RESERVED = {
 # operator, so that an evaluation dispatches on nothing: each closure
 # applies its own operator and checks its operands' types with the
 # language's error codes and messages. An operator's builder makes its
-# closure from its compiled operands. Each closure takes its operands as
-# default arguments rather than closure cells, which would cost 40 bytes
-# more per operand.
+# closure from its compiled operands and their folded nodes (see
+# _compile): ==, != and the numeric operators hold a literal right
+# operand in the closure, whose type is then known, and read a memory-key
+# left operand there too, which saves a call per operand. Each closure
+# takes its operands as default arguments rather than closure cells, which
+# would cost 40 bytes more per operand.
 
 _NUMBER = frozenset({int, float})  # exact types: bool is not a number
 
 
-def _require_bool(v, op):
-    if not isinstance(v, bool):
-        raise ExprError("TYPE_ERROR", f"'{op}' requires booleans, got {value_tag(v)}")
-    return v
+def _not_bool(v, op):
+    return ExprError("TYPE_ERROR", f"'{op}' requires booleans, got {value_tag(v)}")
 
 
 def _require_number(v, op):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ExprError("TYPE_ERROR", f"'{op}' requires numbers, got {value_tag(v)}")
     return v
+
+
+def _too_large(op):  # an integer past about 309 digits met a float
+    return ExprError("FLOAT_OVERFLOW", f"'{op}' mixes a float with an integer too large "
+                     "for a float")
+
+
+def _undefined(name):
+    return ExprError("UNDEFINED_VARIABLE", f"'{name}' is not defined", subject=name)
 
 
 def _divide(a, b):
@@ -108,12 +118,15 @@ def _divide(a, b):
         if q < 0 and q * b != a:
             q += 1  # truncate toward zero
         return q
-    return a / b
+    return a / b  # OverflowError is the caller's to turn into _too_large
 
 
 def _not(operand):
     def not_(memory, operand=operand):
-        return not _require_bool(operand(memory), "!")
+        v = operand(memory)
+        if v is True or v is False:
+            return not v
+        raise _not_bool(v, "!")
     return not_
 
 
@@ -123,36 +136,77 @@ def _negate(operand):
     return negate
 
 
-def _and(left, right):
-    def and_(memory, left=left, right=right):
-        return _require_bool(left(memory), "&&") and _require_bool(right(memory), "&&")
-    return and_
+def _junction(op, go_on):
+    """The builder of ``op``, && or ||, whose right operand is evaluated
+    only when the left one is ``go_on``."""
+    def build(left, right, *_nodes):
+        def junction(memory, left=left, right=right, go_on=go_on, op=op):
+            v = left(memory)
+            if v is go_on:
+                v = right(memory)
+            if v is True or v is False:
+                return v
+            raise _not_bool(v, op)
+        return junction
+    return build
 
 
-def _or(left, right):
-    def or_(memory, left=left, right=right):
-        return _require_bool(left(memory), "||") or _require_bool(right(memory), "||")
-    return or_
+def _fused(op, fn, fast, slow, left, lnode, b):
+    """The closure of ``left op b`` for a literal ``b``: ``fn(a, b)`` when
+    the left value ``a`` has a type in ``fast``, ``slow(a, b)`` otherwise.
+    A memory-key left operand ``lnode`` is read in the closure itself."""
+    name = lnode.name if type(lnode) is Var else None
+
+    def fused(memory, left=left, name=name, b=b, op=op, fn=fn, fast=fast, slow=slow):
+        try:
+            a = left(memory) if name is None else memory[name]
+        except KeyError:  # only memory[name] raises it; compiled operands raise ExprError
+            raise _undefined(name) from None
+        if type(a) in fast:
+            try:
+                return fn(a, b)
+            except OverflowError:
+                raise _too_large(op) from None
+        return slow(a, b)
+    return fused
 
 
-def _equal(left, right):
-    def equal(memory, left=left, right=right):
-        return values_equal(left(memory), right(memory))
-    return equal
+def _equality(op, cmp):
+    """The builder of ``op``, == or !=, which applies ``cmp`` to two values
+    of one type."""
+    same = cmp(0, 0)  # what op gives for equal values
 
+    def slow(a, b):
+        return values_equal(a, b) is same
 
-def _unequal(left, right):
-    return _not(_equal(left, right))  # a != b is !(a == b), errors too
+    def build(left, right, lnode, rnode):
+        if type(rnode) is Lit:
+            b = rnode.value
+            return _fused(op, cmp, (type(b),), slow, left, lnode, b)
+
+        def equality(memory, left=left, right=right, same=same):
+            return values_equal(left(memory), right(memory)) is same
+        return equality
+    return build
 
 
 def _numeric(op, fn):
     """The builder of ``op``, which applies ``fn`` to two numbers."""
-    def build(left, right):
+    def slow(a, b):  # a is not a number
+        return fn(_require_number(a, op), b)
+
+    def build(left, right, lnode, rnode):
+        if type(rnode) is Lit and type(rnode.value) in _NUMBER:
+            return _fused(op, fn, _NUMBER, slow, left, lnode, rnode.value)
+
         def numeric(memory, op=op, fn=fn, left=left, right=right):
             a = left(memory)
             b = right(memory)
             if type(a) in _NUMBER and type(b) in _NUMBER:
-                return fn(a, b)
+                try:
+                    return fn(a, b)
+                except OverflowError:
+                    raise _too_large(op) from None
             return fn(_require_number(a, op), _require_number(b, op))
         return numeric
     return build
@@ -161,7 +215,8 @@ def _numeric(op, fn):
 # The operator table. A binary operator has a precedence level, 1 binding
 # loosest, and a builder; it is left-associative, except that comparisons
 # do not chain. A prefix operator binds tighter than every binary one.
-_BINARY = {"||": (1, _or), "&&": (2, _and), "==": (3, _equal), "!=": (3, _unequal)} | {
+_BINARY = {"||": (1, _junction("||", False)), "&&": (2, _junction("&&", True)),
+           "==": (3, _equality("==", operator.eq)), "!=": (3, _equality("!=", operator.ne))} | {
     op: (level, _numeric(op, fn)) for op, level, fn in (
         ("<", 3, operator.lt), ("<=", 3, operator.le), (">", 3, operator.gt),
         (">=", 3, operator.ge), ("+", 4, operator.add), ("-", 4, operator.sub),
@@ -325,8 +380,7 @@ def _key(name):
         try:
             return memory[name]
         except KeyError:
-            raise ExprError("UNDEFINED_VARIABLE", f"'{name}' is not defined",
-                            subject=name) from None
+            raise _undefined(name) from None
     return key
 
 
@@ -336,21 +390,49 @@ def _constant(kind, value):
     return lambda memory, value=value: value
 
 
+def _leaf(v):
+    # 0.0 == -0.0, so float literals get a leaf of their own
+    return (_constant.__wrapped__ if type(v) is float else _constant)(type(v), v)
+
+
+def _compile(e):
+    """``e`` folded and compiled: its folded node and its function.
+
+    An operator whose operands all folded to literals is applied to them
+    once, here, and folds to the literal it gives. One that raises stays
+    compiled, so that it raises at every evaluation as it would unfolded;
+    the operators over it do not fold either. Each operator is applied at
+    most once, so compiling stays linear in the size of ``e``.
+    """
+    t = type(e)
+    if t is Var:
+        return e, _key(e.name)
+    if t is Lit:
+        return e, _leaf(e.value)
+    if t is Unary:
+        node, operand = _compile(e.operand)
+        fn = _PREFIX[e.op](operand)
+        literal = type(node) is Lit
+    elif t is Binary:
+        lnode, left = _compile(e.left)
+        rnode, right = _compile(e.right)
+        fn = _BINARY[e.op][1](left, right, lnode, rnode)
+        literal = type(lnode) is Lit and type(rnode) is Lit
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if literal:
+        try:
+            v = fn({})  # no key to read
+        except ExprError:
+            return e, fn
+        return Lit(v), _leaf(v)
+    return e, fn
+
+
 def compile_expr(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
     """Compile ``e`` into a function of the memory that returns what
     ``eval_expr(e, memory)`` returns and raises what it raises."""
-    t = type(e)
-    if t is Var:
-        return _key(e.name)
-    if t is Lit:
-        v = e.value
-        # 0.0 == -0.0, so float literals get a leaf of their own
-        return (_constant.__wrapped__ if type(v) is float else _constant)(type(v), v)
-    if t is Unary:
-        return _PREFIX[e.op](compile_expr(e.operand))
-    if t is not Binary:
-        raise TypeError(f"not an expression node: {e!r}")
-    return _BINARY[e.op][1](compile_expr(e.left), compile_expr(e.right))
+    return _compile(e)[1]
 
 
 def eval_expr(e: Expr, memory: Mapping[str, Value]) -> Value:

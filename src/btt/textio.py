@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import yaml
 from yaml.events import (
@@ -449,12 +449,17 @@ def parse_document(text: str) -> Document:
 
 def parse_templates(text: str, source: str | None = None) -> dict:
     """Parse a templates-only fragment (used for the builtin definitions).
-    ``source`` names the text on the spans of its definitions."""
-    root_node = _compose(text, "templates")
-    if root_node is None:
-        raise ParseError("PARSE_ERROR", "templates document is empty")
-    fields = _fields(root_node, "templates document")
-    return _parse_templates_map(fields["templates"], source) if "templates" in fields else {}
+    ``source`` names the text on the spans of its definitions and errors."""
+    try:
+        root_node = _compose(text, "templates")
+        if root_node is None:
+            raise ParseError("PARSE_ERROR", "templates document is empty")
+        fields = _fields(root_node, "templates document")
+        return _parse_templates_map(fields["templates"], source) if "templates" in fields else {}
+    except (ParseError, SchemaError) as exc:
+        if exc.span is not None:
+            exc.span = replace(exc.span, source=source)
+        raise
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -322,13 +322,17 @@ def reference_eval_expr(e, memory):
             return a >= b
         a = _require_number(left, op)
         b = _require_number(right, op)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return _divide(a, b)
+        try:
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            return _divide(a, b)
+        except OverflowError:  # an integer too large to convert to a float
+            raise ExprError("FLOAT_OVERFLOW", f"'{op}' mixes a float with an integer too "
+                            "large for a float") from None
     if t is Unary:
         v = reference_eval_expr(e.operand, memory)
         if e.op == "!":

@@ -228,6 +228,25 @@ def test_run_undefined_variable_exit_4(tmp_path, capsys):
     assert "c" in err and "tick 1" in err
 
 
+_TOO_LARGE = "mixes a float with an integer too large for a float"
+
+
+@pytest.mark.parametrize("node, memory, message", [
+    ("{type: condition, if: '1 / 0 > 0'}", "{}", "DIVISION_BY_ZERO: division by zero"),
+    (f"{{type: condition, if: '1.5 * 1{'0' * 400} > 0'}}", "{}",
+     f"FLOAT_OVERFLOW: '*' {_TOO_LARGE}"),
+    ("{type: action, script: ['y := x + 0.5']}", f"{{x: 1{'0' * 400}}}",
+     f"FLOAT_OVERFLOW: '+' {_TOO_LARGE}"),
+], ids=["division-by-zero", "literal-overflow", "memory-overflow"])
+def test_literal_only_error_is_valid_and_fails_at_run_time(tmp_path, capsys, node, memory,
+                                                           message):
+    doc = write(tmp_path, "c.yaml", f"root: c\nnodes:\n  c: {node}\n")
+    scenario = write(tmp_path, "s.yaml", f"memory: {memory}\n")
+    assert run_cli(capsys, "validate", doc) == (0, "", "")
+    assert run_cli(capsys, "run", doc, "--scenario", scenario) == (
+        4, "", f"{doc}:3:6: RUNTIME_ERROR: c: tick 1: {message}\n")
+
+
 def test_runtime_error_in_a_builtin_is_located_in_its_file(tmp_path, capsys):
     """A remembered state that does not parse fails in latch's check node,
     which ``run`` reports at its line of the builtin file, as ``validate`` does."""
@@ -418,9 +437,10 @@ def test_patrol_readme_commands(capsys):
     assert code == 0
     assert out == ""
     code, out, err = run_cli(
-        capsys, "run", EXAMPLES / "patrol.yaml",
-        "--scenario", EXAMPLES / "patrol_scenario.yaml", "--ticks", "6", "--memory-dump")
+        capsys, "run", EXAMPLES / "patrol.yaml", "--scenario", EXAMPLES / "patrol_scenario.yaml",
+        "--ticks", "6", "--trace", "--memory-dump")
     assert code == 0, err
+    assert out == (GOLDEN / "patrol_run.txt").read_text()
     lines = out.splitlines()
     # docking on tick 3 skips the scan once; the round then finishes at the roof
     assert {"position = roof", "battery = 75", "scans = 5"} <= set(lines)

@@ -1,4 +1,5 @@
 import itertools
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from btt import (
     parse_expr,
     print_expr,
 )
+from btt.exprs import compile_expr
 from oracles import (
     reference_eval_expr,
     reference_eval_state_expr,
@@ -353,6 +355,13 @@ def _assert_same(e, memory):
 
 
 _MEMORY = {"a": 4, "b": -2.5}
+_TAGGED = {"t": True, "i": 4, "f": -2.5, "s": "x", "st": S}
+# Literal-only texts: ones that fold to their value when compiled, and ones
+# that must still raise at every evaluation.
+_FOLDING = ("-4 > 0", "0.0 * -1", "1 + 2 * 3 == 7", "2 / 4.0", "'a' != 'b'", "-0.0",
+            "!(1 < 2) || 'x' == 'x'")
+_RAISING = ("1 / 0", "true + 1", "-'x'", "1 && true", "'x' < 1", "(1 / 0) + 2",
+            "1.5 * 1" + "0" * 400 + " > 0")
 _NON_SCALAR = {"a": [1], "b": 2}
 _NAMED_CASES = [(text, _MEMORY) for text in (
     # short-circuit && and || over undefined keys
@@ -367,6 +376,17 @@ _NAMED_CASES = [(text, _MEMORY) for text in (
     "1 == 1.0", "true == 1", "'SUCCESS' == SUCCESS", "a != 'x'", "b == -2.5",
 )] + [(text, _NON_SCALAR) for text in (
     "a == 1", "a != 1", "a + 1", "b - a", "a && true", "!a", "a", "a < b", "b == a",
+    "a < 0.5", "a == 'x'", "-a * 2",
+)] + [(text, {}) for text in (*_FOLDING, *_RAISING, "false && 1 / 0 == 0")] + [
+    # a literal right operand held by its operator, after a missing key and
+    # a key of each tag, read directly or through another operator
+    (f"{left} {op} {right}", _TAGGED)
+    for left in ("missing", "t", "i", "f", "s", "st", "-f", "(i + 0)")
+    for op, right in (("==", "4"), ("!=", "SUCCESS"), ("+", "1"), ("<", "0.5"), ("/", "0"),
+                      ("*", "-2.5"), ("==", "'x'"))
+] + [(text, {"a": 10 ** 400}) for text in (
+    # an integer too large for a float meets a float
+    "a + 0.5", "a - 0.5", "a * 0.5", "a / 0.5", "0.5 / a", "0.5 * a", "a < 0.5", "a == 0.5",
 )]
 
 
@@ -379,6 +399,31 @@ def test_compiled_evaluator_matches_the_reference_on_named_cases(text, memory):
 @given(e=_eval_exprs, memory=_memories)
 def test_compiled_evaluator_matches_the_reference(e, memory):
     _assert_same(e, memory)
+
+
+class _Unreadable(Mapping):
+    """A memory that fails the test when it is read."""
+
+    def __getitem__(self, key):
+        pytest.fail(f"memory read: {key!r}")
+
+    def __iter__(self):
+        pytest.fail("memory iterated")
+
+    def __len__(self):
+        pytest.fail("memory sized")
+
+
+@pytest.mark.parametrize("text", _FOLDING + _RAISING)
+def test_literal_only_text_compiles_to_its_value_or_its_error(text):
+    e = parse_expr(text)
+    compiled = compile_expr(e)
+    want = _outcome(reference_eval_expr, e, {})
+    for _ in range(2):  # an error comes at every call, not only the first
+        assert _outcome(lambda e, memory: compiled(memory), e, _Unreadable()) == want
+    if text in _FOLDING:  # it became a literal leaf, shared unless it is a float
+        v = reference_eval_expr(e, {})
+        assert (compiled is compile_expr(Lit(v))) is (type(v) is not float)
 
 
 def test_equal_literals_of_other_types_or_signs_stay_apart():

@@ -199,6 +199,16 @@ def test_top_level_unknown_keys_are_located(tmp_path, capsys):
     assert exc.value.render() == "SCHEMA_ERROR: bogus: unknown key 'bogus' in templates document"
 
 
+@pytest.mark.parametrize("text, error, span", [
+    ("templates:\n  t: {root: a}\n", SchemaError, (2, 6)),
+    ("templates: [\n", ParseError, (2, 1)),
+])
+def test_errors_in_a_named_templates_text_carry_its_name(text, error, span):
+    with pytest.raises(error) as exc:
+        parse_templates(text, source="btt:templates/t.yaml")
+    assert exc.value.span == SourceSpan(*span, "btt:templates/t.yaml")
+
+
 def test_yaml_features_are_rejected():
     anchored = "root: a\nnodes:\n  a: &x {type: action}\n"
     assert schema_err(anchored).message.startswith("YAML anchors")
