@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import Engine, check_expressions, render_memory_dump, render_trace_event
+from .engine import Engine, check_expressions, render_memory_dump
 from .errors import (
     BttError,
     CanonicalizeError,
@@ -136,7 +136,7 @@ def _run(args, tree, scenario):
     for _ in range(args.ticks):
         result, events = engine.tick()
         if args.trace:
-            lines.extend(render_trace_event(e) for e in events)
+            lines.extend(events._lines())
     if args.memory_dump:
         lines.append("---")
         try:

@@ -77,6 +77,12 @@ class TickEvents(Sequence):
         fields = zip(repeat(self._tick), map(self._names.__getitem__, self._nodes), self._results)
         return map(_new_event, repeat(TraceEvent), fields)
 
+    def _lines(self):
+        """render_trace_event's line for each event, with no TraceEvent built."""
+        head, names = f"{self._tick}\t", self._names
+        return [f"{head}{names[node]}\t{_STATE_TEXT[state]}"
+                for node, state in zip(self._nodes, self._results)]
+
 
 def render_trace_event(event: TraceEvent) -> str:
     return f"{event.tick}\t{event.node}\t{event.result.value}"
@@ -102,6 +108,7 @@ _PARALLEL_ORDER = (ReturnState.FAILURE, ReturnState.RUNNING, ReturnState.SUCCESS
 _RANK = _PARALLEL_ORDER.index
 _NONE_YET = len(_PARALLEL_ORDER) - 1
 _new_event = tuple.__new__  # skips NamedTuple's Python-level __new__
+_STATE_TEXT = {state: state.value for state in ReturnState}
 
 
 # Each text is parsed and compiled once per process; only the compiled

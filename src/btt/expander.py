@@ -28,7 +28,6 @@ raising each error where the rules above meet it.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import replace
 
 from .errors import ExpandError, ValidationFailure
@@ -61,18 +60,6 @@ _INSTANCE = ("~",)
 _NEVER_BOUND = {("$@",): "'$@' splices are only valid as a whole children entry",
                 ("$",): "'$' must be followed by a parameter name"}
 _UNBOUND = object()
-
-
-@contextmanager
-def _chained(stack):
-    """Annotate errors from nested operations with the instantiation chain."""
-    try:
-        yield
-    except ExpandError as exc:
-        if exc.chain:
-            raise
-        raise ExpandError(exc.code, exc.message, subject=exc.subject,
-                          span=exc.span, chain=stack) from exc
 
 
 def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> dict:
@@ -246,9 +233,18 @@ class _NodePlan:
 
 
 def _compile_block(key, block):
-    """A foreach block: (key, block, list param, emit, body level)."""
+    """A foreach block: (key, block, list param, emit, body level, emit_at).
+    ``emit_at`` is the place, among one iteration's items, of the body node
+    whose key is the emit pattern, so that the emitted name is its name;
+    None if there is none, or a block before it makes the place vary."""
     w = _WHOLE_REF_RE.fullmatch(block.list_ref)
-    return key, block, w and w.group(1), _compile(block.emit), _compile_level(block.nodes)
+    emit_at = None
+    for at, (local, entry) in enumerate(block.nodes.items()):
+        if isinstance(entry, ForeachBlock) or local == block.emit:
+            emit_at = None if isinstance(entry, ForeachBlock) else at
+            break
+    return (key, block, w and w.group(1), _compile(block.emit), _compile_level(block.nodes),
+            emit_at)
 
 
 def _compile_level(body):
@@ -267,14 +263,29 @@ def _plan(tmpl):
 
 # --- instantiation --------------------------------------------------------
 
+class _NodeDef:
+    """NodeDef's slots without its frozen __setattr__: a call fills them with
+    plain stores and makes the object a NodeDef, at a quarter of the cost."""
+
+    __slots__ = NodeDef.__slots__
+
+    def __init__(self, name, type_, children, args, if_, then, else_, script, result, span):
+        self.name, self.type, self.children, self.args = name, type_, children, args
+        self.if_, self.then, self.else_, self.script, self.result = if_, then, else_, script, result
+        self.span = span
+        self.__class__ = NodeDef
+
+
 def _collect(level, env, stack, items):
     """Append ``(local name, node plan, env, emitted)`` for each body node of a
     level, unrolling its blocks; ``emitted`` maps block names to emitted names."""
     emitted = {}
     for entry in level:
         if entry.__class__ is _NodePlan:
+            key = entry.key
             try:
-                items.append((_fill(entry.key, env), entry, env, emitted))
+                items.append((key.fill(env) if key.__class__ is _Text else key, entry, env,
+                              emitted))
             except _Unfilled as exc:
                 raise exc.at(env[_INSTANCE], entry.pattern.span) from None
         else:
@@ -282,7 +293,7 @@ def _collect(level, env, stack, items):
 
 
 def _unroll(plan, env, stack, items):
-    _, block, list_key, emit, body = plan
+    _, block, list_key, emit, body, emit_at = plan
 
     def error(code, message, subject=block.list_ref):
         return ExpandError(code, message, subject=subject, span=block.span, chain=stack)
@@ -297,8 +308,9 @@ def _unroll(plan, env, stack, items):
         raise error("NOT_A_LIST", f"foreach iterates a list, but '${list_key}' is a scalar")
     emitted = []
     seen = set()
+    var, index = block.var, block.index
     for k, elem in enumerate(value):
-        ienv = {**env, block.var: elem, block.index: k}
+        ienv = {**env, var: elem, index: k}
         start = len(items)
         _collect(body, ienv, stack, items)
         for i in range(start, len(items)):
@@ -306,6 +318,9 @@ def _unroll(plan, env, stack, items):
             if name in seen:
                 raise error("NAME_CLASH", f"iterations produce the same node name '{name}'", name)
             seen.add(name)
+        if emit_at is not None:  # filled already, as that node's name
+            emitted.append(items[start + emit_at][0])
+            continue
         try:
             emitted.append(_fill(emit, ienv))
         except _Unfilled as exc:
@@ -346,9 +361,10 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
     ``stack`` is the instantiation chain including ``tmpl.name`` itself.
     The returned collection contains exactly one node named ``inst.name``
     (the template's root); all others are prefixed ``<inst.name>/``.
+    An ExpandError raised within that carries no chain gets ``stack``.
     """
     stack = tuple(stack) if stack is not None else (tmpl.name,)
-    with _chained(stack):
+    try:
         if len(stack) > max_depth:
             raise ExpandError("DEPTH_EXCEEDED",
                               f"template nesting deeper than {max_depth}",
@@ -388,7 +404,9 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
         try:
             for name, node, ienv, emitted in items:
                 final, span = local_map[name], node.pattern.span
-                type_ = _fill(node.type, ienv)
+                type_ = node.type
+                if type_.__class__ is _Text:
+                    type_ = type_.fill(ienv)
                 children = (_children(node.children, ienv, local_map, emitted)
                             if node.children else ())
                 if type_ in PRIMARY_KINDS:
@@ -398,10 +416,14 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
                     if problem is not None:
                         raise ExpandError("BAD_NODE", problem, subject=final, span=span)
                     # filled in field order, so that the first bad text wins
-                    if_, then, else_ = _fill(if_, ienv), _fill(then, ienv), _fill(else_, ienv)
-                    script = tuple(_fill(s, ienv) for s in script) if script else ()
-                    out.append(NodeDef(final, type_, children, {}, if_, then, else_, script,
-                                       _fill(result, ienv), span))
+                    out.append(_NodeDef(
+                        final, type_, children, {},
+                        if_.fill(ienv) if if_.__class__ is _Text else if_,
+                        then.fill(ienv) if then.__class__ is _Text else then,
+                        else_.fill(ienv) if else_.__class__ is _Text else else_,
+                        tuple([s.fill(ienv) if s.__class__ is _Text else s for s in script])
+                        if script else (),
+                        result.fill(ienv) if result.__class__ is _Text else result, span))
                 elif type_ in registry:
                     if type_ in stack:
                         raise ExpandError("RECURSIVE_TEMPLATE",
@@ -410,8 +432,9 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
                     if not NAME_RE.fullmatch(final):
                         raise _invalid_name(final, span)
                     # the pattern's leaf payload rides along for instantiate to reject
-                    nested = replace(node.pattern, name=final, type=type_, children=children,
-                                     args=_forward_args(node.pattern.args, ienv))
+                    p = node.pattern
+                    nested = _NodeDef(final, type_, children, _forward_args(p.args, ienv),
+                                      p.if_, p.then, p.else_, p.script, p.result, span)
                     out.extend(instantiate(registry[type_], nested, registry, stack + (type_,),
                                            max_depth=max_depth))
                 else:
@@ -421,6 +444,11 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
         except _Unfilled as exc:  # a fill of the current item's texts
             raise exc.at(final, span) from None
         return out
+    except ExpandError as exc:
+        if exc.chain:
+            raise
+        raise ExpandError(exc.code, exc.message, subject=exc.subject,
+                          span=exc.span, chain=stack) from exc
 
 
 def expand_document(doc: Document, builtins: dict | None = None,

@@ -116,7 +116,7 @@ def value_text(v: Value) -> str:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeDef:
     """One node definition.
 
@@ -138,8 +138,18 @@ class NodeDef:
     span: "SourceSpan | None" = field(default=None, compare=False, repr=False)
 
 
-# NodeDef's values for a payload key the node does not carry.
+class EmptyScript(tuple):
+    """A ``script: []`` written on a node whose type is not yet known: equal
+    to (), but carried, as the key is where the type is written out."""
+
+
+class EmptyArgs(dict):
+    """An ``args: {}`` written on a node whose type is not yet known."""
+
+
+# NodeDef's values for a payload key the node does not carry, unless written.
 _ABSENT = (None, (), {})
+_WRITTEN = (EmptyScript, EmptyArgs)
 _NAME, _TYPE, _CHILDREN, _SCRIPT = map(attrgetter, ("name", "type", "children", "script"))
 _TEXTS = tuple(map(attrgetter, ("if_", "then", "else_", "result")))
 
@@ -147,10 +157,12 @@ _TEXTS = tuple(map(attrgetter, ("if_", "then", "else_", "result")))
 def payload_problem(nd: NodeDef, kind: str | None) -> str | None:
     """What is wrong with ``nd``'s payload for ``kind`` (a primary kind, or
     None for a templated node), or None if nothing is. A key counts as
-    carried when its field holds anything but the field's empty value."""
+    carried when the source wrote it, or its field holds anything but the
+    field's empty value."""
     takes = TEMPLATED_PAYLOAD if kind is None else LEAF_PAYLOAD.get(kind, {})
     for key, fld in PAYLOAD_FIELDS.items():
-        if getattr(nd, fld) in _ABSENT:
+        value = getattr(nd, fld)
+        if value in _ABSENT and value.__class__ not in _WRITTEN:
             if key in takes and takes[key] is None:
                 return f"a {kind} node requires '{key}'"
         elif key not in takes:

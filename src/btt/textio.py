@@ -45,6 +45,8 @@ from .model import (
     RETURN_STATES,
     TEMPLATED_PAYLOAD,
     Document,
+    EmptyArgs,
+    EmptyScript,
     ExpandedTree,
     ForeachBlock,
     NodeDef,
@@ -52,7 +54,6 @@ from .model import (
     TemplateDef,
     dfs_preorder,
     validate_expanded,
-    with_leaf_defaults,
 )
 
 
@@ -84,6 +85,8 @@ _TYPED = {
     "tag:yaml.org,2002:float": ("a float", _constructor.construct_yaml_float),
 }
 _INT_BOUND = 10 ** MAX_INT_DIGITS
+# The commonest integer spelling: the resolver and constructor give int(text).
+_DECIMAL_RE = re.compile(rf"[-+]?(?:0|[1-9][0-9]{{0,{MAX_INT_DIGITS - 1}}})")
 
 # libyaml when PyYAML was built with it; the pure-Python parser otherwise.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -101,7 +104,8 @@ def _span(node, source=None) -> SourceSpan:
 
 
 def _compose(text, what):
-    """Build the node tree in one pass over the parser's events.
+    """Build the node tree in one pass over the parser's events. A node keeps
+    the tag its text gave (None for none); only _typed_scalar resolves one.
 
     Anchors, aliases and extra documents are recorded, located, as the
     first schema problem and raised only once the whole stream has parsed,
@@ -125,22 +129,15 @@ def _compose(text, what):
                 elif documents > 1:
                     problem = "multi-document streams are not supported", ev.start_mark
             if kind is ScalarEvent:
-                tag = ev.tag
-                if tag is None or tag == "!":
-                    tag = _resolve(ScalarNode, ev.value, ev.implicit)
                 # libyaml reports plain scalars with style '', PyYAML with None
-                node = ScalarNode(tag, ev.value, ev.start_mark, ev.end_mark,
+                node = ScalarNode(ev.tag, ev.value, ev.start_mark, ev.end_mark,
                                   style=ev.style or None)
             elif kind in _COLLECTIONS:
                 if len(stack) == MAX_NESTING:
                     raise ParseError("PARSE_ERROR", f"{what} is nested too deeply",
                                      span=_mark_span(ev.start_mark))
-                node_class = _COLLECTIONS[kind]
-                tag = ev.tag
-                if tag is None or tag == "!":
-                    tag = _resolve(node_class, None, ev.implicit)
-                stack.append(node_class(tag, [], ev.start_mark, None,
-                                        flow_style=ev.flow_style))
+                stack.append(_COLLECTIONS[kind](ev.tag, [], ev.start_mark, None,
+                                                flow_style=ev.flow_style))
                 continue
             elif kind is SequenceEndEvent or kind is MappingEndEvent:
                 node = stack.pop()
@@ -241,7 +238,12 @@ def _typed_scalar(node, what):
     """Plain scalars get YAML bool/int/float typing; anything quoted is text."""
     if not isinstance(node, yaml.nodes.ScalarNode):
         raise SchemaError("SCHEMA_ERROR", f"{what} must be a scalar", span=_span(node))
-    typed = _TYPED.get(node.tag) if node.style is None else None
+    tag = node.tag
+    if node.style is None and tag in (None, "!"):  # the resolver decides
+        if _DECIMAL_RE.fullmatch(node.value):
+            return int(node.value)
+        tag = _resolve(ScalarNode, node.value, (True, False))
+    typed = _TYPED.get(tag) if node.style is None else None
     if typed is None:
         return node.value
     expected, construct = typed
@@ -283,23 +285,26 @@ def _parse_node(name, node, pattern, source=None):
             raise SchemaError("SCHEMA_ERROR", f"invalid child reference '{entry}'",
                               span=_span(keys["children"]), subject=name)
 
+    # A primary kind's absent keys take defaults; other types mark empty written ones.
+    primary = type_ in PRIMARY_KINDS
     fields = {}
     for key, default in payload.items():
         value = keys.get(key)
         if value is None:
-            if default is None and type_ in PRIMARY_KINDS:
-                raise SchemaError("SCHEMA_ERROR", f"{type_} node is missing '{key}'",
-                                  span=_span(node), subject=name)
+            if primary:
+                if default is None:
+                    raise SchemaError("SCHEMA_ERROR", f"{type_} node is missing '{key}'",
+                                      span=_span(node), subject=name)
+                fields[PAYLOAD_FIELDS[key]] = default
             continue
-        if isinstance(default, dict):
-            value = _args(value, name)
+        if isinstance(default, dict):  # args, which only a non-primary type takes
+            value = _args(value, name) or EmptyArgs()
         elif isinstance(default, tuple):
-            value = tuple(_text_list(value, key))
+            value = tuple(_text_list(value, key)) or (() if primary else EmptyScript())
         else:
             value = _text(value, key)
         fields[PAYLOAD_FIELDS[key]] = value
-    return with_leaf_defaults(NodeDef(name, type_, children, span=_span(node, source),
-                                      **fields))
+    return NodeDef(name, type_, children, span=_span(node, source), **fields)
 
 
 def _args(node, owner):

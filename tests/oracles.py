@@ -5,6 +5,8 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
+import yaml
+
 from btt import (
     MAX_EXPR_DEPTH,
     Assignment,
@@ -19,6 +21,8 @@ from btt import (
     NodeDef,
     NodeKind,
     ReturnState,
+    SchemaError,
+    SourceSpan,
     TemplateDef,
     TickError,
     TraceEvent,
@@ -33,6 +37,7 @@ from btt import (
 )
 from btt.model import (
     LEAF_PAYLOAD,
+    MAX_INT_DIGITS,
     NAME_RE,
     PAYLOAD_FIELDS,
     PRIMARY_KINDS,
@@ -966,3 +971,38 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
                 Diagnostic("UNREACHABLE", nd.name, "node is not reachable from the root")
             )
     return diags
+
+
+# --- reference YAML typing --------------------------------------------------
+
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_TYPED = {
+    "tag:yaml.org,2002:bool": ("a boolean", _CONSTRUCTOR.construct_yaml_bool),
+    "tag:yaml.org,2002:int": (f"an integer of at most {MAX_INT_DIGITS} digits",
+                              _CONSTRUCTOR.construct_yaml_int),
+    "tag:yaml.org,2002:float": ("a float", _CONSTRUCTOR.construct_yaml_float),
+}
+_INT_BOUND = 10 ** MAX_INT_DIGITS
+
+
+def reference_typed_scalar(node, what):
+    """A typed position's value (a template arg, an arg default or a memory
+    seed) as the front end read it while its composition resolved every
+    scalar's tag, as yaml.compose does: ``node`` is yaml.compose's, under
+    either loader. Plain scalars get YAML bool/int/float typing, anything
+    quoted is text."""
+    span = SourceSpan(node.start_mark.line + 1, node.start_mark.column + 1)
+    if not isinstance(node, yaml.ScalarNode):
+        raise SchemaError("SCHEMA_ERROR", f"{what} must be a scalar", span=span)
+    # libyaml's composer gives a plain scalar the style '', PyYAML's None
+    typed = _TYPED.get(node.tag) if not node.style else None
+    if typed is None:
+        return node.value
+    expected, construct = typed
+    try:
+        value = construct(node)
+    except (ValueError, KeyError):
+        value = None
+    if value is None or type(value) is int and not -_INT_BOUND < value < _INT_BOUND:
+        raise SchemaError("SCHEMA_ERROR", f"{what} is not {expected}", span=span)
+    return value

@@ -4,8 +4,8 @@ import pytest
 
 from btt import expander, textio, validate_expanded
 from btt.cli import main
-from util import (BODY_PAYLOAD_LINE, CORPUS_DOCS, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES,
-                  NESTED_FORMS, TEMPLATES, body_payload_doc, nested)
+from util import (BODY_PAYLOAD_LINE, CORPUS, CORPUS_DOCS, EXAMPLES, GOLDEN,
+                  LEAF_PAYLOAD_VALUES, NESTED_FORMS, TEMPLATES, body_payload_doc, nested)
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +61,20 @@ def test_validate_ok_prints_nothing(capsys):
 def test_validate_accepts_every_shipped_document(capsys, path):
     code, out, _ = run_cli(capsys, "validate", path)  # latch.yaml shadows a builtin
     assert (code, out) == (0, "")
+
+
+@pytest.mark.parametrize("path", sorted((GOLDEN / "corpus").glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_expand_corpus_matches_golden(capsys, path):
+    """Each corpus document expands to the bytes of its golden file."""
+    code, out, err = run_cli(capsys, "expand", CORPUS / path.name)
+    assert (code, err) == (0, "")
+    assert out == path.read_text(encoding="utf-8")
+
+
+def test_every_corpus_document_has_a_golden():
+    assert ({p.name for p in CORPUS.glob("*.yaml")}
+            == {p.name for p in (GOLDEN / "corpus").glob("*.yaml")})
 
 
 _BAD_EXPRESSIONS_DOC = """\
@@ -593,3 +607,37 @@ def test_templated_node_in_a_body_with_leaf_payload_exits_3(tmp_path, capsys, ty
     assert (code, out) == (3, "")
     assert err.startswith(f"{doc}:{BODY_PAYLOAD_LINE}:")
     assert f"BAD_NODE: a/inner: a templated node takes no '{key}'" in err
+
+
+# A template body node with `if: "true"` and a `script`, its type written out
+# or substituted. An empty `script: []` is judged as written, so the
+# substituted condition refuses it as the literal one does.
+_WRITTEN_SCRIPT_DOC = """\
+templates:
+  t:
+    args:
+      - {{name: kind, kind: scalar}}
+    root: "~"
+    nodes:
+      "~":
+        type: {type_}
+        if: "true"
+        script: {script}
+root: m
+nodes:
+  m: {{type: t, args: {{kind: condition}}}}
+"""
+
+
+_NO_SCRIPT = "8:9: BAD_NODE: m: a condition node takes no 'script' (while instantiating t)"
+
+
+@pytest.mark.parametrize("type_,script,code,located", [
+    ("$kind", "[]", 3, _NO_SCRIPT),
+    ("condition", "[]", 2, "10:9: SCHEMA_ERROR: ~: unknown key 'script' in condition node"),
+    ("$kind", "[x := 1]", 3, _NO_SCRIPT),
+])
+def test_an_empty_script_on_a_substituted_condition_is_refused(tmp_path, capsys, type_, script,
+                                                               code, located):
+    doc = write(tmp_path, "doc.yaml", _WRITTEN_SCRIPT_DOC.format(type_=type_, script=script))
+    assert run_cli(capsys, "expand", doc) == (code, "", f"{doc}:{located}\n")

@@ -441,6 +441,41 @@ nodes:
         assert f"'{key}'" in e.message, (kind, payload)
 
 
+def test_an_empty_payload_key_is_judged_as_written():
+    """`script: []` and `args: {}` count as carried wherever the type is not
+    written out as a primary kind: substituted, or naming a template, in a
+    body or in the document. A substituted action takes `script: []`, as a
+    literal one does."""
+    doc = """
+templates:
+  t:
+    args:
+      - {{name: k, kind: scalar}}
+    root: "~"
+    nodes:
+      "~": {{type: "$k"{payload}}}
+root: a
+nodes:
+  a: {{type: t, args: {{k: {kind}}}}}
+"""
+    for kind, payload, key in [("condition", ', if: "true", script: []', "script"),
+                               ("sequence", ", children: [~/x], script: []", "script"),
+                               ("condition", ', if: "true", args: {}', "args"),
+                               ("action", ", args: {}", "args")]:
+        e = expand_err(doc.format(kind=kind, payload=payload))
+        assert (e.code, e.subject, e.span.line, e.chain) == ("BAD_NODE", "a", 8, ("t",)), kind
+        assert e.message == f"a {kind} node takes no '{key}'"
+    tree = expand_text(doc.format(kind="action", payload=", script: []"))
+    assert tree.nodes[0].script == () and type(tree.nodes[0].script) is tuple
+
+    e = expand_err(body_payload_doc("latch", "script").replace('["y := 2"]', "[]"))
+    assert (e.code, e.subject, e.chain) == ("BAD_NODE", "a/inner", ("t", "latch"))
+    assert e.message == "a templated node takes no 'script'"
+    e = expand_err("root: a\nnodes:\n  a: {type: latch, children: [b], script: []}\n"
+                   "  b: {type: action}\n")
+    assert (e.code, e.subject, e.message) == ("BAD_NODE", "a", "a templated node takes no 'script'")
+
+
 def test_invalid_generated_name():
     e = expand_err(
         """

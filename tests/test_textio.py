@@ -1,10 +1,13 @@
 import dataclasses
+import math
 import random
 import time
 from dataclasses import replace
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from btt import (
     BttError,
@@ -29,6 +32,7 @@ from btt import (
     textio,
 )
 from btt.cli import main
+from oracles import reference_typed_scalar
 from util import (
     CORPUS,
     CORPUS_DOCS,
@@ -510,23 +514,38 @@ def _parser_for(path):
     return parse_document
 
 
-def _node_tree(node):
+def _node_tree(node, tag=lambda node: node.tag):
     """Everything yaml.compose records about a node, recursively."""
     marks = (node.start_mark.line, node.start_mark.column,
              node.end_mark.line, node.end_mark.column)
     if isinstance(node, yaml.ScalarNode):
-        return (node.tag, marks, node.style, node.value)
+        return (tag(node), marks, node.style, node.value)
     if isinstance(node, yaml.SequenceNode):
-        return (node.tag, marks, node.flow_style, [_node_tree(n) for n in node.value])
-    return (node.tag, marks, node.flow_style,
-            [(_node_tree(k), _node_tree(v)) for k, v in node.value])
+        return (tag(node), marks, node.flow_style, [_node_tree(n, tag) for n in node.value])
+    return (tag(node), marks, node.flow_style,
+            [(_node_tree(k, tag), _node_tree(v, tag)) for k, v in node.value])
+
+
+_RESOLVER = yaml.resolver.Resolver()
+
+
+def _typed_tag(node):
+    """The tag of a node that _compose built, resolved as typing resolves
+    it: a tag the text gave stands; an absent one or "!" is the
+    resolver's, from the scalar's value when it is plain."""
+    if node.tag is not None and node.tag != "!":
+        return node.tag
+    plain = getattr(node, "style", None) is None or node.tag == "!"
+    return _RESOLVER.resolve(type(node), node.value, (plain, not plain))
 
 
 @pytest.mark.parametrize("path", SHIPPED_YAML, ids=_shipped_id)
 def test_compose_matches_pyyaml_composer(yaml_loader, path):
+    """_compose leaves tags to typing; with them resolved, its node tree is
+    PyYAML's composer's."""
     text = path.read_text(encoding="utf-8")
     expected = _node_tree(yaml.compose(text, Loader=yaml.SafeLoader))
-    assert _node_tree(textio._compose(text, "document")) == expected
+    assert _node_tree(textio._compose(text, "document"), _typed_tag) == expected
 
 
 def test_syntax_error_beats_unsupported_features(yaml_loader):
@@ -592,3 +611,128 @@ def test_dialect_differences_are_pinned(monkeypatch, text, libyaml, pure):
     assert _verdict(_parse_with(monkeypatch, yaml.SafeLoader, parse_document, text)) == pure
     if yaml.__with_libyaml__:
         assert _verdict(_parse_with(monkeypatch, yaml.CSafeLoader, parse_document, text)) == libyaml
+
+
+# --- YAML typing -----------------------------------------------------------
+
+# The three positions that take a typed scalar: the text of a document or
+# scenario with the scalar at {}, how to parse it, where the value lands,
+# the path to the scalar among the YAML mappings and lists, and the name an
+# error gives it.
+TYPED_POSITIONS = {
+    "memory seed": ("memory:\n  k: {}\n", parse_scenario, lambda r: r.memory["k"],
+                    ("memory", "k"), "memory value for 'k'"),
+    "template arg": ("root: a\nnodes:\n  a:\n    type: t\n    args:\n      x: {}\n",
+                     parse_document, lambda d: d.nodes["a"].args["x"],
+                     ("nodes", "a", "args", "x"), "argument 'x'"),
+    "arg default": ("templates:\n  t:\n    args:\n      - name: x\n        kind: scalar\n"
+                    "        default: {}\n    root: \"~\"\n    nodes:\n"
+                    "      \"~\": {{type: action}}\nroot: a\nnodes:\n  a: {{type: t}}\n",
+                    parse_document, lambda d: d.templates["t"].params[0].default,
+                    ("templates", "t", "args", 0, "default"), "default"),
+}
+
+
+def _typed(position, scalar):
+    """The value a typed position reads from ``scalar``, or the error."""
+    text, parse, value, _, _ = TYPED_POSITIONS[position]
+    try:
+        return value(parse(text.format(scalar)))
+    except BttError as exc:
+        return exc
+
+
+_TEXT = object()  # the scalar's own text
+TYPING_TABLE = [
+    ("0", 0), ("-0", 0), ("+5", 5), ("007", 7), ("0o7", _TEXT), ("0x1F", 31), ("0b101", 5),
+    ("1_000", 1000), ("1:30", 90), ("-1:30", -90), ("1e3", _TEXT), ("1.5e3", _TEXT),
+    ("0.", 0.0), ("+.5", _TEXT), (".inf", math.inf), (".nan", math.nan), ("true", True),
+    ("yes", True), ("On", True), ("y", _TEXT), ("~", _TEXT), ("null", _TEXT), ("'5'", "5"),
+    ("!!int 5", 5), ("!!str 5", "5"), ("! 5", 5), ("!!bool maybe", "a boolean"),
+    ("!!int 0x_", "an integer of at most 4300 digits"), ("1" * 4300, int("1" * 4300)),
+    ("1" * 4301, "an integer of at most 4300 digits"),
+]
+
+
+@pytest.mark.parametrize("position", TYPED_POSITIONS)
+@pytest.mark.parametrize("scalar,expected", TYPING_TABLE,
+                         ids=[s if len(s) < 20 else f"{len(s)} ones" for s, _ in TYPING_TABLE])
+def test_yaml_typing_table(yaml_loader, position, scalar, expected):
+    got = _typed(position, scalar)
+    what = TYPED_POSITIONS[position][4]
+    if isinstance(expected, str) and expected.startswith(("a ", "an ")):
+        assert isinstance(got, SchemaError)
+        assert (got.code, got.message) == ("SCHEMA_ERROR", f"{what} is not {expected}")
+        return
+    if expected is _TEXT:
+        expected = scalar
+    assert type(got) is type(expected) and repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("name", ["123", "true", "1_000", "0x1F", ".inf", "yes", "~"])
+def test_names_are_taken_verbatim(name):
+    """Names are text: a node name or a memory key that YAML would type
+    is kept as written, and one outside the name alphabet is refused."""
+    doc = f"root: '{name}'\nnodes:\n  {name}: {{type: action}}\n"
+    scenario = f"memory:\n  {name}: 1\n"
+    if name == "~":
+        assert schema_err(doc).message == "invalid node name '~'"
+        with pytest.raises(SchemaError, match="invalid memory key '~'"):
+            parse_scenario(scenario)
+        return
+    assert list(parse_document(doc).nodes) == [name]
+    assert parse_scenario(scenario).memory == {name: 1}
+
+
+@pytest.mark.parametrize("name", ["123", "1_000", "0x1F", ".inf"])
+def test_arg_names_that_yaml_would_type_are_refused(name):
+    declared = (f"templates:\n  t:\n    args:\n      - {{name: {name}, kind: scalar}}\n"
+                f"    root: \"~\"\n    nodes:\n      \"~\": {{type: action}}\n"
+                f"root: a\nnodes:\n  a: {{type: action}}\n")
+    assert schema_err(declared).message == f"invalid arg name '{name}'"
+    given = f"root: a\nnodes:\n  a: {{type: t, args: {{{name}: 1}}}}\n"
+    assert schema_err(given).message == f"invalid argument name '{name}'"
+
+
+def _composed_scalar(text, loader, path):
+    node = yaml.compose(text, Loader=loader)
+    for step in path:
+        if isinstance(step, int):
+            node = node.value[step]
+        else:
+            node = next(v for k, v in node.value if k.value == step)
+    return node
+
+
+_PLAIN_SCALARS = st.one_of(
+    st.text(alphabet="0123456789+-_:.exob", min_size=1, max_size=10),
+    st.sampled_from(["true", "false", "True", "FALSE", "yes", "No", "on", "OFF", "y", "n",
+                     "null", "Null", "~", ".inf", "-.Inf", ".NaN"]))
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scalar=_PLAIN_SCALARS)
+@pytest.mark.parametrize("position", TYPED_POSITIONS)
+def test_yaml_typing_matches_the_reference(yaml_loader, position, scalar):
+    """Each typed position gives what the front end gave when composition
+    resolved every tag (tests/oracles.py): the same value and type, or the
+    same error and span."""
+    text, _, _, path, what = TYPED_POSITIONS[position]
+    text = text.format(scalar)
+    try:
+        node = _composed_scalar(text, yaml_loader, path)
+    except yaml.YAMLError:
+        return  # not one scalar there: the scalar's own typing is not involved
+    if not isinstance(node, yaml.ScalarNode):
+        return
+    try:
+        expected = reference_typed_scalar(node, what)
+    except SchemaError as exc:
+        expected = exc
+    got = _typed(position, scalar)
+    if isinstance(expected, SchemaError):
+        assert isinstance(got, SchemaError), (scalar, got)
+        assert (got.code, got.message, got.span) == (expected.code, expected.message,
+                                                     expected.span)
+    else:
+        assert type(got) is type(expected) and repr(got) == repr(expected), scalar
