@@ -23,8 +23,8 @@ from .errors import (
     TickError,
     ValidationFailure,
 )
-from .expander import DEFAULT_MAX_DEPTH, expand_document
-from .model import MAX_INT_DIGITS, NodeKind, diagnostic_render, dfs_preorder, value_text
+from .expander import DEFAULT_MAX_DEPTH, MAX_DEPTH_CEILING, expand_document
+from .model import NodeKind, diagnostic_render, dfs_preorder
 from .stdlib import SHADOWED_BUILTIN, builtin_templates, shadowed_builtins
 from .textio import parse_document, parse_scenario, serialize_expanded
 
@@ -49,8 +49,9 @@ def build_parser():
         cmd = sub.add_parser(name, help=help_)
         cmd.add_argument("input", help="document path")
         cmd.add_argument("-o", "--output", default=None, help="write to PATH instead of stdout")
-        cmd.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH,
-                         help="template nesting cap (default 64)")
+        cmd.add_argument("--max-depth", type=_max_depth, default=DEFAULT_MAX_DEPTH,
+                         help=f"template nesting cap, 1 to {MAX_DEPTH_CEILING} "
+                              f"(default {DEFAULT_MAX_DEPTH})")
         cmd.add_argument("--no-stdlib", action="store_true",
                          help="disable the builtin templates")
         if name == "run":
@@ -68,6 +69,13 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _max_depth(text):
+    value = _positive_int(text)
+    if value > MAX_DEPTH_CEILING:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DEPTH_CEILING}")
     return value
 
 
@@ -139,24 +147,11 @@ def _run(args, tree, scenario):
             lines.extend(events._lines())
     if args.memory_dump:
         lines.append("---")
-        try:
-            dump = render_memory_dump(engine.memory)
-        except ValueError:  # CPython writes no integer past 4,300 digits
-            key = next(k for k in sorted(engine.memory) if not _has_text(engine.memory[k]))
-            raise DumpError("RUNTIME_ERROR", f"memory value is an integer of more than "
-                            f"{MAX_INT_DIGITS} digits, too long to write", subject=key) from None
+        dump = render_memory_dump(engine.memory)
         if dump:
             lines.append(dump)
     lines.append(f"result={result.value}")
     _write("\n".join(lines) + "\n", args.output)
-
-
-def _has_text(value):
-    try:
-        value_text(value)
-    except ValueError:
-        return False
-    return True
 
 
 def main(argv=None) -> int:

@@ -18,10 +18,11 @@ from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
-from .errors import EngineError, ExprError, TickError
+from .errors import DumpError, EngineError, ExprError, TickError
 from .exprs import compile_expr, not_a_state, parse_assignment, parse_expr
 from .model import (
     LEAF_PAYLOAD,
+    MAX_INT_DIGITS,
     PAYLOAD_FIELDS,
     Diagnostic,
     ExpandedTree,
@@ -89,8 +90,16 @@ def render_trace_event(event: TraceEvent) -> str:
 
 
 def render_memory_dump(memory) -> str:
-    """One ``<key> = <value>`` line per entry, sorted bytewise by key."""
-    return "\n".join(f"{k} = {value_text(memory[k])}" for k in sorted(memory))
+    """One ``<key> = <value>`` line per entry, sorted bytewise by key; the
+    first integer past MAX_INT_DIGITS digits, which has no text, is a DumpError."""
+    lines = []
+    for k in sorted(memory):
+        try:
+            lines.append(f"{k} = {value_text(memory[k])}")
+        except ValueError:
+            raise DumpError("RUNTIME_ERROR", f"memory value is an integer of more than "
+                            f"{MAX_INT_DIGITS} digits, too long to write", subject=k) from None
+    return "\n".join(lines)
 
 
 # Kind codes of the compiled program: the index into _KINDS, with scripted

@@ -61,13 +61,14 @@ class ExpandError(BttError):
 class ValidationFailure(BttError):
     """An expanded tree failed structural validation.
 
-    Carries the full diagnostic list; code/subject mirror the first entry.
+    Carries the full diagnostic list; code, subject and span mirror the
+    first entry.
     """
 
     def __init__(self, diagnostics):
         self.diagnostics = tuple(diagnostics)
         first = self.diagnostics[0]
-        super().__init__(first.code, first.message, subject=first.node)
+        super().__init__(first.code, first.message, subject=first.node, span=first.span)
 
 
 class CanonicalizeError(BttError):

@@ -48,6 +48,7 @@ from .model import (
 )
 
 DEFAULT_MAX_DEPTH = 64
+MAX_DEPTH_CEILING = 256  # instantiate recurses once per level: far below the recursion limit
 
 _PLACEHOLDER_RE = re.compile(rf"\$(@?)({PARAM_NAME})?|~")
 _WHOLE_REF_RE = re.compile(rf"\$({PARAM_NAME})")
@@ -348,6 +349,11 @@ def _children(entries, env, local_map, emitted):
     return tuple(out)
 
 
+def _check_max_depth(max_depth):
+    if not 1 <= max_depth <= MAX_DEPTH_CEILING:
+        raise ValueError(f"max_depth must be from 1 to {MAX_DEPTH_CEILING}, not {max_depth}")
+
+
 def _invalid_name(name, span):
     return ExpandError("INVALID_NAME",
                        f"substitution produced an invalid node name '{name}'",
@@ -362,7 +368,9 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
     The returned collection contains exactly one node named ``inst.name``
     (the template's root); all others are prefixed ``<inst.name>/``.
     An ExpandError raised within that carries no chain gets ``stack``.
+    A ``max_depth`` outside 1 to MAX_DEPTH_CEILING is a ValueError.
     """
+    _check_max_depth(max_depth)
     stack = tuple(stack) if stack is not None else (tmpl.name,)
     try:
         if len(stack) > max_depth:
@@ -458,8 +466,10 @@ def expand_document(doc: Document, builtins: dict | None = None,
     Document-local templates take precedence over builtins of the same
     name. The result always passes validate_expanded, and is marked
     ``validated`` so that serializing it does not check it again; any
-    diagnostics are promoted to a ValidationFailure.
+    diagnostics are promoted to a ValidationFailure. A ``max_depth``
+    outside 1 to MAX_DEPTH_CEILING is a ValueError.
     """
+    _check_max_depth(max_depth)
     registry = dict(builtins) if builtins else {}
     registry.update(doc.templates)
     out = []

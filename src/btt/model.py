@@ -286,93 +286,84 @@ def _may_carry_placeholder(defined: dict) -> bool:
     return "$" in names or "~" in names or "$" in texts
 
 
-# A node's payload shape: its kind, the class of each payload field, and
-# whether args and script are empty. When args is a dict, script a tuple
-# and the other fields text or None, the shape alone decides which keys
-# are carried and which are None, so one verdict holds for its every node.
+# A node's shape: its kind, whether it has children, the class of each
+# payload field, and whether args and script are empty. When the kind is
+# text, args a dict, script a tuple and the other fields text or None, the
+# shape decides what the per-node rules say: one verdict holds for them all.
 _TEXT_CLASSES = {str, type(None)}
-_UNJUDGED = object()
 
 
-def _payload_verdict(nd: NodeDef, shape, verdicts) -> str | None:
-    """What is wrong with a primary-kind node's payload, or None: a key
-    its kind does not take, a required key missing, or an optional key
-    without its default. Kept in ``verdicts`` if the shape decides it."""
+def _node_verdict(nd: NodeDef) -> tuple:
+    """The (code, message) pairs the per-node rules give ``nd``, in order:
+    its kind, its children, then its payload (see payload_problem), whose
+    optional keys an expanded leaf carries with their defaults."""
     kind = nd.type
-    unset = [key for key, default in LEAF_PAYLOAD.get(kind, {}).items()
+    if kind not in PRIMARY_KINDS:
+        return (("UNKNOWN_TYPE", f"type '{kind}' is not a primary node kind"),)
+    verdict = []
+    leaf = LEAF_PAYLOAD.get(kind)
+    if leaf is not None and nd.children:
+        verdict.append(("LEAF_WITH_CHILDREN", f"{kind} node must not have children"))
+    elif leaf is None and not nd.children:
+        verdict.append(("CONTROL_WITHOUT_CHILDREN", f"{kind} node requires at least one child"))
+    unset = [key for key, default in (leaf or {}).items()
              if default is not None and getattr(nd, PAYLOAD_FIELDS[key]) is None]
-    verdict = payload_problem(nd, kind) or unset and f"a {kind} node has no '{unset[0]}'" or None
-    _, args, _, if_, then, else_, script, _, result = shape
-    if args is dict and script is tuple and {if_, then, else_, result} <= _TEXT_CLASSES:
-        verdicts[shape] = verdict
-    return verdict
+    problem = payload_problem(nd, kind) or unset and f"a {kind} node has no '{unset[0]}'"
+    if problem:
+        verdict.append(("BAD_NODE", problem))
+    return tuple(verdict)
 
 
 def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
-    """Check all structural invariants; return one Diagnostic per violation.
+    """Check all structural invariants; return one Diagnostic per violation,
+    located at the node it names (a duplicate name at its later copy).
 
     Pure and deterministic: the same tree always yields the same list in
     the same order. An empty list means the tree is valid.
     """
     diags = []
+
+    def flag(code, name, message, nd=None):
+        diags.append(Diagnostic(code, name, message, None if nd is None else nd.span))
+
     nodes = tree.nodes
     defined = tree.by_name()
     if len(defined) != len(nodes):
         seen = set()
         for nd in nodes:
             if nd.name in seen:
-                diags.append(
-                    Diagnostic("DUPLICATE_NAME", nd.name, "node name defined more than once")
-                )
+                flag("DUPLICATE_NAME", nd.name, "node name defined more than once", nd)
             seen.add(nd.name)
 
     residue = _may_carry_placeholder(defined)
-    verdicts = {}  # payload shape -> verdict
+    verdicts = {}  # shape -> verdict
     parent = {}  # child entry -> the last node listing it
     entries = 0  # child entries of all nodes
     dangling = False
     for nd in defined.values():
-        kind = nd.type
-        children = nd.children
-        if kind not in PRIMARY_KINDS:
-            diags.append(
-                Diagnostic("UNKNOWN_TYPE", nd.name,
-                           f"type '{kind}' is not a primary node kind")
-            )
-        else:
-            if kind in LEAF_PAYLOAD and children:
-                diags.append(
-                    Diagnostic("LEAF_WITH_CHILDREN", nd.name,
-                               f"{kind} node must not have children")
-                )
-            elif kind not in LEAF_PAYLOAD and not children:
-                diags.append(
-                    Diagnostic("CONTROL_WITHOUT_CHILDREN", nd.name,
-                               f"{kind} node requires at least one child")
-                )
-            args, script = nd.args, nd.script
-            shape = (kind, args.__class__, not args, nd.if_.__class__, nd.then.__class__,
-                     nd.else_.__class__, script.__class__, not script, nd.result.__class__)
-            problem = verdicts.get(shape, _UNJUDGED)
-            if problem is _UNJUDGED:
-                problem = _payload_verdict(nd, shape, verdicts)
-            if problem:
-                diags.append(Diagnostic("BAD_NODE", nd.name, problem))
+        kind, children, args, script = nd.type, nd.children, nd.args, nd.script
+        shape = (kind, not children, args.__class__, not args, nd.if_.__class__,
+                 nd.then.__class__, nd.else_.__class__, script.__class__, not script,
+                 nd.result.__class__)
+        verdict = verdicts.get(shape)
+        if verdict is None:
+            verdict = _node_verdict(nd)
+            if (kind.__class__ is str and args.__class__ is dict and script.__class__ is tuple
+                    and {nd.if_.__class__, nd.then.__class__, nd.else_.__class__,
+                         nd.result.__class__} <= _TEXT_CLASSES):
+                verdicts[shape] = verdict
+        for code, message in verdict:
+            flag(code, nd.name, message, nd)
         if residue and _texts_with_placeholder(nd):
-            diags.append(
-                Diagnostic("UNSUBSTITUTED_PLACEHOLDER", nd.name,
-                           "node carries an unsubstituted '$' or '~'")
-            )
+            flag("UNSUBSTITUTED_PLACEHOLDER", nd.name,
+                 "node carries an unsubstituted '$' or '~'", nd)
         if children:
             entries += len(children)
             for child in children:
                 parent[child] = nd.name
                 if child not in defined:
                     dangling = True
-                    diags.append(
-                        Diagnostic("UNRESOLVED_CHILD", nd.name,
-                                   f"child '{child}' is not defined")
-                    )
+                    flag("UNRESOLVED_CHILD", nd.name, f"child '{child}' is not defined", nd)
 
     shared = entries != len(parent)  # some entry is listed more than once
     if shared:
@@ -384,16 +375,12 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
         for nd in defined.values():
             ps = parents.get(nd.name, ())
             if len(ps) > 1:
-                diags.append(
-                    Diagnostic("MULTIPLE_PARENTS", nd.name,
-                               f"listed as child of multiple nodes: {', '.join(ps)}")
-                )
+                flag("MULTIPLE_PARENTS", nd.name,
+                     f"listed as child of multiple nodes: {', '.join(ps)}", nd)
 
     root = tree.root
     if root not in defined:
-        diags.append(
-            Diagnostic("BAD_ROOT", root, "root does not name a defined node")
-        )
+        flag("BAD_ROOT", root, "root does not name a defined node")
         return diags
 
     if shared or dangling or root in parent:
@@ -406,16 +393,12 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
             reached.extend(defined[name].children)
         cycle_hits = ()
     for hit in cycle_hits:
-        diags.append(
-            Diagnostic("CYCLE", hit, "node participates in a reference cycle")
-        )
+        flag("CYCLE", hit, "node participates in a reference cycle", defined[hit])
     if len(reached) != len(defined):
         reached = set(reached)
-        for name in defined:
+        for name, nd in defined.items():
             if name not in reached:
-                diags.append(
-                    Diagnostic("UNREACHABLE", name, "node is not reachable from the root")
-                )
+                flag("UNREACHABLE", name, "node is not reachable from the root", nd)
     return diags
 
 

@@ -42,6 +42,8 @@ from btt.model import (
     PAYLOAD_FIELDS,
     PRIMARY_KINDS,
     TEMPLATED_PAYLOAD,
+    EmptyArgs,
+    EmptyScript,
     value_tag,
 )
 
@@ -489,10 +491,13 @@ _ABSENT = (None, (), {})
 
 
 def _payload_problem(nd, kind):
-    """btt.model.payload_problem as the reference expander shipped with it."""
+    """btt.model.payload_problem written out again: a key counts as carried
+    when its value is not empty, or when the parser marked it as written
+    empty (EmptyScript, EmptyArgs)."""
     takes = TEMPLATED_PAYLOAD if kind is None else LEAF_PAYLOAD.get(kind, {})
     for key, fld in PAYLOAD_FIELDS.items():
-        if getattr(nd, fld) in _ABSENT:
+        value = getattr(nd, fld)
+        if value in _ABSENT and not isinstance(value, (EmptyScript, EmptyArgs)):
             if key in takes and takes[key] is None:
                 return f"a {kind} node requires '{key}'"
         elif key not in takes:

@@ -349,6 +349,52 @@ nodes:
     assert run_cli(capsys, "expand", doc)[0] == 0
 
 
+def _template_chain(tmp_path, length):
+    """A document whose templates t0 ... t<length - 1> each instantiate the next."""
+    lines = ["templates:"]
+    for i in range(length):
+        body = f"t{i + 1}" if i + 1 < length else "action"
+        lines += [f"  t{i}:", '    root: "~"', "    nodes:", f'      "~": {{type: {body}}}']
+    lines += ["root: a", "nodes:", "  a: {type: t0}"]
+    return write(tmp_path, "chain.yaml", "\n".join(lines) + "\n")
+
+
+def test_max_depth_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
+    doc = _template_chain(tmp_path, 1200)
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", str(doc), "--max-depth", "5000"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.endswith("error: argument --max-depth: must be <= 256\n")
+    assert "Traceback" not in err
+
+
+def test_a_chain_deeper_than_the_ceiling_exceeds_it(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "expand", _template_chain(tmp_path, 300),
+                             "--max-depth", 256)
+    assert (code, out) == (3, "")
+    assert err.startswith("DEPTH_EXCEEDED: a: template nesting deeper than 256 ")
+
+
+@pytest.mark.parametrize("command", ["expand", "validate", "run"])
+def test_validation_diagnostics_are_located_at_their_nodes(tmp_path, capsys, command):
+    doc = write(tmp_path, "u.yaml",
+                "nodes:\n  a: {type: sequence, children: [b]}\n  c: {type: action}\nroot: a\n")
+    code, out, err = run_cli(capsys, command, doc)
+    assert (code, out) == (3, "")
+    assert err == (f"{doc}:2:6: UNRESOLVED_CHILD: a: child 'b' is not defined\n"
+                   f"{doc}:3:6: UNREACHABLE: c: node is not reachable from the root\n")
+
+
+def test_a_validation_diagnostic_in_a_builtin_is_located_at_its_pattern(tmp_path, capsys):
+    doc = write(tmp_path, "l.yaml",
+                "root: top\nnodes: {top: {type: latch, children: [missing]}}\n")
+    code, out, err = run_cli(capsys, "expand", doc)
+    assert (code, out) == (3, "")
+    assert err == ("btt:templates/latch.yaml:14:9: UNRESOLVED_CHILD: top: "
+                   "child 'missing' is not defined\n")
+
+
 def test_diagnostic_in_a_builtin_names_the_builtin_file(tmp_path, capsys):
     """A document's own latch instantiating sequence_star, which wraps each
     child in a latch: the recursion is found at the builtin's ~/latch_$i."""

@@ -1,11 +1,13 @@
 import gc
 import itertools
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from btt import (
+    DumpError,
     Engine,
     EngineError,
     NodeKind,
@@ -310,6 +312,17 @@ def test_render_formats():
     assert render_trace_event(TraceEvent(3, "a/b", R)) == "3\ta/b\tRUNNING"
     dump = render_memory_dump({"b": 2, "a": True, "c": "x", "d": S})
     assert dump == "a = true\nb = 2\nc = x\nd = SUCCESS"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on integer-to-text conversion")
+def test_a_memory_dump_names_the_first_key_it_cannot_write():
+    long = 10 ** 4300
+    with pytest.raises(DumpError) as exc:
+        render_memory_dump({"c": long, "a": 1, "b": -long})
+    assert exc.value.render() == ("RUNTIME_ERROR: b: memory value is an integer of more "
+                                  "than 4300 digits, too long to write")
+    assert render_memory_dump({"a": long - 1}) == f"a = {'9' * 4300}"
 
 
 # --- per-tick state -------------------------------------------------------

@@ -517,6 +517,22 @@ def test_validation_diagnostics_promoted_to_errors():
     e = expand_err("root: a\nnodes:\n  a: {type: sequence, children: [ghost]}\n")
     assert isinstance(e, ValidationFailure)
     assert e.code == "UNRESOLVED_CHILD"
+    assert (e.span.line, e.span.column) == (3, 6) == (e.diagnostics[0].span.line,
+                                                      e.diagnostics[0].span.column)
+
+
+@pytest.mark.parametrize("max_depth", [0, -1, 257, 5000])
+def test_a_max_depth_outside_1_to_256_is_a_value_error(max_depth):
+    doc = parse_document("root: a\nnodes:\n  a: {type: action}\n")
+    with pytest.raises(ValueError, match="max_depth must be from 1 to 256"):
+        expand_document(doc, max_depth=max_depth)
+    tmpl = TemplateDef("t", (), {"~": NodeDef("~", "action")}, "~")
+    with pytest.raises(ValueError, match="max_depth must be from 1 to 256"):
+        instantiate(tmpl, NodeDef("a", "t"), {"t": tmpl}, max_depth=max_depth)
+    for cap in (1, 256):
+        assert [nd.name for nd in expand_document(doc, max_depth=cap).nodes] == ["a"]
+        assert [nd.name for nd in instantiate(tmpl, NodeDef("a", "t"), {"t": tmpl},
+                                              max_depth=cap)] == ["a"]
 
 
 # --- laws ----------------------------------------------------------------

@@ -222,6 +222,10 @@ def fault(doc, rng, site=None):
     elif code == "BAD_NODE":
         if node["type"] in CONTROL + ["condition", "action"]:  # a kind its payload misfits
             kind = {"condition": "action"}.get(node["type"], "condition")
+            if rng.random() < 0.4:  # or its own kind with an empty key written, which
+                kind = node["type"]  # is a fault but for an action's script
+                key = rng.choice(["args", "script"])
+                node.setdefault(key, {} if key == "args" else [])
             tmpl["args"].append({"name": "kk", "kind": "scalar", "default": kind})
             node["type"] = "$kk"
         else:  # a templated node with a leaf payload key

@@ -10,6 +10,7 @@ from btt import (
     ExpandedTree,
     NodeDef,
     ReturnState,
+    SourceSpan,
     diagnostic_render,
     dfs_preorder,
     validate_expanded,
@@ -291,6 +292,27 @@ def test_validation_matches_the_reference(t):
     # the message and the order too, not only what Diagnostic compares
     assert ([diagnostic_render(d) for d in validate_expanded(t)]
             == [diagnostic_render(d) for d in reference_validate_expanded(t)])
+
+
+@settings(max_examples=600)
+@given(t=st.one_of(_soup(), _mostly_tree()))
+def test_every_diagnostic_is_located_at_the_node_it_names(t):
+    """Each node gets its own span. A duplicate name is located at its
+    later copy, the root naming no node nowhere, and every other
+    diagnostic at the first node of the name it names."""
+    nodes = tuple(replace(nd, span=SourceSpan(i + 1, 1)) for i, nd in enumerate(t.nodes))
+    diags = validate_expanded(ExpandedTree(nodes, t.root))
+    first, copies = {}, []
+    for nd in nodes:
+        if nd.name in first:
+            copies.append(nd.span)
+        first.setdefault(nd.name, nd)
+    assert [d.span for d in diags if d.code == "DUPLICATE_NAME"] == copies
+    for d in diags:
+        if d.code == "BAD_ROOT":
+            assert d.span is None
+        elif d.code != "DUPLICATE_NAME":
+            assert d.span == first[d.node].span, d
 
 
 @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.name)
