@@ -42,7 +42,6 @@ from .exprs import (
     Unary,
     Var,
     eval_expr,
-    eval_state_expr,
     parse_assignment,
     parse_expr,
     print_expr,

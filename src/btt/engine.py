@@ -28,7 +28,7 @@ from .model import (
     ExpandedTree,
     NodeKind,
     ReturnState,
-    validate_expanded,
+    require_valid,
     value_text,
 )
 
@@ -174,10 +174,7 @@ class Engine:
                  memory: dict | None = None):
         # A valid tree gives each node one parent and the root none, so the
         # walk from the root cannot meet a cycle and a tick always ends.
-        diags = () if tree.validated else validate_expanded(tree)
-        if diags:
-            raise EngineError("NOT_A_TREE", f"tree fails validation: {diags[0].code} "
-                              f"on '{diags[0].node}'")
+        require_valid(tree, EngineError, "NOT_A_TREE")
         self.tree = tree
         self.memory = memory if memory is not None else {}
         self.scenario = scenario

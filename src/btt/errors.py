@@ -45,7 +45,8 @@ class ExprError(BttError):
 
 
 class ExpandError(BttError):
-    """Template instantiation failure. ``chain`` is the instantiation stack."""
+    """Template instantiation failure. ``chain`` is the instantiation stack;
+    one of more than 8 names renders as its first and last three."""
 
     def __init__(self, code, message, *, subject=None, span=None, chain=()):
         self.chain = tuple(chain)
@@ -53,8 +54,11 @@ class ExpandError(BttError):
 
     def render(self):
         base = super().render()
-        if self.chain:
-            return f"{base} (while instantiating {' -> '.join(self.chain)})"
+        chain = self.chain
+        if len(chain) > 8:
+            chain = (*chain[:3], f"... {len(chain) - 6} more ...", *chain[-3:])
+        if chain:
+            return f"{base} (while instantiating {' -> '.join(chain)})"
         return base
 
 

@@ -66,29 +66,16 @@ _UNBOUND = object()
 def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> dict:
     """The instance's values for the template's params: node names from
     its children, scalars and lists from its args or their defaults."""
-    values = {}
-    node_params = [p for p in tmpl.params if p.kind in ("node", "nodes")]
-    singles = [p for p in node_params if p.kind == "node"]
-    variadic = node_params[-1] if node_params and node_params[-1].kind == "nodes" else None
-    children = list(inst.children)
-    if variadic is None:
-        if len(children) != len(singles):
-            raise ExpandError(
-                "ARITY_MISMATCH",
-                f"template '{tmpl.name}' takes {len(singles)} child(ren), got {len(children)}",
-                subject=inst.name, span=inst.span)
-    elif len(children) < len(singles) + 1:
-        raise ExpandError(
-            "ARITY_MISMATCH",
-            f"template '{tmpl.name}' takes at least {len(singles) + 1} children, "
-            f"got {len(children)}",
-            subject=inst.name, span=inst.span)
-    for i, p in enumerate(singles):
-        values[p.name] = children[i]
+    _, _, singles, variadic, declared, scalars = _plan(tmpl)
+    children = inst.children
+    n, least = len(children), len(singles) + (variadic is not None)
+    if n < least or variadic is None and n > least:
+        takes = f"{least} child(ren)" if variadic is None else f"at least {least} children"
+        raise ExpandError("ARITY_MISMATCH", f"template '{tmpl.name}' takes {takes}, got {n}",
+                          subject=inst.name, span=inst.span)
+    values = dict(zip(singles, children))
     if variadic is not None:
-        values[variadic.name] = tuple(children[len(singles):])
-
-    declared = {p.name: p for p in tmpl.params}
+        values[variadic] = tuple(children[len(singles):])
     for key, v in inst.args.items():
         p = declared.get(key)
         if p is None:
@@ -105,15 +92,14 @@ def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> dict:
             raise ExpandError("KIND_MISMATCH", f"arg '{key}' expects a list, got a scalar",
                               subject=inst.name, span=inst.span)
         values[key] = v
-    for p in tmpl.params:
-        if p.kind in ("scalar", "scalar-list") and p.name not in values:
-            if p.default is not None:
-                values[p.name] = p.default
-            else:
+    for name, default in scalars:
+        if name not in values:
+            if default is None:
                 raise ExpandError(
                     "MISSING_ARG",
-                    f"arg '{p.name}' of template '{tmpl.name}' has no value and no default",
+                    f"arg '{name}' of template '{tmpl.name}' has no value and no default",
                     subject=inst.name, span=inst.span)
+            values[name] = default
     return values
 
 
@@ -256,9 +242,18 @@ def _compile_level(body):
 
 
 def _plan(tmpl):
-    """The template's compiled body and root, built on first use."""
+    """The template's compiled body and root, then its signature: the single
+    and the variadic node params, the params by name and the scalar params
+    with their defaults. Built on first use."""
     if tmpl.plan is None:
-        object.__setattr__(tmpl, "plan", (_compile_level(tmpl.body), _compile(tmpl.root)))
+        nodes = [p for p in tmpl.params if p.kind in ("node", "nodes")]
+        object.__setattr__(tmpl, "plan", (
+            _compile_level(tmpl.body), _compile(tmpl.root),
+            tuple(p.name for p in nodes if p.kind == "node"),
+            nodes[-1].name if nodes and nodes[-1].kind == "nodes" else None,
+            {p.name: p for p in tmpl.params},
+            tuple((p.name, p.default) for p in tmpl.params
+                  if p.kind in ("scalar", "scalar-list"))))
     return tmpl.plan
 
 
@@ -277,7 +272,7 @@ class _NodeDef:
         self.__class__ = NodeDef
 
 
-def _collect(level, env, stack, items):
+def _collect(level, env, items):
     """Append ``(local name, node plan, env, emitted)`` for each body node of a
     level, unrolling its blocks; ``emitted`` maps block names to emitted names."""
     emitted = {}
@@ -290,14 +285,14 @@ def _collect(level, env, stack, items):
             except _Unfilled as exc:
                 raise exc.at(env[_INSTANCE], entry.pattern.span) from None
         else:
-            emitted[entry[0]] = _unroll(entry, env, stack, items)
+            emitted[entry[0]] = _unroll(entry, env, items)
 
 
-def _unroll(plan, env, stack, items):
+def _unroll(plan, env, items):
     _, block, list_key, emit, body, emit_at = plan
 
     def error(code, message, subject=block.list_ref):
-        return ExpandError(code, message, subject=subject, span=block.span, chain=stack)
+        return ExpandError(code, message, subject=subject, span=block.span)
 
     if list_key is None:
         raise error("NOT_A_LIST",
@@ -313,7 +308,7 @@ def _unroll(plan, env, stack, items):
     for k, elem in enumerate(value):
         ienv = {**env, var: elem, index: k}
         start = len(items)
-        _collect(body, ienv, stack, items)
+        _collect(body, ienv, items)
         for i in range(start, len(items)):
             name = items[i][0]
             if name in seen:
@@ -376,15 +371,15 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
         if len(stack) > max_depth:
             raise ExpandError("DEPTH_EXCEEDED",
                               f"template nesting deeper than {max_depth}",
-                              subject=inst.name, chain=stack)
+                              subject=inst.name, span=inst.span)
         problem = payload_problem(inst, None)  # a templated node takes only args
         if problem is not None:
             raise ExpandError("BAD_NODE", problem, subject=inst.name, span=inst.span)
         env = bind_arguments(tmpl, inst)
         instance = env[_INSTANCE] = inst.name
-        level, root = _plan(tmpl)
+        level, root = _plan(tmpl)[:2]
         items = []
-        _collect(level, env, stack, items)
+        _collect(level, env, items)
 
         prefix = instance + "/"
         try:
@@ -436,7 +431,7 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
                     if type_ in stack:
                         raise ExpandError("RECURSIVE_TEMPLATE",
                                           f"template '{type_}' is already being expanded",
-                                          subject=final, span=span, chain=stack)
+                                          subject=final, span=span)
                     if not NAME_RE.fullmatch(final):
                         raise _invalid_name(final, span)
                     # the pattern's leaf payload rides along for instantiate to reject
@@ -448,7 +443,7 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
                 else:
                     raise ExpandError("UNKNOWN_TYPE",
                                       f"type '{type_}' is neither a primary kind nor a template",
-                                      subject=final, span=span, chain=stack)
+                                      subject=final, span=span)
         except _Unfilled as exc:  # a fill of the current item's texts
             raise exc.at(final, span) from None
         return out

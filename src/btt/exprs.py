@@ -450,13 +450,6 @@ def not_a_state(v: Value) -> ExprError:
     return ExprError("NOT_A_STATE", f"expected a return state, got {value_tag(v)}")
 
 
-def eval_state_expr(e: Expr, memory: Mapping[str, Value]) -> ReturnState:
-    v = compile_expr(e)(memory)
-    if not isinstance(v, ReturnState):
-        raise not_a_state(v)
-    return v
-
-
 # --- printing ------------------------------------------------------------
 
 def _level(e):

@@ -11,8 +11,9 @@ import enum
 import keyword
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, is_not
 from typing import Union
 
 # Node names, memory keys and expression identifiers share one alphabet;
@@ -152,6 +153,7 @@ _ABSENT = (None, (), {})
 _WRITTEN = (EmptyScript, EmptyArgs)
 _NAME, _TYPE, _CHILDREN, _SCRIPT = map(attrgetter, ("name", "type", "children", "script"))
 _TEXTS = tuple(map(attrgetter, ("if_", "then", "else_", "result")))
+_CARRIED = partial(is_not, None)  # a payload text the node carries
 
 
 def payload_problem(nd: NodeDef, kind: str | None) -> str | None:
@@ -263,23 +265,38 @@ def diagnostic_render(d: Diagnostic) -> str:
     return f"{d.code}: {d.node}: {d.message}"
 
 
-def _texts_with_placeholder(nd: NodeDef):
-    # "$" is residue anywhere; "~" only counts in name positions, since
-    # quoted expression text may legitimately contain a tilde.
-    names = "".join((nd.name, nd.type, *nd.children))
-    return ("$" in names or "~" in names
-            or "$" in f"{nd.if_}{nd.then}{nd.else_}{nd.result}{''.join(nd.script or ())}")
+def _text_problems(nd: NodeDef) -> list:
+    """The (code, message) pairs the per-node text rules give ``nd``: a name,
+    payload text or script line that is not text is BAD_NODE; then "$" in
+    any text, or "~" in a name position, is residue, since quoted expression
+    text may legitimately contain a tilde. A type or child that is not text
+    is left to the kind and children rules."""
+    texts = [("the name", nd.name)]
+    texts += [(f"'{key}'", v) for key, v in zip(("if", "then", "else", "result"),
+                                                 (nd.if_, nd.then, nd.else_, nd.result))
+              if v is not None]  # None: the node does not carry the key
+    texts += [("a 'script' line", line) for line in nd.script or ()]
+    problems = []
+    for what, v in texts:
+        if not isinstance(v, str):
+            problems.append(("BAD_NODE", f"{what} must be text, not {type(v).__name__}"))
+            break
+    names = "".join(t for t in (nd.name, nd.type, *nd.children) if isinstance(t, str))
+    payload = "".join(v for _, v in texts[1:] if isinstance(v, str))
+    if "$" in names or "~" in names or "$" in payload:
+        problems.append(("UNSUBSTITUTED_PLACEHOLDER", "node carries an unsubstituted '$' or '~'"))
+    return problems
 
 
 def _may_carry_placeholder(defined: dict) -> bool:
-    """False only if no node of ``defined`` carries residue: one scan over
-    all their texts, so that the per-node test runs only on a tree that may
-    fail it. A value that is not text makes it answer True."""
+    """False only if no node of ``defined`` carries residue or a value that
+    is not text: one scan over all their texts, so that the per-node text
+    rules run only on a tree that may fail them."""
     nodes = defined.values()
     try:
         names = "".join(chain(defined, map(_TYPE, nodes),
                               chain.from_iterable(map(_CHILDREN, nodes))))
-        texts = "".join(chain(*(filter(None, map(text, nodes)) for text in _TEXTS),
+        texts = "".join(chain(*(filter(_CARRIED, map(text, nodes)) for text in _TEXTS),
                               chain.from_iterable(filter(None, map(_SCRIPT, nodes)))))
     except TypeError:
         return True
@@ -354,9 +371,9 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
                 verdicts[shape] = verdict
         for code, message in verdict:
             flag(code, nd.name, message, nd)
-        if residue and _texts_with_placeholder(nd):
-            flag("UNSUBSTITUTED_PLACEHOLDER", nd.name,
-                 "node carries an unsubstituted '$' or '~'", nd)
+        if residue:
+            for code, message in _text_problems(nd):
+                flag(code, nd.name, message, nd)
         if children:
             entries += len(children)
             for child in children:
@@ -376,7 +393,7 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
             ps = parents.get(nd.name, ())
             if len(ps) > 1:
                 flag("MULTIPLE_PARENTS", nd.name,
-                     f"listed as child of multiple nodes: {', '.join(ps)}", nd)
+                     f"listed as child of multiple nodes: {', '.join(map(str, ps))}", nd)
 
     root = tree.root
     if root not in defined:
@@ -400,6 +417,15 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
             if name not in reached:
                 flag("UNREACHABLE", name, "node is not reachable from the root", nd)
     return diags
+
+
+def require_valid(tree: ExpandedTree, error, code: str) -> None:
+    """Trust a tree that ``expand_document`` marked, validate any other, and
+    refuse a failing one as ``error(code, ...)`` at its first diagnostic."""
+    diags = () if tree.validated else validate_expanded(tree)
+    if diags:
+        d = diags[0]
+        raise error(code, f"tree fails validation: {d.code} on '{d.node}'", span=d.span)
 
 
 def _depth_first(defined, root):

@@ -53,7 +53,7 @@ from .model import (
     ParamDecl,
     TemplateDef,
     dfs_preorder,
-    validate_expanded,
+    require_valid,
 )
 
 
@@ -530,13 +530,9 @@ def serialize_expanded(tree: ExpandedTree) -> str:
     Nodes appear in depth-first pre-order from the root; per-node keys are
     in fixed order (type, if, then, else, script, result, children) with
     defaulted fields omitted. Two-space indent, LF endings, byte-identical
-    across runs for equal trees. A tree that ``expand_document`` returned
-    has been validated already; any other is validated first.
+    across runs for equal trees. The tree passes ``require_valid`` first.
     """
-    diags = () if tree.validated else validate_expanded(tree)
-    if diags:
-        raise CanonicalizeError("CANONICALIZE_ERROR",
-                                f"tree fails validation: {diags[0].code} on '{diags[0].node}'")
+    require_valid(tree, CanonicalizeError, "CANONICALIZE_ERROR")
     index = tree.by_name()
     lines = [f"root: {_flow_scalar(tree.root)}", "nodes:"]
     for name in dfs_preorder(tree):

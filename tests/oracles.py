@@ -802,7 +802,7 @@ def reference_instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
         if len(stack) > max_depth:
             raise ExpandError("DEPTH_EXCEEDED",
                               f"template nesting deeper than {max_depth}",
-                              subject=inst.name, chain=stack)
+                              subject=inst.name, span=inst.span, chain=stack)
         _check_payload(inst, None, inst.name)
         binding = _bind_arguments(tmpl, inst)
         items = _expand_body_items(tmpl.body, binding, stack)
@@ -861,20 +861,38 @@ def reference_expand_document(doc: Document, builtins: dict | None = None,
 
 # --- reference validation -------------------------------------------------
 
+def _first_non_text(nd: NodeDef):
+    """What is wrong with the first of the node's name, payload texts and
+    script lines that is not text, or None if each is text."""
+    if not isinstance(nd.name, str):
+        return f"the name must be text, not {type(nd.name).__name__}"
+    for key in ("if", "then", "else", "result"):
+        value = getattr(nd, PAYLOAD_FIELDS[key])
+        if value is not None and not isinstance(value, str):
+            return f"'{key}' must be text, not {type(value).__name__}"
+    for line in nd.script or ():
+        if not isinstance(line, str):
+            return f"a 'script' line must be text, not {type(line).__name__}"
+    return None
+
+
 def _texts_with_placeholder(nd: NodeDef):
     # "$" is residue anywhere; "~" only counts in name positions, since
-    # quoted expression text may legitimately contain a tilde.
-    names = "".join((nd.name, nd.type, *nd.children))
-    return ("$" in names or "~" in names
-            or "$" in f"{nd.if_}{nd.then}{nd.else_}{nd.result}{''.join(nd.script or ())}")
+    # quoted expression text may legitimately contain a tilde. A value that
+    # is not text carries no residue.
+    names = [t for t in (nd.name, nd.type, *nd.children) if isinstance(t, str)]
+    texts = [t for t in (nd.if_, nd.then, nd.else_, nd.result, *(nd.script or ()))
+             if isinstance(t, str)]
+    return any("$" in t or "~" in t for t in names) or any("$" in t for t in texts)
 
 
 def reference_validate_expanded(tree: ExpandedTree) -> list:
     """The validation that per-shape payload verdicts, one residue scan per
     tree and a plain walk for trees without shared children replaced: every
-    node's payload is checked key by key, every node's texts are scanned,
-    and the walk is a DFS with colours. It builds its own first-occurrence
-    index instead of calling ``tree.by_name()``."""
+    node's payload is checked key by key, every node's texts are scanned
+    (a name, payload text or script line that is not text is BAD_NODE), and
+    the walk is a DFS with colours. It builds its own first-occurrence index
+    instead of calling ``tree.by_name()``."""
     diags = []
     seen = set()
     for nd in tree.nodes:
@@ -911,6 +929,9 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
                        or unset and f"a {nd.type} node has no '{unset[0]}'")
             if problem:
                 diags.append(Diagnostic("BAD_NODE", nd.name, problem))
+        non_text = _first_non_text(nd)
+        if non_text is not None:
+            diags.append(Diagnostic("BAD_NODE", nd.name, non_text))
         if _texts_with_placeholder(nd):
             diags.append(
                 Diagnostic("UNSUBSTITUTED_PLACEHOLDER", nd.name,
@@ -933,7 +954,7 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
         if len(ps) > 1:
             diags.append(
                 Diagnostic("MULTIPLE_PARENTS", nd.name,
-                           f"listed as child of multiple nodes: {', '.join(ps)}")
+                           f"listed as child of multiple nodes: {', '.join(map(str, ps))}")
             )
 
     if tree.root not in defined:

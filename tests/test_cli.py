@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from btt import expander, textio, validate_expanded
+from btt import expander, model, textio, validate_expanded
 from btt.cli import main
 from util import (BODY_PAYLOAD_LINE, CORPUS, CORPUS_DOCS, EXAMPLES, GOLDEN,
                   LEAF_PAYLOAD_VALUES, NESTED_FORMS, TEMPLATES, body_payload_doc, nested)
@@ -36,7 +36,7 @@ def test_expand_validates_the_tree_once(monkeypatch, capsys):
         return validate_expanded(tree)
 
     monkeypatch.setattr(expander, "validate_expanded", counting)
-    monkeypatch.setattr(textio, "validate_expanded", counting)
+    monkeypatch.setattr(model, "validate_expanded", counting)
     code, out, _ = run_cli(capsys, "expand", EXAMPLES / "sequence_star.yaml")
     assert code == 0
     assert out == (GOLDEN / "sequence_star_expanded.yaml").read_text()
@@ -359,6 +359,48 @@ def _template_chain(tmp_path, length):
     return write(tmp_path, "chain.yaml", "\n".join(lines) + "\n")
 
 
+_ONE_ARG = ("templates:\n  t:\n    args:\n      - {name: a, kind: %s}\n"
+            "    root: x\n    nodes: {x: {type: action}}\nroot: r\nnodes: {r: {type: t}}\n")
+_TWO_NODE_ARGS = ("templates:\n  t:\n    args:\n      - {name: a, kind: nodes}\n"
+                  "      - {name: b, kind: %s}\n    root: x\n"
+                  "    nodes: {x: {type: sequence, children: [$a]}}\n"
+                  "root: r\nnodes: {r: {type: t, children: [c]}, c: {type: action}}\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("templates:\n  t:\n    args:\n      - {name: a, kind: scalar}\n"
+     "      - {name: a, kind: scalar}\n    root: x\n    nodes: {x: {type: action}}\n"
+     "root: r\nnodes: {r: {type: t}}\n",
+     "5:9: SCHEMA_ERROR: t: duplicate arg 'a'"),
+    (_ONE_ARG % "scalar-list, default: 1",
+     "4:9: SCHEMA_ERROR: t: scalar-list default must be a list"),
+    (_ONE_ARG % "scalar, default: [1]",
+     "4:9: SCHEMA_ERROR: t: scalar default must not be a list"),
+    (_TWO_NODE_ARGS % "nodes",
+     "3:5: SCHEMA_ERROR: t: at most one arg of kind 'nodes' is allowed"),
+    (_TWO_NODE_ARGS % "node",
+     "3:5: SCHEMA_ERROR: t: the 'nodes' arg must be the last node-kind arg"),
+    ("templates:\n  t:\n    root: x\n    nodes: {}\nroot: r\nnodes: {r: {type: t}}\n",
+     "4:12: SCHEMA_ERROR: t: template 't' must define at least one node"),
+    ("templates:\n  t:\n    args:\n      - {name: xs, kind: scalar-list}\n    root: x\n"
+     "    nodes:\n      x: {type: sequence, children: [$@b]}\n      b:\n"
+     "        foreach: {list: $xs, var: i, index: i}\n        emit: y$i\n"
+     "        nodes: {y$i: {type: action}}\nroot: r\nnodes: {r: {type: t, args: {xs: [1]}}}\n",
+     "9:18: SCHEMA_ERROR: b: foreach var and index must differ"),
+], ids=["duplicate-arg", "list-default", "scalar-default", "two-variadics", "variadic-not-last",
+        "empty-body", "var-is-index"])
+def test_template_declaration_errors_are_located(tmp_path, capsys, text, error):
+    doc = write(tmp_path, "dup.yaml", text)
+    assert run_cli(capsys, "expand", doc) == (2, "", f"{doc}:{error}\n")
+
+
+def test_zero_ticks_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(EXAMPLES / "latch.yaml"), "--ticks", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --ticks: must be >= 1\n")
+
+
 def test_max_depth_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
     doc = _template_chain(tmp_path, 1200)
     with pytest.raises(SystemExit) as exc:
@@ -370,10 +412,14 @@ def test_max_depth_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
 
 
 def test_a_chain_deeper_than_the_ceiling_exceeds_it(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "expand", _template_chain(tmp_path, 300),
-                             "--max-depth", 256)
+    """Located at the body pattern that instantiates the template past the
+    cap, with a long chain abridged to its first and last three names."""
+    doc = _template_chain(tmp_path, 300)
+    code, out, err = run_cli(capsys, "expand", doc, "--max-depth", 256)
     assert (code, out) == (3, "")
-    assert err.startswith("DEPTH_EXCEEDED: a: template nesting deeper than 256 ")
+    assert err == (f"{doc}:1025:12: DEPTH_EXCEEDED: a: template nesting deeper than 256 "
+                   "(while instantiating t0 -> t1 -> t2 -> ... 251 more ... "
+                   "-> t254 -> t255 -> t256)\n")
 
 
 @pytest.mark.parametrize("command", ["expand", "validate", "run"])

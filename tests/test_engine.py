@@ -232,6 +232,16 @@ def test_runtime_error_names_node_and_tick():
     assert list(err.events) == []
 
 
+def test_a_state_expression_that_gives_no_state_fails_the_tick():
+    eng = Engine(tree(condition("c", "true", then="1 + 1")))
+    with pytest.raises(TickError) as exc:
+        eng.tick()
+    assert str(exc.value) == ("RUNTIME_ERROR: c: tick 1: NOT_A_STATE: "
+                              "expected a return state, got integer")
+    # a state expression that gives a state is the node's result
+    assert Engine(tree(condition("c", "true", then="__STATE__/c"))).tick()[0] is E
+
+
 def test_determinism():
     def run():
         eng = Engine(latch_tree(), scenario=Scenario(actions={"goto": (R, S)}))

@@ -14,7 +14,6 @@ from btt import (
     Unary,
     Var,
     eval_expr,
-    eval_state_expr,
     parse_assignment,
     parse_expr,
     print_expr,
@@ -22,7 +21,6 @@ from btt import (
 from btt.exprs import compile_expr
 from oracles import (
     reference_eval_expr,
-    reference_eval_state_expr,
     reference_parse_assignment,
     reference_parse_expr,
 )
@@ -178,12 +176,6 @@ def test_eval_does_not_mutate_memory():
     memory = {"a": 1}
     eval_expr(parse_expr("a + 1"), memory)
     assert memory == {"a": 1}
-
-
-def test_eval_state_expr():
-    assert eval_state_expr(parse_expr("EMPTY"), {}) is E
-    assert eval_state_expr(parse_expr("__STATE__/goto"), {"__STATE__/goto": F}) is F
-    assert err(eval_state_expr, parse_expr("1 + 1"), {}).code == "NOT_A_STATE"
 
 
 # --- assignments ---------------------------------------------------------
@@ -349,8 +341,6 @@ def _outcome(evaluate, e, memory):
 def _assert_same(e, memory):
     before = dict(memory)
     assert _outcome(eval_expr, e, memory) == _outcome(reference_eval_expr, e, memory)
-    assert (_outcome(eval_state_expr, e, memory)
-            == _outcome(reference_eval_state_expr, e, memory))
     assert memory == before
 
 

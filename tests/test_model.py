@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btt import (
+    BttError,
     Diagnostic,
+    Engine,
     ExpandedTree,
     NodeDef,
     ReturnState,
     SourceSpan,
     diagnostic_render,
     dfs_preorder,
+    serialize_expanded,
     validate_expanded,
     value_text,
     values_equal,
@@ -292,6 +295,66 @@ def test_validation_matches_the_reference(t):
     # the message and the order too, not only what Diagnostic compares
     assert ([diagnostic_render(d) for d in validate_expanded(t)]
             == [diagnostic_render(d) for d in reference_validate_expanded(t)])
+
+
+# Any scalar, or None, where a node holds text; names and kinds that
+# resolve now and then, so that some trees are valid and get ticked.
+_ANY = st.one_of(st.none(), scalar_values)
+_ANY_NAME = st.one_of(st.sampled_from(["a", "b", "c"]), _ANY)
+_ANY_TEXT = st.one_of(st.sampled_from(["true", "SUCCESS", "x == 1", "n := 1"]), _ANY)
+_ANY_FIELD = {
+    "name": _ANY_NAME, "type": st.one_of(st.sampled_from(_TYPES[:6]), _ANY),
+    "children": st.lists(_ANY_NAME, max_size=3).map(tuple),
+    "if_": _ANY_TEXT, "then": _ANY_TEXT, "else_": _ANY_TEXT, "result": _ANY_TEXT,
+    "script": st.one_of(st.none(), st.lists(_ANY_TEXT, max_size=2).map(tuple)),
+}
+
+
+@st.composite
+def _any_node(draw):
+    """A well-formed node with up to three fields drawn again from anything."""
+    name = draw(st.sampled_from(["a", "b", "c"]))
+    nd = draw(st.sampled_from([action(name), condition(name, "x == 1"),
+                               control(name, "sequence", ["b"])]))
+    for fld in draw(st.lists(st.sampled_from(sorted(_ANY_FIELD)), max_size=3)):
+        nd = replace(nd, **{fld: draw(_ANY_FIELD[fld])})
+    return nd
+
+
+@settings(max_examples=600)
+@given(nodes=st.lists(_any_node(), min_size=1, max_size=4))
+def test_values_that_are_not_text_are_classified(nodes):
+    """A node field of any scalar type is judged, never a crash: a name,
+    payload text or script line that is not text is BAD_NODE; the writer
+    and the engine refuse or run the tree with a BttError at worst."""
+    t = ExpandedTree(tuple(nodes), "a")
+    diags = validate_expanded(t)
+    assert diags == reference_validate_expanded(t)
+    assert ([diagnostic_render(d) for d in diags]
+            == [diagnostic_render(d) for d in reference_validate_expanded(t)])
+    try:
+        serialize_expanded(t)
+        engine = Engine(t)
+        for _ in range(3):
+            engine.tick()
+    except BttError:
+        pass
+
+
+def test_a_non_text_name_payload_or_script_line_is_bad_node():
+    cases = [(NodeDef(1, "action", result="SUCCESS"), "the name must be text, not int"),
+             (NodeDef("a", "action", result=ReturnState.SUCCESS),
+              "'result' must be text, not ReturnState"),
+             (NodeDef("a", "condition", if_=True, then="SUCCESS", else_="FAILURE"),
+              "'if' must be text, not bool"),
+             (NodeDef("a", "action", script=("n := 1", None), result="SUCCESS"),
+              "a 'script' line must be text, not NoneType")]
+    for nd, message in cases:
+        assert validate_expanded(ExpandedTree((nd,), "a"))[:1] == [
+            Diagnostic("BAD_NODE", nd.name, message)]
+    # a kind or a child that is not text is judged by its own rule
+    assert codes(validate_expanded(ExpandedTree((NodeDef("a", 1),), "a"))) == ["UNKNOWN_TYPE"]
+    assert codes(validate_expanded(tree(control("a", "sequence", [1])))) == ["UNRESOLVED_CHILD"]
 
 
 @settings(max_examples=600)

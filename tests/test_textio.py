@@ -13,6 +13,8 @@ from btt import (
     BttError,
     CanonicalizeError,
     Document,
+    Engine,
+    EngineError,
     ExpandedTree,
     ForeachBlock,
     NodeDef,
@@ -41,6 +43,7 @@ from util import (
     TEMPLATES,
     action,
     condition,
+    control,
     expand_path,
     mutate,
     needs_libyaml,
@@ -305,11 +308,15 @@ def test_round_trip_and_fixpoint(path):
 
 def test_round_trip_survives_awkward_strings():
     t = tree(
+        control("s", "sequence", ["a", "c"]),
         action("a", script=("msg := 'a: b #c'", "n := 1"), result="RUNNING"),
+        condition("c", "x == 'a\tb'"),  # a control character is written JSON-escaped
     )
     out = serialize_expanded(t)
+    assert """    if: "x == 'a\\tb'"\n""" in out
     back = expand_document(parse_document(out))
     assert back.by_name() == t.by_name()
+    assert serialize_expanded(back) == out
 
 
 def test_serialize_rejects_invalid_trees():
@@ -341,6 +348,21 @@ def test_serialize_trusts_only_trees_that_expand_document_validated():
     with pytest.raises(CanonicalizeError):
         serialize_expanded(replace(t, nodes=t.nodes + t.nodes[-1:]))
     assert serialize_expanded(replace(t)) == serialize_expanded(t)
+
+
+def test_a_refused_tree_carries_its_first_diagnostics_span():
+    """The writer and the engine share one gate: an unmarked tree that fails
+    validation is refused, located where its first diagnostic is."""
+    t = expand_path(EXAMPLES / "sequence_star.yaml")
+    copied = replace(t, nodes=t.nodes + t.nodes[-1:])  # DUPLICATE_NAME at the copy
+    for make, error, code in ((serialize_expanded, CanonicalizeError, "CANONICALIZE_ERROR"),
+                              (Engine, EngineError, "NOT_A_TREE")):
+        with pytest.raises(error) as exc:
+            make(copied)
+        assert (exc.value.code, exc.value.subject) == (code, None)
+        assert exc.value.message == ("tree fails validation: DUPLICATE_NAME "
+                                     f"on '{t.nodes[-1].name}'")
+        assert exc.value.span == t.nodes[-1].span is not None
 
 
 # --- parse_scenario ------------------------------------------------------
