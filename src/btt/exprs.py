@@ -17,6 +17,10 @@ The binary operators, their levels and the prefix operators are written
 once, in the operator table below; the tokenizer, the parser, the compiler
 and the printer all read it.
 
+parse_expr and parse_assignment parse each shape once: beside the
+tokenizer, the splitter turns a text into its shape and its names and
+literal values (see "shapes" below).
+
 Note that IDENT may contain "-", "/" and ".", so arithmetic over variables
 needs spaces around the operators ("a - b", not "a-b").
 """
@@ -226,14 +230,15 @@ _PREFIX = {"!": _not, "-": _negate}
 _PREFIX_LEVEL = 1 + max(level for level, _ in _BINARY.values())  # atoms bind tighter still
 
 _OPERATORS = sorted({*_BINARY, *_PREFIX, ":=", "(", ")"}, key=lambda op: (-len(op), op))
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | (?P<text>'[^']*')
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_/.\-]*)
-      | (?P<op>""" + "|".join(map(re.escape, _OPERATORS)) + ")",
-    re.VERBOSE | re.ASCII,  # digits and spaces are ASCII ones, as in identifiers
-)
+# The tokens that carry a value, each a name and a pattern; the tokenizer
+# and the splitter both match them. Digits and spaces are ASCII ones, as in
+# identifiers.
+_VALUE_TOKENS = (("number", r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"), ("text", r"'[^']*'"),
+                 ("ident", r"[A-Za-z_][A-Za-z0-9_/.\-]*"))
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<ws>\s+)", *(f"(?P<{kind}>{pattern})" for kind, pattern in _VALUE_TOKENS),
+    "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"]), re.ASCII)
+_VALUE_RE = re.compile("(" + "|".join(pattern for _, pattern in _VALUE_TOKENS) + ")", re.ASCII)
 
 
 def _tokenize(text):
@@ -248,6 +253,22 @@ def _tokenize(text):
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _number(literal, offset=None):
+    """The value of the number literal ``literal`` at ``offset``: a float if
+    it is written with a point or an exponent, else an integer. A float too
+    large for a float, or an integer longer than MAX_INT_DIGITS digits, is
+    an EXPR_SYNTAX error."""
+    if "." in literal or "e" in literal or "E" in literal:
+        number = float(literal)
+        if number == math.inf:
+            raise ExprError("EXPR_SYNTAX", "float literal too large for a float", offset=offset)
+        return number
+    if len(literal) > MAX_INT_DIGITS:
+        raise ExprError("EXPR_SYNTAX", f"integer literal longer than {MAX_INT_DIGITS} digits",
+                        offset=offset)
+    return int(literal)
 
 
 # Parsing, compiling, evaluation and printing recurse once per level, so
@@ -279,6 +300,18 @@ class _Parser:
         if kind != "eof":
             raise ExprError("EXPR_SYNTAX", f"unexpected trailing {value!r}", offset=offset)
         return e
+
+    def assignment(self):
+        """``<key> := <expr>``, to the end of the text."""
+        kind, key, offset = self.tokens[0]
+        if kind != "ident" or key in _RESERVED:
+            raise ExprError("EXPR_SYNTAX", "assignment must start with a memory key",
+                            offset=offset)
+        _, op, offset = self.tokens[1]
+        if op != ":=":
+            raise ExprError("EXPR_SYNTAX", "expected ':='", offset=offset)
+        self.pos = 2
+        return Assignment(key, self.to_end())
 
     def binary(self, floor):
         """Operands joined by the binary operators of level ``floor`` or
@@ -324,16 +357,7 @@ class _Parser:
         kind, value, offset = self.tokens[self.pos]
         self.pos += 1
         if kind == "number":
-            if "." in value or "e" in value or "E" in value:
-                number = float(value)
-                if number == math.inf:
-                    raise ExprError("EXPR_SYNTAX", "float literal too large for a float",
-                                    offset=offset)
-                return Lit(number), 1
-            if len(value) > MAX_INT_DIGITS:
-                raise ExprError("EXPR_SYNTAX", f"integer literal longer than "
-                                f"{MAX_INT_DIGITS} digits", offset=offset)
-            return Lit(int(value)), 1
+            return Lit(_number(value, offset)), 1
         if kind == "text":
             return Lit(value[1:-1]), 1
         if kind == "ident":
@@ -352,21 +376,85 @@ class _Parser:
         self.fail(f"expected a value, found {value!r}" if value else "expected a value")
 
 
+# --- shapes ----------------------------------------------------------------
+#
+# Templates fill their own names, and often numbers, into the same
+# patterns. A text's shape is the text with each name, integer, float and
+# text literal replaced by a placeholder of its kind. The splitter matches
+# the tokenizer's own value patterns, so a shape's tokens are the text's
+# but for their values. Each shape is parsed once, and each text binds its
+# own values into the shape's tree, in source order. A text whose shape
+# does not parse, or with a number literal out of range, is parsed on its
+# own, so that its error and offset are its own.
+
+def _split(text):
+    """``text``'s shape and its names and literal values in source order, or
+    None if a number literal in it is out of range."""
+    parts = _VALUE_RE.split(text)  # text between tokens, then a token, and so on
+    values = []
+    for i in range(1, len(parts), 2):
+        token = parts[i]
+        first = token[0]
+        if first == "'":
+            values.append(token[1:-1])
+            parts[i] = "''"
+        elif first.isdigit():
+            try:
+                value = _number(token)
+            except ExprError:
+                return None
+            values.append(value)
+            parts[i] = "0.0" if type(value) is float else "0"
+        elif token not in _RESERVED:
+            values.append(token)
+            parts[i] = "n"
+    return "".join(parts), values
+
+
+@lru_cache(maxsize=None)
+def _parsed_shape(shape, rule):
+    """``rule``, a parser method, applied to ``shape``, or None if it fails."""
+    try:
+        return rule(_Parser(shape))
+    except ExprError:
+        return None
+
+
+_RESERVED_TYPES = {type(lit.value) for lit in _RESERVED.values()}
+
+
+def _bind(e, values):
+    """The shape tree ``e`` with its placeholders replaced, in source order,
+    by the names and values the iterator ``values`` yields."""
+    t = type(e)
+    if t is Binary:
+        return Binary(e.op, _bind(e.left, values), _bind(e.right, values))
+    if t is Var:
+        return Var(next(values))
+    if t is Lit:  # a reserved word stays; every other literal is a placeholder
+        return e if type(e.value) in _RESERVED_TYPES else Lit(next(values))
+    if t is Unary:
+        return Unary(e.op, _bind(e.operand, values))
+    return Assignment(next(values), _bind(e.value, values))
+
+
+def _parse(text, rule):
+    split = _split(text)
+    if split is not None:
+        shape, values = split
+        e = _parsed_shape(shape, rule)
+        if e is not None:
+            return _bind(e, iter(values))
+    return rule(_Parser(text))
+
+
 def parse_expr(text: str) -> Expr:
-    return _Parser(text).to_end()
+    return _parse(text, _Parser.to_end)
 
 
 def parse_assignment(text: str) -> Assignment:
     """Parse ``<key> := <expr>``. A single ``=`` is reserved and rejected."""
-    p = _Parser(text)
-    kind, key, offset = p.tokens[0]
-    if kind != "ident" or key in _RESERVED:
-        raise ExprError("EXPR_SYNTAX", "assignment must start with a memory key", offset=offset)
-    _, op, offset = p.tokens[1]
-    if op != ":=":
-        raise ExprError("EXPR_SYNTAX", "expected ':='", offset=offset)
-    p.pos = 2
-    return Assignment(key, p.to_end())
+    return _parse(text, _Parser.assignment)
 
 
 # --- compiling and evaluation ----------------------------------------------

@@ -154,6 +154,7 @@ _WRITTEN = (EmptyScript, EmptyArgs)
 _NAME, _TYPE, _CHILDREN, _SCRIPT = map(attrgetter, ("name", "type", "children", "script"))
 _TEXTS = tuple(map(attrgetter, ("if_", "then", "else_", "result")))
 _CARRIED = partial(is_not, None)  # a payload text the node carries
+_SCRIPT_CLASSES = {tuple, EmptyScript, type(None)}
 
 
 def payload_problem(nd: NodeDef, kind: str | None) -> str | None:
@@ -265,23 +266,40 @@ def diagnostic_render(d: Diagnostic) -> str:
     return f"{d.code}: {d.node}: {d.message}"
 
 
+def _sequence(v) -> bool:
+    """Whether a node's children or script ``v`` is a sequence: a tuple or a list."""
+    return isinstance(v, (tuple, list))
+
+
 def _text_problems(nd: NodeDef) -> list:
-    """The (code, message) pairs the per-node text rules give ``nd``: a name,
-    payload text or script line that is not text is BAD_NODE; then "$" in
-    any text, or "~" in a name position, is residue, since quoted expression
-    text may legitimately contain a tilde. A type or child that is not text
-    is left to the kind and children rules."""
+    """The (code, message) pairs the per-node text rules give ``nd``: the
+    first of a name, payload text or script line that is not text, a script
+    that is neither None nor a sequence, and children that are not a
+    sequence, is BAD_NODE; then "$" in any text, or "~" in a name position,
+    is residue, since quoted expression text may legitimately contain a
+    tilde. A script or children that are not a sequence hold no text, and a
+    type or child that is not text is left to the kind and children rules."""
+    script = () if nd.script is None else nd.script
+    children = nd.children
     texts = [("the name", nd.name)]
     texts += [(f"'{key}'", v) for key, v in zip(("if", "then", "else", "result"),
                                                  (nd.if_, nd.then, nd.else_, nd.result))
               if v is not None]  # None: the node does not carry the key
-    texts += [("a 'script' line", line) for line in nd.script or ()]
+    texts += [("a 'script' line", line) for line in (script if _sequence(script) else ())]
     problems = []
     for what, v in texts:
         if not isinstance(v, str):
             problems.append(("BAD_NODE", f"{what} must be text, not {type(v).__name__}"))
             break
-    names = "".join(t for t in (nd.name, nd.type, *nd.children) if isinstance(t, str))
+    else:
+        for key, v in (("script", script), ("children", children)):
+            if not _sequence(v):
+                problems.append(("BAD_NODE", f"'{key}' must be a sequence of text, "
+                                 f"not {type(v).__name__}"))
+                break
+    if not _sequence(children):
+        children = ()
+    names = "".join(t for t in (nd.name, nd.type, *children) if isinstance(t, str))
     payload = "".join(v for _, v in texts[1:] if isinstance(v, str))
     if "$" in names or "~" in names or "$" in payload:
         problems.append(("UNSUBSTITUTED_PLACEHOLDER", "node carries an unsubstituted '$' or '~'"))
@@ -289,10 +307,14 @@ def _text_problems(nd: NodeDef) -> list:
 
 
 def _may_carry_placeholder(defined: dict) -> bool:
-    """False only if no node of ``defined`` carries residue or a value that
-    is not text: one scan over all their texts, so that the per-node text
-    rules run only on a tree that may fail them."""
+    """False only if no node of ``defined`` carries residue, a value that is
+    not text, or children or a script that is not a tuple: one scan over all
+    their texts, so that the per-node text rules run only on a tree that may
+    fail them."""
     nodes = defined.values()
+    if not ({*map(type, map(_CHILDREN, nodes))} <= {tuple}
+            and {*map(type, map(_SCRIPT, nodes))} <= _SCRIPT_CLASSES):
+        return True
     try:
         names = "".join(chain(defined, map(_TYPE, nodes),
                               chain.from_iterable(map(_CHILDREN, nodes))))
@@ -352,7 +374,12 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
                 flag("DUPLICATE_NAME", nd.name, "node name defined more than once", nd)
             seen.add(nd.name)
 
-    residue = _may_carry_placeholder(defined)
+    problems = {}  # name -> what the text rules say, if they run
+    if _may_carry_placeholder(defined):
+        problems = {name: _text_problems(nd) for name, nd in defined.items()}
+        # every other rule reads children that are not a sequence as none
+        defined = {name: nd if _sequence(nd.children) else replace(nd, children=())
+                   for name, nd in defined.items()}
     verdicts = {}  # shape -> verdict
     parent = {}  # child entry -> the last node listing it
     entries = 0  # child entries of all nodes
@@ -371,8 +398,8 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
                 verdicts[shape] = verdict
         for code, message in verdict:
             flag(code, nd.name, message, nd)
-        if residue:
-            for code, message in _text_problems(nd):
+        if problems:
+            for code, message in problems[nd.name]:
                 flag(code, nd.name, message, nd)
         if children:
             entries += len(children)

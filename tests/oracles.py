@@ -861,27 +861,43 @@ def reference_expand_document(doc: Document, builtins: dict | None = None,
 
 # --- reference validation -------------------------------------------------
 
+def _is_sequence(v):
+    return isinstance(v, (tuple, list))
+
+
+def _listed(nd: NodeDef):
+    """The node's children, or none if they are not a tuple or list."""
+    return nd.children if _is_sequence(nd.children) else ()
+
+
 def _first_non_text(nd: NodeDef):
-    """What is wrong with the first of the node's name, payload texts and
-    script lines that is not text, or None if each is text."""
+    """What is wrong with the first of the node's name, payload texts,
+    script lines, script and children that is not text (a script: None or
+    a tuple or list; children: a tuple or list), or None if each is."""
     if not isinstance(nd.name, str):
         return f"the name must be text, not {type(nd.name).__name__}"
     for key in ("if", "then", "else", "result"):
         value = getattr(nd, PAYLOAD_FIELDS[key])
         if value is not None and not isinstance(value, str):
             return f"'{key}' must be text, not {type(value).__name__}"
-    for line in nd.script or ():
-        if not isinstance(line, str):
-            return f"a 'script' line must be text, not {type(line).__name__}"
+    if _is_sequence(nd.script):
+        for line in nd.script:
+            if not isinstance(line, str):
+                return f"a 'script' line must be text, not {type(line).__name__}"
+    elif nd.script is not None:
+        return f"'script' must be a sequence of text, not {type(nd.script).__name__}"
+    if not _is_sequence(nd.children):
+        return f"'children' must be a sequence of text, not {type(nd.children).__name__}"
     return None
 
 
 def _texts_with_placeholder(nd: NodeDef):
     # "$" is residue anywhere; "~" only counts in name positions, since
     # quoted expression text may legitimately contain a tilde. A value that
-    # is not text carries no residue.
-    names = [t for t in (nd.name, nd.type, *nd.children) if isinstance(t, str)]
-    texts = [t for t in (nd.if_, nd.then, nd.else_, nd.result, *(nd.script or ()))
+    # is not text, or a script that is not a sequence, carries no residue.
+    script = nd.script if _is_sequence(nd.script) else ()
+    names = [t for t in (nd.name, nd.type, *_listed(nd)) if isinstance(t, str)]
+    texts = [t for t in (nd.if_, nd.then, nd.else_, nd.result, *script)
              if isinstance(t, str)]
     return any("$" in t or "~" in t for t in names) or any("$" in t for t in texts)
 
@@ -890,9 +906,10 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
     """The validation that per-shape payload verdicts, one residue scan per
     tree and a plain walk for trees without shared children replaced: every
     node's payload is checked key by key, every node's texts are scanned
-    (a name, payload text or script line that is not text is BAD_NODE), and
-    the walk is a DFS with colours. It builds its own first-occurrence index
-    instead of calling ``tree.by_name()``."""
+    (a name, payload text or script line that is not text is BAD_NODE, and
+    so is a script or children that is not a sequence; such children are
+    read as none), and the walk is a DFS with colours. It builds its own
+    first-occurrence index instead of calling ``tree.by_name()``."""
     diags = []
     seen = set()
     for nd in tree.nodes:
@@ -912,12 +929,12 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
                            f"type '{nd.type}' is not a primary node kind")
             )
         else:
-            if nd.type in LEAF_PAYLOAD and nd.children:
+            if nd.type in LEAF_PAYLOAD and _listed(nd):
                 diags.append(
                     Diagnostic("LEAF_WITH_CHILDREN", nd.name,
                                f"{nd.type} node must not have children")
                 )
-            elif nd.type not in LEAF_PAYLOAD and not nd.children:
+            elif nd.type not in LEAF_PAYLOAD and not _listed(nd):
                 diags.append(
                     Diagnostic("CONTROL_WITHOUT_CHILDREN", nd.name,
                                f"{nd.type} node requires at least one child")
@@ -937,7 +954,7 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
                 Diagnostic("UNSUBSTITUTED_PLACEHOLDER", nd.name,
                            "node carries an unsubstituted '$' or '~'")
             )
-        for child in nd.children:
+        for child in _listed(nd):
             if child not in defined:
                 diags.append(
                     Diagnostic("UNRESOLVED_CHILD", nd.name,
@@ -946,7 +963,7 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
 
     parents = {}
     for nd in defined.values():
-        for child in nd.children:
+        for child in _listed(nd):
             if child in defined:
                 parents.setdefault(child, []).append(nd.name)
     for nd in defined.values():
@@ -968,7 +985,7 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {name: WHITE for name in defined}
     cycle_hits = []
-    stack = [(tree.root, iter(defined[tree.root].children))]
+    stack = [(tree.root, iter(_listed(defined[tree.root])))]
     color[tree.root] = GRAY
     while stack:
         name, children = stack[-1]
@@ -981,7 +998,7 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
                     cycle_hits.append(child)
             elif color[child] == WHITE:
                 color[child] = GRAY
-                stack.append((child, iter(defined[child].children)))
+                stack.append((child, iter(_listed(defined[child]))))
                 advanced = True
                 break
         if not advanced:

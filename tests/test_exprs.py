@@ -1,4 +1,7 @@
 import itertools
+import random
+import re
+import sys
 from collections.abc import Mapping
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from btt import (
     MAX_EXPR_DEPTH,
+    Assignment,
     Binary,
     ExprError,
     Lit,
@@ -18,13 +22,18 @@ from btt import (
     parse_expr,
     print_expr,
 )
+from btt import exprs
 from btt.exprs import compile_expr
+from btt.model import MAX_INT_DIGITS
 from oracles import (
     reference_eval_expr,
     reference_parse_assignment,
     reference_parse_expr,
 )
-from util import NESTED_FORMS, nested
+from util import CORPUS_DOCS, NESTED_FORMS, REPO, expand_path, expand_text, nested
+
+sys.path.insert(0, str(REPO / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py)
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -196,20 +205,40 @@ def test_assignment_rejects_single_equals():
 
 # --- the parser against the reference parser ------------------------------
 
-def _parsed(parse, text):
+def _memories_of(text):
+    """Two memories of the names in ``text``, drawn from a generator seeded
+    with the text; each misses a name now and then."""
+    rng = random.Random(text)
+    names = sorted(set(_NAME_RE.findall(text)))
+    return [{n: rng.choice(_MEMORY_VALUES) for n in names if rng.random() < 0.9}
+            for _ in range(2)]
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/.\-]*", re.ASCII)
+_MEMORY_VALUES = (True, False, 0, 3, -7, 0.5, -0.0, "", "x", S, F, R, E)
+
+
+def _parsed(parse, text, memories=()):
+    """What ``parse`` makes of ``text``: its tree and what the tree gives on
+    each memory through the reference evaluator, or its error."""
     try:
-        return "ast", repr(parse(text))
+        tree = parse(text)
     except ExprError as exc:
         return "error", exc.code, exc.message, exc.offset
+    e = tree.value if isinstance(tree, Assignment) else tree
+    return ("ast", repr(tree), *(_outcome(reference_eval_expr, e, m) for m in memories))
 
 
 def _assert_parses_alike(text):
-    """The same AST, or the same error code, message and offset, as an
-    expression, after an assignment's ``k := `` and as an assignment."""
+    """The same AST and values on random memories, or the same error code,
+    message and offset, as an expression, after an assignment's ``k := ``
+    and as an assignment."""
+    memories = _memories_of(text)
     for parse, reference, prefix in ((parse_expr, reference_parse_expr, ""),
                                      (parse_assignment, reference_parse_assignment, "k := "),
                                      (parse_assignment, reference_parse_assignment, "")):
-        assert _parsed(parse, prefix + text) == _parsed(reference, prefix + text)
+        assert (_parsed(parse, prefix + text, memories)
+                == _parsed(reference, prefix + text, memories)), prefix + text
 
 
 # Every operator and the lone characters of the two-character ones, literals
@@ -224,6 +253,72 @@ _SOUP = ["||", "&&", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "!", 
 @given(tokens=st.lists(st.sampled_from(_SOUP), max_size=14), sep=st.sampled_from(["", " "]))
 def test_parser_matches_the_reference_on_token_soup(tokens, sep):
     _assert_parses_alike(sep.join(tokens))
+
+
+# Texts as templates write them: keys of many spellings, reserved words and
+# literals of every kind, among them an integer one digit too long and a
+# float too large, joined by operators with and without spaces.
+_KEYS = ["a", "a-b", "x/y.z", "true/x", "SUCCESSx", "_", "__STATE__/t0_a1", "n", "e5"]
+_VALUE_LITERALS = ["0", "7", "1.0", "1e5", "2.5E-3", "''", "'a b'", "'n'",
+                   "9" * (MAX_INT_DIGITS + 1), "1e999", "true", "EMPTY"]
+
+
+@st.composite
+def _template_like(draw):
+    sep = draw(st.sampled_from(["", " "]))
+    parts = []
+    for i in range(draw(st.integers(1, 5))):
+        if i:
+            parts.append(draw(st.sampled_from(_ops + [":=", "="])))
+        operand = draw(st.sampled_from(_KEYS + _VALUE_LITERALS))
+        prefix = draw(st.sampled_from(["", "", "!", "-", "("]))
+        parts.append(prefix + sep + operand + (sep + ")" if prefix == "(" else ""))
+    return sep.join(parts)
+
+
+@settings(max_examples=1000)
+@given(text=_template_like())
+def test_parser_matches_the_reference_on_template_like_texts(text):
+    _assert_parses_alike(text)
+
+
+def _written_texts(tree):
+    for nd in tree.nodes:
+        yield from (t for t in (nd.if_, nd.then, nd.else_, nd.result) if t is not None)
+        yield from nd.script
+
+
+@pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.name)
+def test_parser_matches_the_reference_on_every_corpus_text(path):
+    for text in set(_written_texts(expand_path(path))):
+        _assert_parses_alike(text)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_parser_matches_the_reference_on_every_workload_text(name):
+    tree = expand_text(workloads.make(name, 7).document)
+    for text in set(_written_texts(tree)):
+        _assert_parses_alike(text)
+
+
+def test_texts_that_differ_only_in_keys_and_literals_share_one_parse(monkeypatch):
+    parsers = []
+    init = exprs._Parser.__init__
+
+    def counted(self, text):
+        parsers.append(text)
+        init(self, text)
+
+    monkeypatch.setattr(exprs._Parser, "__init__", counted)
+    exprs._parsed_shape.cache_clear()
+    texts = [f"k{i}/x-{i}.y + {i} * (n_{i} - {7 * i}) >= lim{i} || !done/{i}" for i in range(200)]
+    for text in texts:
+        assert repr(parse_expr(text)) == repr(reference_parse_expr(text))
+    assert len(parsers) == 1
+    # a shape that does not parse is tried once; the text itself, every time
+    for _ in range(3):
+        assert _parsed(parse_expr, "k > (1") == _parsed(reference_parse_expr, "k > (1")
+    assert parsers[1:] == ["n > (0", "k > (1", "k > (1", "k > (1"]
 
 
 # Besides the nesting forms: chains of ||, && over comparisons, -( chains and

@@ -9,6 +9,7 @@ from btt import (
     BttError,
     Diagnostic,
     Engine,
+    EngineError,
     ExpandedTree,
     NodeDef,
     ReturnState,
@@ -304,9 +305,10 @@ _ANY_NAME = st.one_of(st.sampled_from(["a", "b", "c"]), _ANY)
 _ANY_TEXT = st.one_of(st.sampled_from(["true", "SUCCESS", "x == 1", "n := 1"]), _ANY)
 _ANY_FIELD = {
     "name": _ANY_NAME, "type": st.one_of(st.sampled_from(_TYPES[:6]), _ANY),
-    "children": st.lists(_ANY_NAME, max_size=3).map(tuple),
+    # children and a script may also be a lone name or text, or any scalar
+    "children": st.one_of(st.lists(_ANY_NAME, max_size=3).map(tuple), _ANY_NAME),
     "if_": _ANY_TEXT, "then": _ANY_TEXT, "else_": _ANY_TEXT, "result": _ANY_TEXT,
-    "script": st.one_of(st.none(), st.lists(_ANY_TEXT, max_size=2).map(tuple)),
+    "script": st.one_of(st.lists(_ANY_TEXT, max_size=2).map(tuple), _ANY_TEXT),
 }
 
 
@@ -355,6 +357,28 @@ def test_a_non_text_name_payload_or_script_line_is_bad_node():
     # a kind or a child that is not text is judged by its own rule
     assert codes(validate_expanded(ExpandedTree((NodeDef("a", 1),), "a"))) == ["UNKNOWN_TYPE"]
     assert codes(validate_expanded(tree(control("a", "sequence", [1])))) == ["UNRESOLVED_CHILD"]
+
+
+def test_children_or_a_script_that_is_not_a_sequence_is_bad_node():
+    """Such children are read as none, and such a script holds no line: a
+    text is not iterated as its characters."""
+    b = action("b")
+    cases = [(NodeDef("a", "sequence", children=None), ["CONTROL_WITHOUT_CHILDREN", "BAD_NODE"],
+              "'children' must be a sequence of text, not NoneType"),
+             (NodeDef("a", "sequence", children="b"), ["CONTROL_WITHOUT_CHILDREN", "BAD_NODE"],
+              "'children' must be a sequence of text, not str"),
+             (NodeDef("a", "action", script=5, result="SUCCESS"), ["BAD_NODE"],
+              "'script' must be a sequence of text, not int"),
+             (NodeDef("a", "action", script="x := 1", result="SUCCESS"), ["BAD_NODE"],
+              "'script' must be a sequence of text, not str")]
+    for nd, want, message in cases:
+        t = ExpandedTree((nd, b), "a")
+        diags = validate_expanded(t)
+        assert codes(diags) == want + ["UNREACHABLE"]
+        assert diags[len(want) - 1] == Diagnostic("BAD_NODE", "a", message)
+        assert diags == reference_validate_expanded(t)
+        with pytest.raises(EngineError, match="NOT_A_TREE"):
+            Engine(t)
 
 
 @settings(max_examples=600)
