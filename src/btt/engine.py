@@ -193,6 +193,14 @@ class Engine:
         scripts = [None] * n  # parsed script lines, or a scripted action's results
         if scenario is not None:
             for name, results in scenario.actions.items():
+                # what parse_scenario refuses in a text, refused in a hand-built scenario
+                for state in results:
+                    if state.__class__ is not ReturnState:
+                        raise EngineError("UNKNOWN_STATE", f"'{state}' is not a return state",
+                                          subject=name)
+                if not results:
+                    raise EngineError("SCHEMA_ERROR", f"action '{name}' needs at least one result",
+                                      subject=name)
                 i = numbers.get(name)
                 if i is None or kinds[i] != _ACTION:
                     raise EngineError(

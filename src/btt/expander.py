@@ -76,7 +76,7 @@ def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> dict:
     values = dict(zip(singles, children))
     if variadic is not None:
         values[variadic] = tuple(children[len(singles):])
-    for key, v in inst.args.items():
+    for key, v in (inst.args or {}).items():
         p = declared.get(key)
         if p is None:
             raise ExpandError("UNKNOWN_ARG", f"template '{tmpl.name}' declares no arg '{key}'",
@@ -175,6 +175,8 @@ def _forward_value(v, env):
 
 
 def _forward_args(args, env):
+    if args is None:
+        return None
     out = {}
     for key, v in args.items():
         if isinstance(v, tuple):  # a forwarded list splices into a list arg
@@ -209,12 +211,13 @@ class _NodePlan:
 
     def leaf(self, kind):
         """The payload problem for ``kind``, and the payload fields with
-        ``kind``'s defaults: if, then, else, script, result."""
+        ``kind``'s defaults: if, then, else, script (None if not carried),
+        result."""
         cached = self.leaves.get(kind)
         if cached is None:
             nd = with_leaf_defaults(replace(self.pattern, type=kind))
-            fields = (*map(_compile, (nd.if_, nd.then, nd.else_)),
-                      tuple(map(_compile, nd.script)), _compile(nd.result))
+            script = nd.script and tuple(map(_compile, nd.script))
+            fields = (*map(_compile, (nd.if_, nd.then, nd.else_)), script, _compile(nd.result))
             cached = self.leaves[kind] = (payload_problem(self.pattern, kind), fields)
         return cached
 
@@ -420,12 +423,12 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
                         raise ExpandError("BAD_NODE", problem, subject=final, span=span)
                     # filled in field order, so that the first bad text wins
                     out.append(_NodeDef(
-                        final, type_, children, {},
+                        final, type_, children, None,
                         if_.fill(ienv) if if_.__class__ is _Text else if_,
                         then.fill(ienv) if then.__class__ is _Text else then,
                         else_.fill(ienv) if else_.__class__ is _Text else else_,
                         tuple([s.fill(ienv) if s.__class__ is _Text else s for s in script])
-                        if script else (),
+                        if script else script,
                         result.fill(ienv) if result.__class__ is _Text else result, span))
                 elif type_ in registry:
                     if type_ in stack:

@@ -122,50 +122,37 @@ class NodeDef:
     """One node definition.
 
     ``type`` is kept as text: it may name a primary kind or a template;
-    resolution happens in the expander. Leaf payload fields are None/empty
-    when they do not apply. ``args`` carries scalar arguments for template
-    instantiation only; expanded primary nodes have no args.
+    resolution happens in the expander. A payload field is None exactly
+    when the node does not carry its key; an empty ``script`` or ``args``
+    is carried. ``args`` carries scalar arguments for template
+    instantiation only; expanded primary nodes have none.
     """
 
     name: str
     type: str
     children: tuple[str, ...] = ()
-    args: dict = field(default_factory=dict)
+    args: dict | None = None
     if_: str | None = None
     then: str | None = None
     else_: str | None = None
-    script: tuple[str, ...] = ()
+    script: tuple[str, ...] | None = None
     result: str | None = None
     span: "SourceSpan | None" = field(default=None, compare=False, repr=False)
 
 
-class EmptyScript(tuple):
-    """A ``script: []`` written on a node whose type is not yet known: equal
-    to (), but carried, as the key is where the type is written out."""
-
-
-class EmptyArgs(dict):
-    """An ``args: {}`` written on a node whose type is not yet known."""
-
-
-# NodeDef's values for a payload key the node does not carry, unless written.
-_ABSENT = (None, (), {})
-_WRITTEN = (EmptyScript, EmptyArgs)
 _NAME, _TYPE, _CHILDREN, _SCRIPT = map(attrgetter, ("name", "type", "children", "script"))
 _TEXTS = tuple(map(attrgetter, ("if_", "then", "else_", "result")))
 _CARRIED = partial(is_not, None)  # a payload text the node carries
-_SCRIPT_CLASSES = {tuple, EmptyScript, type(None)}
+_SCRIPT_CLASSES = {tuple, type(None)}
 
 
 def payload_problem(nd: NodeDef, kind: str | None) -> str | None:
     """What is wrong with ``nd``'s payload for ``kind`` (a primary kind, or
-    None for a templated node), or None if nothing is. A key counts as
-    carried when the source wrote it, or its field holds anything but the
-    field's empty value."""
+    None for a templated node), or None if nothing is. A key is carried
+    exactly when its field is not None."""
     takes = TEMPLATED_PAYLOAD if kind is None else LEAF_PAYLOAD.get(kind, {})
     for key, fld in PAYLOAD_FIELDS.items():
-        value = getattr(nd, fld)
-        if value in _ABSENT and value.__class__ not in _WRITTEN:
+        if getattr(nd, fld) is None:
             if key in takes and takes[key] is None:
                 return f"a {kind} node requires '{key}'"
         elif key not in takes:
@@ -325,13 +312,6 @@ def _may_carry_placeholder(defined: dict) -> bool:
     return "$" in names or "~" in names or "$" in texts
 
 
-# A node's shape: its kind, whether it has children, the class of each
-# payload field, and whether args and script are empty. When the kind is
-# text, args a dict, script a tuple and the other fields text or None, the
-# shape decides what the per-node rules say: one verdict holds for them all.
-_TEXT_CLASSES = {str, type(None)}
-
-
 def _node_verdict(nd: NodeDef) -> tuple:
     """The (code, message) pairs the per-node rules give ``nd``, in order:
     its kind, its children, then its payload (see payload_problem), whose
@@ -385,16 +365,16 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
     entries = 0  # child entries of all nodes
     dangling = False
     for nd in defined.values():
-        kind, children, args, script = nd.type, nd.children, nd.args, nd.script
-        shape = (kind, not children, args.__class__, not args, nd.if_.__class__,
-                 nd.then.__class__, nd.else_.__class__, script.__class__, not script,
-                 nd.result.__class__)
+        # A node's shape: its kind, whether it has children, and the class of
+        # each payload field. When the kind is text, the shape decides what
+        # the per-node rules say: one verdict holds for every node of a shape.
+        kind, children = nd.type, nd.children
+        shape = (kind, not children, nd.args.__class__, nd.if_.__class__, nd.then.__class__,
+                 nd.else_.__class__, nd.script.__class__, nd.result.__class__)
         verdict = verdicts.get(shape)
         if verdict is None:
             verdict = _node_verdict(nd)
-            if (kind.__class__ is str and args.__class__ is dict and script.__class__ is tuple
-                    and {nd.if_.__class__, nd.then.__class__, nd.else_.__class__,
-                         nd.result.__class__} <= _TEXT_CLASSES):
+            if kind.__class__ is str:
                 verdicts[shape] = verdict
         for code, message in verdict:
             flag(code, nd.name, message, nd)

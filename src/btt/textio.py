@@ -45,8 +45,6 @@ from .model import (
     RETURN_STATES,
     TEMPLATED_PAYLOAD,
     Document,
-    EmptyArgs,
-    EmptyScript,
     ExpandedTree,
     ForeachBlock,
     NodeDef,
@@ -285,7 +283,7 @@ def _parse_node(name, node, pattern, source=None):
             raise SchemaError("SCHEMA_ERROR", f"invalid child reference '{entry}'",
                               span=_span(keys["children"]), subject=name)
 
-    # A primary kind's absent keys take defaults; other types mark empty written ones.
+    # A primary kind's absent keys take defaults; other types leave them None.
     primary = type_ in PRIMARY_KINDS
     fields = {}
     for key, default in payload.items():
@@ -298,9 +296,9 @@ def _parse_node(name, node, pattern, source=None):
                 fields[PAYLOAD_FIELDS[key]] = default
             continue
         if isinstance(default, dict):  # args, which only a non-primary type takes
-            value = _args(value, name) or EmptyArgs()
+            value = _args(value, name)
         elif isinstance(default, tuple):
-            value = tuple(_text_list(value, key)) or (() if primary else EmptyScript())
+            value = tuple(_text_list(value, key))
         else:
             value = _text(value, key)
         fields[PAYLOAD_FIELDS[key]] = value
@@ -541,9 +539,11 @@ def serialize_expanded(tree: ExpandedTree) -> str:
         lines.append(f"    type: {_block_scalar(nd.type)}")
         for key, default in LEAF_PAYLOAD.get(nd.type, {}).items():
             value = getattr(nd, PAYLOAD_FIELDS[key])
-            if value != default:
-                text = _flow_list(value) if isinstance(value, tuple) else _block_scalar(value)
-                lines.append(f"    {key}: {text}")
+            if isinstance(value, str):
+                if value != default:
+                    lines.append(f"    {key}: {_block_scalar(value)}")
+            elif value:  # a script, a tuple or a list, written unless empty
+                lines.append(f"    {key}: {_flow_list(value)}")
         if nd.children:
             lines.append(f"    children: {_flow_list(nd.children)}")
     return "\n".join(lines) + "\n"

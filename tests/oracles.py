@@ -42,8 +42,6 @@ from btt.model import (
     PAYLOAD_FIELDS,
     PRIMARY_KINDS,
     TEMPLATED_PAYLOAD,
-    EmptyArgs,
-    EmptyScript,
     value_tag,
 )
 
@@ -486,18 +484,12 @@ _SUBSTITUTE_RE = re.compile(r"\$(@?)([A-Za-z_][A-Za-z0-9_]*)?|~")
 _WHOLE_REF_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
 _SPLICE_RE = re.compile(r"\$@([A-Za-z0-9_.\-]+)")
 
-# NodeDef's values for a payload key the node does not carry.
-_ABSENT = (None, (), {})
-
-
 def _payload_problem(nd, kind):
     """btt.model.payload_problem written out again: a key counts as carried
-    when its value is not empty, or when the parser marked it as written
-    empty (EmptyScript, EmptyArgs)."""
+    when its field is not None, empty or not."""
     takes = TEMPLATED_PAYLOAD if kind is None else LEAF_PAYLOAD.get(kind, {})
     for key, fld in PAYLOAD_FIELDS.items():
-        value = getattr(nd, fld)
-        if value in _ABSENT and not isinstance(value, (EmptyScript, EmptyArgs)):
+        if getattr(nd, fld) is None:
             if key in takes and takes[key] is None:
                 return f"a {kind} node requires '{key}'"
         elif key not in takes:
@@ -554,7 +546,7 @@ def _bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> _Binding:
         values[variadic.name] = tuple(children[len(singles):])
 
     declared = {p.name: p for p in tmpl.params}
-    for key, v in inst.args.items():
+    for key, v in (inst.args or {}).items():
         p = declared.get(key)
         if p is None:
             raise ExpandError("UNKNOWN_ARG", f"template '{tmpl.name}' declares no arg '{key}'",
@@ -716,6 +708,8 @@ def _forward_value(v, binding, where):
 
 
 def _forward_args(args, binding, where):
+    if args is None:
+        return None
     out = {}
     for key, v in args.items():
         if isinstance(v, tuple):
@@ -757,7 +751,7 @@ def _finalize_primary(it, type_sub, children):
         if_=sub(pat.if_),
         then=sub(pat.then),
         else_=sub(pat.else_),
-        script=tuple(sub(s) for s in pat.script),
+        script=None if pat.script is None else tuple(sub(s) for s in pat.script),
         result=sub(pat.result),
         span=pat.span,
     )

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from btt import (
+    BttError,
     DumpError,
     Engine,
     EngineError,
@@ -15,6 +16,7 @@ from btt import (
     Scenario,
     TickError,
     TraceEvent,
+    parse_scenario,
     render_memory_dump,
     render_trace_event,
     state_key,
@@ -126,6 +128,19 @@ def test_unknown_scenario_action():
     # naming a non-action node is also rejected
     with pytest.raises(EngineError):
         Engine(latch_tree(), scenario=Scenario(actions={"example/saved": (S,)}))
+
+
+def test_a_hand_built_scenario_is_refused_as_its_yaml_is():
+    """An action with no result, or a result that is not a state, is the
+    EngineError whose code and message parse_scenario gives the same fault."""
+    for actions, yaml_actions in (({"a": ()}, "{a: []}"), ({"a": (S, "X")}, "{a: [SUCCESS, X]}")):
+        with pytest.raises(BttError) as parsed:
+            parse_scenario(f"actions: {yaml_actions}\n")
+        with pytest.raises(EngineError) as exc:
+            Engine(tree(action("a")), scenario=Scenario(actions=actions))
+        assert (exc.value.code, exc.value.message, exc.value.subject) == (
+            parsed.value.code, parsed.value.message, "a")
+    assert (exc.value.code, exc.value.message) == ("UNKNOWN_STATE", "'X' is not a return state")
 
 
 # --- ticking -------------------------------------------------------------

@@ -285,7 +285,7 @@ def test_parser_matches_the_reference_on_template_like_texts(text):
 def _written_texts(tree):
     for nd in tree.nodes:
         yield from (t for t in (nd.if_, nd.then, nd.else_, nd.result) if t is not None)
-        yield from nd.script
+        yield from nd.script or ()
 
 
 @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.name)

@@ -23,7 +23,7 @@ from btt import (
     with_leaf_defaults,
 )
 from oracles import reference_validate_expanded
-from util import CORPUS_DOCS, action, condition, control, expand_path, tree
+from util import CORPUS_DOCS, action, condition, control, expand_path, expand_text, tree
 
 
 def codes(diags):
@@ -160,12 +160,47 @@ def test_leaf_without_its_defaults():
     cases = [
         (NodeDef("c", "condition", if_="true"), "a condition node has no 'then'"),
         (NodeDef("c", "condition", if_="true", then="SUCCESS"), "a condition node has no 'else'"),
-        (NodeDef("c", "action"), "a action node has no 'result'"),
+        (NodeDef("c", "action", script=()), "a action node has no 'result'"),
         (NodeDef("c", "action", script=None, result="SUCCESS"), "a action node has no 'script'"),
     ]
     for nd, message in cases:
         assert validate_expanded(tree(nd)) == [Diagnostic("BAD_NODE", "c", message)]
         assert validate_expanded(tree(with_leaf_defaults(nd))) == []
+
+
+def test_an_empty_payload_is_carried_as_the_written_key_is():
+    """A payload key is carried exactly when its field is not None: an empty
+    script on a hand-built condition, a tuple or a list, and empty args on a
+    hand-built sequence, are refused as written YAML is once its type is
+    substituted."""
+    written = """
+templates:
+  t:
+    args:
+      - {{name: k, kind: scalar}}
+    root: "~"
+    nodes:
+      "~": {{type: "$k"{payload}}}
+root: a
+nodes:
+  a: {{type: t, args: {{k: {kind}}}}}
+"""
+    b = action("b")
+    for nd, kind, payload, key in [
+            (condition("a", "true", script=()), "condition", ', if: "true", script: []', "script"),
+            (condition("a", "true", script=[]), "condition", ', if: "true", script: []', "script"),
+            (NodeDef("a", "sequence", children=("b",), args={}), "sequence",
+             ", children: [b], args: {}", "args")]:
+        message = f"a {kind} node takes no '{key}'"
+        t = tree(nd, *([b] if nd.children else []))
+        assert validate_expanded(t) == [Diagnostic("BAD_NODE", "a", message)]
+        assert validate_expanded(t) == reference_validate_expanded(t)
+        with pytest.raises(BttError) as exc:
+            expand_text(written.format(kind=kind, payload=payload) + "  b: {type: action}\n")
+        assert (exc.value.code, exc.value.subject, exc.value.message) == ("BAD_NODE", "a", message)
+    # without the key the same nodes validate
+    assert validate_expanded(tree(condition("a", "true"))) == []
+    assert validate_expanded(tree(NodeDef("a", "sequence", children=("b",)), b)) == []
 
 
 def test_unsubstituted_placeholder():
@@ -229,8 +264,8 @@ _NAMES = ["a", "b", "c", "d", "e", "f$", "g~"]
 _TYPES = ["sequence", "selector", "skipper", "parallel", "action", "condition",
           "latch", "se$q", "sel~"]
 _TEXTS = st.sampled_from([None, "", "true", "SUCCESS", "x == $y", "a~b", "n := 1"])
-_SCRIPTS = st.sampled_from([(), ("n := 1",), ("n := 1", "m := $k"), None, ("a~b",)])
-_ARGS = st.sampled_from([{}, {"k": 1}, None])
+_SCRIPTS = st.sampled_from([(), [], ("n := 1",), ("n := 1", "m := $k"), None, ("a~b",)])
+_ARGS = st.sampled_from([{}, [], {"k": 1}, None])
 
 
 @st.composite
@@ -344,8 +379,8 @@ def test_values_that_are_not_text_are_classified(nodes):
 
 
 def test_a_non_text_name_payload_or_script_line_is_bad_node():
-    cases = [(NodeDef(1, "action", result="SUCCESS"), "the name must be text, not int"),
-             (NodeDef("a", "action", result=ReturnState.SUCCESS),
+    cases = [(NodeDef(1, "action", script=(), result="SUCCESS"), "the name must be text, not int"),
+             (NodeDef("a", "action", script=(), result=ReturnState.SUCCESS),
               "'result' must be text, not ReturnState"),
              (NodeDef("a", "condition", if_=True, then="SUCCESS", else_="FAILURE"),
               "'if' must be text, not bool"),

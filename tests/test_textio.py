@@ -333,6 +333,15 @@ def test_serialize_rejects_invalid_trees():
         assert exc.value.message == "tree fails validation: BAD_NODE on 'a'"
 
 
+def test_serialize_writes_a_list_script_as_its_tuple():
+    """A hand-built script may be any sequence: a list is written as the
+    tuple with the same lines is, and an empty one is left out."""
+    for lines in ([], ["x := 1"], ["x := 1", "msg := 'a: b'"]):
+        as_list = tree(action("a", script=lines, result="RUNNING"))
+        as_tuple = tree(action("a", script=tuple(lines), result="RUNNING"))
+        assert serialize_expanded(as_list) == serialize_expanded(as_tuple)
+
+
 def test_serialize_trusts_only_trees_that_expand_document_validated():
     t = expand_path(EXAMPLES / "sequence_star.yaml")
     assert t.validated
