@@ -19,7 +19,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DumpError, EngineError, ExprError, TickError
-from .exprs import compile_expr, not_a_state, parse_assignment, parse_expr
+from .exprs import _compile_text, _Parser, not_a_state
 from .model import (
     LEAF_PAYLOAD,
     MAX_INT_DIGITS,
@@ -29,6 +29,7 @@ from .model import (
     NodeKind,
     ReturnState,
     require_valid,
+    value_tag,
     value_text,
 )
 
@@ -120,19 +121,18 @@ _new_event = tuple.__new__  # skips NamedTuple's Python-level __new__
 _STATE_TEXT = {state: state.value for state in ReturnState}
 
 
-# Each text is parsed and compiled once per process; only the compiled
-# function is kept. Each node looks its texts up once, the first time it
-# evaluates them. A text that does not parse is not cached.
+# Each text is compiled once per process, by its shape's binder; only the
+# compiled function is kept. Each node looks its texts up once, the first
+# time it evaluates them. A text that does not parse is not cached.
 @lru_cache(maxsize=None)
 def _parsed_expr(text):
-    return compile_expr(parse_expr(text))
+    return _compile_text(text, _Parser.to_end)
 
 
 @lru_cache(maxsize=None)
 def _parsed_assignment(text):
     """``key := expr`` as the key and the compiled expression."""
-    a = parse_assignment(text)
-    return a.key, compile_expr(a.value)
+    return _compile_text(text, _Parser.assignment)
 
 
 def check_expressions(tree: ExpandedTree) -> list[Diagnostic]:
@@ -192,8 +192,17 @@ class Engine:
         kinds = [_CODES[nd.type] for nd in nodes]
         scripts = [None] * n  # parsed script lines, or a scripted action's results
         if scenario is not None:
+            # what parse_scenario refuses in a text, refused in a hand-built scenario
+            for key, value in scenario.memory.items():
+                try:
+                    value_tag(value)
+                except TypeError:
+                    raise EngineError("SCHEMA_ERROR", f"memory value for '{key}' must be a scalar",
+                                      subject=key) from None
             for name, results in scenario.actions.items():
-                # what parse_scenario refuses in a text, refused in a hand-built scenario
+                if not isinstance(results, (tuple, list)):
+                    raise EngineError("SCHEMA_ERROR", f"results for '{name}' must be a list",
+                                      subject=name)
                 for state in results:
                     if state.__class__ is not ReturnState:
                         raise EngineError("UNKNOWN_STATE", f"'{state}' is not a return state",

@@ -17,9 +17,9 @@ The binary operators, their levels and the prefix operators are written
 once, in the operator table below; the tokenizer, the parser, the compiler
 and the printer all read it.
 
-parse_expr and parse_assignment parse each shape once: beside the
-tokenizer, the splitter turns a text into its shape and its names and
-literal values (see "shapes" below).
+Each shape is parsed once and compiled once: beside the tokenizer, the
+splitter turns a text into its shape and its names and literal values,
+which bind straight into the shape's closures (see "shapes" below).
 
 Note that IDENT may contain "-", "/" and ".", so arithmetic over variables
 needs spaces around the operators ("a - b", not "a-b").
@@ -81,18 +81,19 @@ _RESERVED = {
 
 # --- operators -----------------------------------------------------------
 #
-# compile_expr turns a parsed expression into nested closures, one per
-# operator, so that an evaluation dispatches on nothing: each closure
-# applies its own operator and checks its operands' types with the
-# language's error codes and messages. An operator's builder makes its
-# closure from its compiled operands and their folded nodes (see
-# _compile): ==, != and the numeric operators hold a literal right
+# An expression compiles into nested closures, one per operator, so that
+# an evaluation dispatches on nothing: each closure applies its own
+# operator and checks its operands' types with the language's error codes
+# and messages. An operator's builder makes its closure from its compiled
+# operands, the left one's memory key and the right one's literal value
+# (see _plan): ==, != and the numeric operators hold a literal right
 # operand in the closure, whose type is then known, and read a memory-key
 # left operand there too, which saves a call per operand. Each closure
 # takes its operands as default arguments rather than closure cells, which
 # would cost 40 bytes more per operand.
 
 _NUMBER = frozenset({int, float})  # exact types: bool is not a number
+_NO_LITERAL = object()  # what an operand that is not a literal has for its value
 
 
 def _not_bool(v, op):
@@ -143,7 +144,7 @@ def _negate(operand):
 def _junction(op, go_on):
     """The builder of ``op``, && or ||, whose right operand is evaluated
     only when the left one is ``go_on``."""
-    def build(left, right, *_nodes):
+    def build(left, right, _key, _b):
         def junction(memory, left=left, right=right, go_on=go_on, op=op):
             v = left(memory)
             if v is go_on:
@@ -155,12 +156,10 @@ def _junction(op, go_on):
     return build
 
 
-def _fused(op, fn, fast, slow, left, lnode, b):
+def _fused(op, fn, fast, slow, left, name, b):
     """The closure of ``left op b`` for a literal ``b``: ``fn(a, b)`` when
     the left value ``a`` has a type in ``fast``, ``slow(a, b)`` otherwise.
-    A memory-key left operand ``lnode`` is read in the closure itself."""
-    name = lnode.name if type(lnode) is Var else None
-
+    A left operand that reads the key ``name`` is read in the closure itself."""
     def fused(memory, left=left, name=name, b=b, op=op, fn=fn, fast=fast, slow=slow):
         try:
             a = left(memory) if name is None else memory[name]
@@ -183,10 +182,9 @@ def _equality(op, cmp):
     def slow(a, b):
         return values_equal(a, b) is same
 
-    def build(left, right, lnode, rnode):
-        if type(rnode) is Lit:
-            b = rnode.value
-            return _fused(op, cmp, (type(b),), slow, left, lnode, b)
+    def build(left, right, key, b):
+        if b is not _NO_LITERAL:
+            return _fused(op, cmp, (type(b),), slow, left, key, b)
 
         def equality(memory, left=left, right=right, same=same):
             return values_equal(left(memory), right(memory)) is same
@@ -199,9 +197,9 @@ def _numeric(op, fn):
     def slow(a, b):  # a is not a number
         return fn(_require_number(a, op), b)
 
-    def build(left, right, lnode, rnode):
-        if type(rnode) is Lit and type(rnode.value) in _NUMBER:
-            return _fused(op, fn, _NUMBER, slow, left, lnode, rnode.value)
+    def build(left, right, key, b):
+        if type(b) in _NUMBER:
+            return _fused(op, fn, _NUMBER, slow, left, key, b)
 
         def numeric(memory, op=op, fn=fn, left=left, right=right):
             a = left(memory)
@@ -382,10 +380,10 @@ class _Parser:
 # patterns. A text's shape is the text with each name, integer, float and
 # text literal replaced by a placeholder of its kind. The splitter matches
 # the tokenizer's own value patterns, so a shape's tokens are the text's
-# but for their values. Each shape is parsed once, and each text binds its
-# own values into the shape's tree, in source order. A text whose shape
-# does not parse, or with a number literal out of range, is parsed on its
-# own, so that its error and offset are its own.
+# but for their values. Each shape is parsed and compiled once, and each
+# text binds its own values into the shape's binder (its tree, for
+# parse_expr). A text whose shape does not parse, or with a number literal
+# out of range, is parsed on its own, so its error and offset are its own.
 
 def _split(text):
     """``text``'s shape and its names and literal values in source order, or
@@ -420,6 +418,13 @@ def _parsed_shape(shape, rule):
         return None
 
 
+@lru_cache(maxsize=None)
+def _binder(shape, rule):
+    """_binding of ``shape`` parsed by ``rule``, or None if it does not parse."""
+    e = _parsed_shape(shape, rule)
+    return None if e is None else _binding(e)
+
+
 _RESERVED_TYPES = {type(lit.value) for lit in _RESERVED.values()}
 
 
@@ -448,6 +453,17 @@ def _parse(text, rule):
     return rule(_Parser(text))
 
 
+def _compile_text(text, rule):
+    """``text`` parsed by ``rule`` and bound by its shape's binder (see _binding)."""
+    split = _split(text)
+    if split is not None:
+        shape, values = split
+        bind = _binder(shape, rule)
+        if bind is not None:
+            return bind(iter(values))
+    return _binding(rule(_Parser(text)))(iter(()))
+
+
 def parse_expr(text: str) -> Expr:
     return _parse(text, _Parser.to_end)
 
@@ -459,8 +475,8 @@ def parse_assignment(text: str) -> Assignment:
 
 # --- compiling and evaluation ----------------------------------------------
 #
-# Key reads and literals are leaves shared process-wide, like the engine's
-# per-text caches.
+# A tree compiles through its binder (see _plan). Key reads and literals
+# are leaves shared process-wide, like the engine's per-text caches.
 
 @lru_cache(maxsize=None)
 def _key(name):
@@ -483,44 +499,65 @@ def _leaf(v):
     return (_constant.__wrapped__ if type(v) is float else _constant)(type(v), v)
 
 
-def _compile(e):
-    """``e`` folded and compiled: its folded node and its function.
+def _fold(fn):
+    """The fold rule: ``fn``, an operator over literals only, is applied once,
+    here, and folds to the literal it gives. One that raises stays compiled,
+    so that it raises at every evaluation; the operators over it do not fold."""
+    try:
+        v = fn({})  # no key to read
+    except ExprError:
+        return fn, None, _NO_LITERAL
+    return _leaf(v), None, v
 
-    An operator whose operands all folded to literals is applied to them
-    once, here, and folds to the literal it gives. One that raises stays
-    compiled, so that it raises at every evaluation as it would unfolded;
-    the operators over it do not fold either. Each operator is applied at
-    most once, so compiling stays linear in the size of ``e``.
-    """
+
+def _plan(e):
+    """The binder of the expression tree ``e``: a function of an iterator over
+    a text's names and values (see _split) that returns the text's compiled
+    function, the key it reads or None, and its literal value or
+    _NO_LITERAL. A leaf given no value keeps its own: no values compile ``e``."""
     t = type(e)
     if t is Var:
-        return e, _key(e.name)
-    if t is Lit:
-        return e, _leaf(e.value)
+        def var(values, own=e.name):
+            name = next(values, own)
+            return _key(name), name, _NO_LITERAL
+        return var
+    if t is Lit:  # a reserved word is not a placeholder
+        def literal(values, own=e.value, placeholder=type(e.value) not in _RESERVED_TYPES):
+            v = next(values, own) if placeholder else own
+            return _leaf(v), None, v
+        return literal
     if t is Unary:
-        node, operand = _compile(e.operand)
-        fn = _PREFIX[e.op](operand)
-        literal = type(node) is Lit
-    elif t is Binary:
-        lnode, left = _compile(e.left)
-        rnode, right = _compile(e.right)
-        fn = _BINARY[e.op][1](left, right, lnode, rnode)
-        literal = type(lnode) is Lit and type(rnode) is Lit
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if literal:
-        try:
-            v = fn({})  # no key to read
-        except ExprError:
-            return e, fn
-        return Lit(v), _leaf(v)
-    return e, fn
+        operand, build = _plan(e.operand), _PREFIX[e.op]
+
+        def unary(values):
+            fn, _, v = operand(values)
+            return (build(fn), None, _NO_LITERAL) if v is _NO_LITERAL else _fold(build(fn))
+        return unary
+    if t is Binary:
+        left, right, build = _plan(e.left), _plan(e.right), _BINARY[e.op][1]
+
+        def binary(values):
+            fn, key, a = left(values)
+            right_fn, _, b = right(values)
+            fn = build(fn, right_fn, key, b)
+            return (fn, None, _NO_LITERAL) if a is _NO_LITERAL or b is _NO_LITERAL else _fold(fn)
+        return binary
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _binding(e):
+    """The binder of a parsed text: of an expression, its compiled function
+    (see _plan); of an assignment, its key and its value's function."""
+    if type(e) is not Assignment:
+        return lambda values, bind=_plan(e): bind(values)[0]
+    bind = _plan(e.value)
+    return lambda values, own=e.key: (next(values, own), bind(values)[0])
 
 
 def compile_expr(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
     """Compile ``e`` into a function of the memory that returns what
     ``eval_expr(e, memory)`` returns and raises what it raises."""
-    return _compile(e)[1]
+    return _plan(e)(iter(()))[0]
 
 
 def eval_expr(e: Expr, memory: Mapping[str, Value]) -> Value:

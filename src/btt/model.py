@@ -312,6 +312,28 @@ def _may_carry_placeholder(defined: dict) -> bool:
     return "$" in names or "~" in names or "$" in texts
 
 
+class _Unhashable:
+    """A name, type, child entry or root that cannot be hashed, as
+    validation holds it: it equals nothing, so it names no node and no
+    kind, and it prints as its value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __str__(self):
+        return str(self.value)
+
+
+def _hashable(v):
+    try:
+        hash(v)
+    except TypeError:
+        return _Unhashable(v)
+    return v
+
+
 def _node_verdict(nd: NodeDef) -> tuple:
     """The (code, message) pairs the per-node rules give ``nd``, in order:
     its kind, its children, then its payload (see payload_problem), whose
@@ -343,10 +365,29 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
     diags = []
 
     def flag(code, name, message, nd=None):
+        if name.__class__ is _Unhashable:
+            name = name.value
         diags.append(Diagnostic(code, name, message, None if nd is None else nd.span))
 
     nodes = tree.nodes
-    defined = tree.by_name()
+    try:
+        defined = tree.by_name()
+    except TypeError:  # a name that cannot be hashed
+        defined = None
+    problems = {}  # name -> what the text rules say, if they run
+    if defined is None or _may_carry_placeholder(defined):
+        # every other rule reads children that are not a sequence as none,
+        # and a name, type or child entry that cannot be hashed as a stand-in
+        keyed = [replace(nd, name=_hashable(nd.name), type=_hashable(nd.type),
+                         children=tuple(map(_hashable, nd.children))
+                         if _sequence(nd.children) else ())
+                 for nd in nodes]
+        defined = {}
+        for nd, written in zip(keyed, nodes):
+            if nd.name not in defined:
+                defined[nd.name] = nd
+                problems[nd.name] = _text_problems(written)
+        nodes = keyed
     if len(defined) != len(nodes):
         seen = set()
         for nd in nodes:
@@ -354,12 +395,6 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
                 flag("DUPLICATE_NAME", nd.name, "node name defined more than once", nd)
             seen.add(nd.name)
 
-    problems = {}  # name -> what the text rules say, if they run
-    if _may_carry_placeholder(defined):
-        problems = {name: _text_problems(nd) for name, nd in defined.items()}
-        # every other rule reads children that are not a sequence as none
-        defined = {name: nd if _sequence(nd.children) else replace(nd, children=())
-                   for name, nd in defined.items()}
     verdicts = {}  # shape -> verdict
     parent = {}  # child entry -> the last node listing it
     entries = 0  # child entries of all nodes
@@ -402,7 +437,7 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
                 flag("MULTIPLE_PARENTS", nd.name,
                      f"listed as child of multiple nodes: {', '.join(map(str, ps))}", nd)
 
-    root = tree.root
+    root = _hashable(tree.root)
     if root not in defined:
         flag("BAD_ROOT", root, "root does not name a defined node")
         return diags

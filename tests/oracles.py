@@ -896,6 +896,16 @@ def _texts_with_placeholder(nd: NodeDef):
     return any("$" in t or "~" in t for t in names) or any("$" in t for t in texts)
 
 
+def _key(v):
+    """``v``, or a new object if ``v`` cannot be hashed: such a name, type,
+    child entry or root equals nothing, so it names no node and no kind."""
+    try:
+        hash(v)
+    except TypeError:
+        return object()
+    return v
+
+
 def reference_validate_expanded(tree: ExpandedTree) -> list:
     """The validation that per-shape payload verdicts, one residue scan per
     tree and a plain walk for trees without shared children replaced: every
@@ -906,18 +916,18 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
     first-occurrence index instead of calling ``tree.by_name()``."""
     diags = []
     seen = set()
+    defined = {}
     for nd in tree.nodes:
-        if nd.name in seen:
+        name = _key(nd.name)
+        if name in seen:
             diags.append(
                 Diagnostic("DUPLICATE_NAME", nd.name, "node name defined more than once")
             )
-        seen.add(nd.name)
-    defined = {}
-    for nd in tree.nodes:
-        defined.setdefault(nd.name, nd)
+        seen.add(name)
+        defined.setdefault(name, nd)
 
     for nd in defined.values():
-        if nd.type not in PRIMARY_KINDS:
+        if _key(nd.type) not in PRIMARY_KINDS:
             diags.append(
                 Diagnostic("UNKNOWN_TYPE", nd.name,
                            f"type '{nd.type}' is not a primary node kind")
@@ -949,7 +959,7 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
                            "node carries an unsubstituted '$' or '~'")
             )
         for child in _listed(nd):
-            if child not in defined:
+            if _key(child) not in defined:
                 diags.append(
                     Diagnostic("UNRESOLVED_CHILD", nd.name,
                                f"child '{child}' is not defined")
@@ -958,17 +968,17 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
     parents = {}
     for nd in defined.values():
         for child in _listed(nd):
-            if child in defined:
+            if _key(child) in defined:
                 parents.setdefault(child, []).append(nd.name)
-    for nd in defined.values():
-        ps = parents.get(nd.name, ())
+    for name, nd in defined.items():
+        ps = parents.get(name, ())
         if len(ps) > 1:
             diags.append(
                 Diagnostic("MULTIPLE_PARENTS", nd.name,
                            f"listed as child of multiple nodes: {', '.join(map(str, ps))}")
             )
 
-    if tree.root not in defined:
+    if _key(tree.root) not in defined:
         diags.append(
             Diagnostic("BAD_ROOT", tree.root, "root does not name a defined node")
         )
@@ -985,7 +995,7 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
         name, children = stack[-1]
         advanced = False
         for child in children:
-            if child not in defined:
+            if _key(child) not in defined:
                 continue
             if color[child] == GRAY:
                 if child not in cycle_hits:
@@ -1002,8 +1012,8 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
         diags.append(
             Diagnostic("CYCLE", hit, "node participates in a reference cycle")
         )
-    for nd in defined.values():
-        if color[nd.name] == WHITE:
+    for name, nd in defined.items():
+        if color[name] == WHITE:
             diags.append(
                 Diagnostic("UNREACHABLE", nd.name, "node is not reachable from the root")
             )

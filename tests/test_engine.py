@@ -143,6 +143,25 @@ def test_a_hand_built_scenario_is_refused_as_its_yaml_is():
     assert (exc.value.code, exc.value.message) == ("UNKNOWN_STATE", "'X' is not a return state")
 
 
+def test_a_hand_built_scenario_with_no_result_list_or_a_memory_value_that_is_not_a_scalar():
+    """Each is the EngineError whose code and message parse_scenario gives
+    the same fault, before anything is written to memory."""
+    for scenario, text, subject in ((Scenario(actions={"a": None}), "actions: {a: null}\n", "a"),
+                                    (Scenario(actions={"a": S}), "actions: {a: SUCCESS}\n", "a"),
+                                    (Scenario(memory={"x": [1]}), "memory: {x: [1]}\n", "x"),
+                                    (Scenario(memory={"x": None}), "memory: {x: {}}\n", "x")):
+        with pytest.raises(BttError) as parsed:
+            parse_scenario(text)
+        memory = {}
+        with pytest.raises(EngineError) as exc:
+            Engine(tree(action("a")), scenario=scenario, memory=memory)
+        assert (exc.value.code, exc.value.message, exc.value.subject) == (
+            parsed.value.code, parsed.value.message, subject)
+        assert memory == {}
+    assert [parsed.value.code, parsed.value.message] == [
+        "SCHEMA_ERROR", "memory value for 'x' must be a scalar"]
+
+
 # --- ticking -------------------------------------------------------------
 
 def test_single_action_tick():

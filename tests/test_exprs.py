@@ -22,7 +22,7 @@ from btt import (
     parse_expr,
     print_expr,
 )
-from btt import exprs
+from btt import engine, exprs
 from btt.exprs import compile_expr
 from btt.model import MAX_INT_DIGITS
 from oracles import (
@@ -229,16 +229,54 @@ def _parsed(parse, text, memories=()):
     return ("ast", repr(tree), *(_outcome(reference_eval_expr, e, m) for m in memories))
 
 
+def _compiled(compile, text, memories):
+    """What the engine's per-text cache ``compile`` makes of ``text``: its
+    key, if it is an assignment, and its outcome on each memory, or its
+    error."""
+    try:
+        compiled = compile(text)
+    except ExprError as exc:
+        return "error", exc.code, exc.message, exc.offset
+    key, fn = compiled if compile is engine._parsed_assignment else (None, compiled)
+    return ("compiled", key, *(_outcome(lambda fn, memory: fn(memory), fn, m) for m in memories))
+
+
+def _referenced(text, reference, memories):
+    """What the reference parser and evaluator make of ``text``, as
+    _compiled gives it."""
+    try:
+        tree = reference(text)
+    except ExprError as exc:
+        return "error", exc.code, exc.message, exc.offset
+    key, e = (tree.key, tree.value) if isinstance(tree, Assignment) else (None, tree)
+    return ("compiled", key, *(_outcome(reference_eval_expr, e, m) for m in memories))
+
+
+def _assert_compiles_alike(text):
+    """The engine's caches, which compile each shape once and bind each
+    text's keys and literals into it, and the reference give ``text`` the
+    same key and values on random memories, or the same error, as an
+    expression, after an assignment's ``k := `` and as an assignment."""
+    memories = _memories_of(text)
+    for compile, reference, prefix in (
+            (engine._parsed_expr, reference_parse_expr, ""),
+            (engine._parsed_assignment, reference_parse_assignment, "k := "),
+            (engine._parsed_assignment, reference_parse_assignment, "")):
+        assert (_compiled(compile, prefix + text, memories)
+                == _referenced(prefix + text, reference, memories)), prefix + text
+
+
 def _assert_parses_alike(text):
     """The same AST and values on random memories, or the same error code,
     message and offset, as an expression, after an assignment's ``k := ``
-    and as an assignment."""
+    and as an assignment; and the same through the engine's path."""
     memories = _memories_of(text)
     for parse, reference, prefix in ((parse_expr, reference_parse_expr, ""),
                                      (parse_assignment, reference_parse_assignment, "k := "),
                                      (parse_assignment, reference_parse_assignment, "")):
         assert (_parsed(parse, prefix + text, memories)
                 == _parsed(reference, prefix + text, memories)), prefix + text
+    _assert_compiles_alike(text)
 
 
 # Every operator and the lone characters of the two-character ones, literals
@@ -319,6 +357,56 @@ def test_texts_that_differ_only_in_keys_and_literals_share_one_parse(monkeypatch
     for _ in range(3):
         assert _parsed(parse_expr, "k > (1") == _parsed(reference_parse_expr, "k > (1")
     assert parsers[1:] == ["n > (0", "k > (1", "k > (1", "k > (1"]
+
+
+# --- the engine's path: each shape compiled once, each text bound into it ---
+
+def test_texts_of_one_shape_build_one_binder_and_no_tree(monkeypatch):
+    planned = []  # one entry per node of each tree a binder is built for
+    plan = exprs._plan
+
+    def counted(e):
+        planned.append(e)
+        return plan(e)
+
+    monkeypatch.setattr(exprs, "_plan", counted)
+    exprs._binder.cache_clear()
+    texts = [f"q{i}/x-{i}.y + {i} * (m_{i} - {7 * i}) >= top{i} || !ok/{i}" for i in range(200)]
+    memory = {}
+    for i in range(200):
+        memory |= {f"q{i}/x-{i}.y": i, f"m_{i}": 3, f"top{i}": -50, f"ok/{i}": True}
+    for i, text in enumerate(texts):
+        if i == 1:  # the binder is built; from here on, no text builds a tree
+            assert len(planned) == 12  # 6 operators and 6 leaves
+            for cls in (Lit, Var, Unary, Binary, Assignment):
+                monkeypatch.setattr(cls, "__init__", lambda *_: pytest.fail("a tree was built"))
+        assert engine._parsed_expr(text)(memory) is (i + i * (3 - 7 * i) >= -50)
+    assert len(planned) == 12
+
+
+def test_a_literal_only_operand_folds_or_raises_per_text_in_one_shape():
+    """``1 / 2`` folds to 0 where ``1 / 0`` raises at every call, though both
+    texts share one shape and so one binder."""
+    folded, raising = "k + 1 / 2 > 0", "k + 1 / 0 > 0"
+    assert exprs._split(folded)[0] == exprs._split(raising)[0]
+
+    def plan(fn):  # the closures' code and defaults, all the way down
+        if not callable(fn) or not hasattr(fn, "__code__"):
+            return fn
+        return fn.__code__, tuple(map(plan, fn.__defaults__ or ()))
+
+    fn = engine._parsed_expr(folded)
+    assert plan(fn) == plan(engine._parsed_expr("k + 0 > 0"))
+    assert fn({"k": 1}) is True
+    fn = engine._parsed_expr(raising)
+    for _ in range(2):
+        assert err(fn, {"k": 1}).code == "DIVISION_BY_ZERO"
+    # 0.0 == -0.0, but the two values that texts of one shape fold to stay apart
+    texts = ("(1.0 - 1.0) * -1.0", "(1.0 - 2.0) * -0.0")
+    assert exprs._split(texts[0])[0] == exprs._split(texts[1])[0]
+    assert [repr(engine._parsed_expr(text)({})) for text in texts] == ["-0.0", "0.0"]
+    assert [repr(engine._parsed_assignment("k := " + text)[1]({})) for text in texts] == [
+        "-0.0", "0.0"]
 
 
 # Besides the nesting forms: chains of ||, && over comparisons, -( chains and

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from btt import (
     BttError,
+    CanonicalizeError,
     Diagnostic,
     Engine,
     EngineError,
@@ -334,12 +335,14 @@ def test_validation_matches_the_reference(t):
 
 
 # Any scalar, or None, where a node holds text; names and kinds that
-# resolve now and then, so that some trees are valid and get ticked.
+# resolve now and then, so that some trees are valid and get ticked. A
+# name, kind or child entry may also be a list, which cannot be hashed.
 _ANY = st.one_of(st.none(), scalar_values)
-_ANY_NAME = st.one_of(st.sampled_from(["a", "b", "c"]), _ANY)
+_LISTS = st.lists(st.sampled_from(["a", "b", "sequence"]), max_size=2)
+_ANY_NAME = st.one_of(st.sampled_from(["a", "b", "c"]), _ANY, _LISTS)
 _ANY_TEXT = st.one_of(st.sampled_from(["true", "SUCCESS", "x == 1", "n := 1"]), _ANY)
 _ANY_FIELD = {
-    "name": _ANY_NAME, "type": st.one_of(st.sampled_from(_TYPES[:6]), _ANY),
+    "name": _ANY_NAME, "type": st.one_of(st.sampled_from(_TYPES[:6]), _ANY, _LISTS),
     # children and a script may also be a lone name or text, or any scalar
     "children": st.one_of(st.lists(_ANY_NAME, max_size=3).map(tuple), _ANY_NAME),
     "if_": _ANY_TEXT, "then": _ANY_TEXT, "else_": _ANY_TEXT, "result": _ANY_TEXT,
@@ -392,6 +395,30 @@ def test_a_non_text_name_payload_or_script_line_is_bad_node():
     # a kind or a child that is not text is judged by its own rule
     assert codes(validate_expanded(ExpandedTree((NodeDef("a", 1),), "a"))) == ["UNKNOWN_TYPE"]
     assert codes(validate_expanded(tree(control("a", "sequence", [1])))) == ["UNRESOLVED_CHILD"]
+
+
+def test_a_name_type_child_or_root_that_cannot_be_hashed_is_judged_not_a_crash():
+    """Such a value equals nothing: it is judged as a hashable value that is
+    not text and names no node is, and the writer and the engine refuse the
+    tree as invalid."""
+    b = action("b")
+    cases = [(ExpandedTree((control("a", "sequence", ["b"]), b, action(["b"])), "a"),
+              [("BAD_NODE", ["b"], "the name must be text, not list"),
+               ("UNREACHABLE", ["b"], "node is not reachable from the root")]),
+             (ExpandedTree((NodeDef("a", ["x"]),), "a"),
+              [("UNKNOWN_TYPE", "a", "type '['x']' is not a primary node kind")]),
+             (ExpandedTree((control("a", "sequence", ["b", ["b"]]), b), "a"),
+              [("UNRESOLVED_CHILD", "a", "child '['b']' is not defined")]),
+             (ExpandedTree((control("a", "sequence", ["b"]), b), ["a"]),
+              [("BAD_ROOT", ["a"], "root does not name a defined node")])]
+    for t, want in cases:
+        diags = validate_expanded(t)
+        assert [(d.code, d.node, d.message) for d in diags] == want
+        assert diags == reference_validate_expanded(t)
+        with pytest.raises(CanonicalizeError, match="CANONICALIZE_ERROR"):
+            serialize_expanded(t)
+        with pytest.raises(EngineError, match="NOT_A_TREE"):
+            Engine(t)
 
 
 def test_children_or_a_script_that_is_not_a_sequence_is_bad_node():
