@@ -28,7 +28,6 @@ from .model import (
     ReturnState,
     TemplateDef,
     diagnostic_render,
-    dfs_preorder,
     validate_expanded,
     value_text,
     values_equal,

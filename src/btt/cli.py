@@ -24,7 +24,7 @@ from .errors import (
     ValidationFailure,
 )
 from .expander import DEFAULT_MAX_DEPTH, MAX_DEPTH_CEILING, expand_document
-from .model import NodeKind, diagnostic_render, dfs_preorder
+from .model import NodeKind, _preorder, diagnostic_render
 from .stdlib import SHADOWED_BUILTIN, builtin_templates, shadowed_builtins
 from .textio import parse_document, parse_scenario, serialize_expanded
 
@@ -101,7 +101,7 @@ def _write(text, output):
 def render_dot(tree) -> str:
     lines = ["digraph bt {"]
     index = tree.by_name()
-    order = dfs_preorder(tree)
+    order = _preorder(tree)
     for name in order:
         nd = index[name]
         shape = _DOT_SHAPES.get(nd.type, "box")

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DumpError, EngineError, ExprError, TickError
-from .exprs import _compile_text, _Parser, not_a_state
+from .exprs import _compiled_assignment, _compiled_expr, not_a_state
 from .model import (
     LEAF_PAYLOAD,
     MAX_INT_DIGITS,
+    NAME_RE,
     PAYLOAD_FIELDS,
     Diagnostic,
     ExpandedTree,
@@ -121,23 +121,9 @@ _new_event = tuple.__new__  # skips NamedTuple's Python-level __new__
 _STATE_TEXT = {state: state.value for state in ReturnState}
 
 
-# Each text is compiled once per process, by its shape's binder; only the
-# compiled function is kept. Each node looks its texts up once, the first
-# time it evaluates them. A text that does not parse is not cached.
-@lru_cache(maxsize=None)
-def _parsed_expr(text):
-    return _compile_text(text, _Parser.to_end)
-
-
-@lru_cache(maxsize=None)
-def _parsed_assignment(text):
-    """``key := expr`` as the key and the compiled expression."""
-    return _compile_text(text, _Parser.assignment)
-
-
 def check_expressions(tree: ExpandedTree) -> list[Diagnostic]:
     """Parse and compile every expression text of ``tree`` through the
-    engine's per-text caches, as ``tick()`` would when it reaches them.
+    per-text caches that ``tick()`` reads, as it would when it reaches them.
 
     Returns one diagnostic per text that does not parse, in node order
     and then payload key order, located at its node's span.
@@ -147,10 +133,10 @@ def check_expressions(tree: ExpandedTree) -> list[Diagnostic]:
         for key in LEAF_PAYLOAD.get(nd.type, ()):
             value = getattr(nd, PAYLOAD_FIELDS[key])
             if key == "script":
-                texts = [(f"script[{i}]", _parsed_assignment, line)
+                texts = [(f"script[{i}]", _compiled_assignment, line)
                          for i, line in enumerate(value)]
             else:
-                texts = [(key, _parsed_expr, value)]
+                texts = [(key, _compiled_expr, value)]
             for where, parse, text in texts:
                 try:
                     parse(text)
@@ -194,6 +180,8 @@ class Engine:
         if scenario is not None:
             # what parse_scenario refuses in a text, refused in a hand-built scenario
             for key, value in scenario.memory.items():
+                if not isinstance(key, str) or not NAME_RE.fullmatch(key):
+                    raise EngineError("SCHEMA_ERROR", f"invalid memory key '{key}'", subject=key)
                 try:
                     value_tag(value)
                 except TypeError:
@@ -267,7 +255,7 @@ class Engine:
                 if kind == _CONDITION:
                     e = ifs[node]
                     if e is None:
-                        e = ifs[node] = _parsed_expr(nodes[node].if_)
+                        e = ifs[node] = _compiled_expr(nodes[node].if_)
                     branch = e(memory)
                     if branch.__class__ is not bool:
                         raise ExprError("TYPE_ERROR", "condition 'if' must evaluate to a boolean")
@@ -275,7 +263,7 @@ class Engine:
                     e = slots[node]
                     if e is None:
                         nd = nodes[node]
-                        e = slots[node] = _parsed_expr(nd.then if branch else nd.else_)
+                        e = slots[node] = _compiled_expr(nd.then if branch else nd.else_)
                     result = e(memory)
                     if result.__class__ is not ReturnState:
                         raise not_a_state(result)
@@ -290,7 +278,7 @@ class Engine:
                     if script is None:  # first run: parse each line just before it runs
                         script = []
                         for text in nodes[node].script:
-                            key, e = line = _parsed_assignment(text)
+                            key, e = line = _compiled_assignment(text)
                             memory[key] = e(memory)
                             script.append(line)
                         scripts[node] = script
@@ -299,7 +287,7 @@ class Engine:
                             memory[key] = e(memory)
                     e = results[node]
                     if e is None:
-                        e = results[node] = _parsed_expr(nodes[node].result)
+                        e = results[node] = _compiled_expr(nodes[node].result)
                     result = e(memory)
                     if result.__class__ is not ReturnState:
                         raise not_a_state(result)

@@ -17,9 +17,10 @@ The binary operators, their levels and the prefix operators are written
 once, in the operator table below; the tokenizer, the parser, the compiler
 and the printer all read it.
 
-Each shape is parsed once and compiled once: beside the tokenizer, the
-splitter turns a text into its shape and its names and literal values,
-which bind straight into the shape's closures (see "shapes" below).
+parse_expr and parse_assignment parse their own text. The engine's path
+parses and compiles each shape once: beside the tokenizer, the splitter
+turns a text into its shape and its names and literal values, which bind
+straight into the shape's closures (see "shapes" below).
 
 Note that IDENT may contain "-", "/" and ".", so arithmetic over variables
 needs spaces around the operators ("a - b", not "a-b").
@@ -381,9 +382,9 @@ class _Parser:
 # text literal replaced by a placeholder of its kind. The splitter matches
 # the tokenizer's own value patterns, so a shape's tokens are the text's
 # but for their values. Each shape is parsed and compiled once, and each
-# text binds its own values into the shape's binder (its tree, for
-# parse_expr). A text whose shape does not parse, or with a number literal
-# out of range, is parsed on its own, so its error and offset are its own.
+# text binds its own values into the shape's binder. A text whose shape
+# does not parse, or with a number literal out of range, is parsed on its
+# own, so its error and offset are its own.
 
 def _split(text):
     """``text``'s shape and its names and literal values in source order, or
@@ -410,47 +411,17 @@ def _split(text):
 
 
 @lru_cache(maxsize=None)
-def _parsed_shape(shape, rule):
-    """``rule``, a parser method, applied to ``shape``, or None if it fails."""
+def _binder(shape, rule):
+    """_binding of ``shape`` parsed by ``rule``, a parser method, or None if
+    it does not parse."""
     try:
-        return rule(_Parser(shape))
+        e = rule(_Parser(shape))
     except ExprError:
         return None
-
-
-@lru_cache(maxsize=None)
-def _binder(shape, rule):
-    """_binding of ``shape`` parsed by ``rule``, or None if it does not parse."""
-    e = _parsed_shape(shape, rule)
-    return None if e is None else _binding(e)
+    return _binding(e)
 
 
 _RESERVED_TYPES = {type(lit.value) for lit in _RESERVED.values()}
-
-
-def _bind(e, values):
-    """The shape tree ``e`` with its placeholders replaced, in source order,
-    by the names and values the iterator ``values`` yields."""
-    t = type(e)
-    if t is Binary:
-        return Binary(e.op, _bind(e.left, values), _bind(e.right, values))
-    if t is Var:
-        return Var(next(values))
-    if t is Lit:  # a reserved word stays; every other literal is a placeholder
-        return e if type(e.value) in _RESERVED_TYPES else Lit(next(values))
-    if t is Unary:
-        return Unary(e.op, _bind(e.operand, values))
-    return Assignment(next(values), _bind(e.value, values))
-
-
-def _parse(text, rule):
-    split = _split(text)
-    if split is not None:
-        shape, values = split
-        e = _parsed_shape(shape, rule)
-        if e is not None:
-            return _bind(e, iter(values))
-    return rule(_Parser(text))
 
 
 def _compile_text(text, rule):
@@ -464,19 +435,33 @@ def _compile_text(text, rule):
     return _binding(rule(_Parser(text)))(iter(()))
 
 
+# The per-text caches that the engine and check_expressions read: each text
+# is compiled once per process, and only its compiled function is kept. A
+# text that does not parse is not cached.
+@lru_cache(maxsize=None)
+def _compiled_expr(text):
+    return _compile_text(text, _Parser.to_end)
+
+
+@lru_cache(maxsize=None)
+def _compiled_assignment(text):
+    """``key := expr`` as the key and the compiled expression."""
+    return _compile_text(text, _Parser.assignment)
+
+
 def parse_expr(text: str) -> Expr:
-    return _parse(text, _Parser.to_end)
+    return _Parser(text).to_end()
 
 
 def parse_assignment(text: str) -> Assignment:
     """Parse ``<key> := <expr>``. A single ``=`` is reserved and rejected."""
-    return _parse(text, _Parser.assignment)
+    return _Parser(text).assignment()
 
 
 # --- compiling and evaluation ----------------------------------------------
 #
 # A tree compiles through its binder (see _plan). Key reads and literals
-# are leaves shared process-wide, like the engine's per-text caches.
+# are leaves shared process-wide, like the per-text caches.
 
 @lru_cache(maxsize=None)
 def _key(name):

@@ -498,21 +498,14 @@ def _depth_first(defined, root):
     return [name for name in defined if color[name] != WHITE], cycle_hits
 
 
-def dfs_preorder(tree: ExpandedTree) -> list[str]:
-    """Depth-first pre-order from the root, children in listed order.
-
-    Intended for valid trees; repeated or missing references are skipped
-    defensively rather than visited twice.
-    """
+def _preorder(tree: ExpandedTree) -> list[str]:
+    """The node names of the valid tree ``tree`` in depth-first pre-order
+    from the root, children in listed order."""
     index = tree.by_name()
     out = []
-    seen = set()
     stack = [tree.root]
     while stack:
         name = stack.pop()
-        if name in seen or name not in index:
-            continue
-        seen.add(name)
         out.append(name)
         stack.extend(reversed(index[name].children))
     return out

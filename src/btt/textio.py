@@ -50,7 +50,7 @@ from .model import (
     NodeDef,
     ParamDecl,
     TemplateDef,
-    dfs_preorder,
+    _preorder,
     require_valid,
 )
 
@@ -533,7 +533,7 @@ def serialize_expanded(tree: ExpandedTree) -> str:
     require_valid(tree, CanonicalizeError, "CANONICALIZE_ERROR")
     index = tree.by_name()
     lines = [f"root: {_flow_scalar(tree.root)}", "nodes:"]
-    for name in dfs_preorder(tree):
+    for name in _preorder(tree):
         nd = index[name]
         lines.append(f"  {_flow_scalar(name)}:")
         lines.append(f"    type: {_block_scalar(nd.type)}")

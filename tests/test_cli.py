@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from btt import expander, model, textio, validate_expanded
 from btt.cli import main
 from util import (BODY_PAYLOAD_LINE, CORPUS, CORPUS_DOCS, EXAMPLES, GOLDEN,
-                  LEAF_PAYLOAD_VALUES, NESTED_FORMS, TEMPLATES, body_payload_doc, nested)
+                  LEAF_PAYLOAD_VALUES, NESTED_FORMS, REPO, TEMPLATES, body_payload_doc, nested)
 
 
 def run_cli(capsys, *argv):
@@ -551,6 +552,18 @@ def test_patrol_readme_commands(capsys):
     # docking on tick 3 skips the scan once; the round then finishes at the roof
     assert {"position = roof", "battery = 75", "scans = 5"} <= set(lines)
     assert lines[-1] == "result=SUCCESS"
+
+
+def test_readme_python_blocks_run(monkeypatch):
+    """Each fenced python block of README.md runs, from the repo root, so
+    the API it shows is the API there is. A failure names its README line."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"^```python\n(.*?)^```$", readme, re.M | re.S))
+    assert blocks
+    monkeypatch.chdir(REPO)
+    for block in blocks:
+        line = readme.count("\n", 0, block.start(1))
+        exec(compile("\n" * line + block.group(1), "README.md", "exec"), {})
 
 
 def test_arity_mismatch_exit_3(tmp_path, capsys):

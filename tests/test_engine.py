@@ -131,16 +131,34 @@ def test_unknown_scenario_action():
 
 
 def test_a_hand_built_scenario_is_refused_as_its_yaml_is():
-    """An action with no result, or a result that is not a state, is the
-    EngineError whose code and message parse_scenario gives the same fault."""
-    for actions, yaml_actions in (({"a": ()}, "{a: []}"), ({"a": (S, "X")}, "{a: [SUCCESS, X]}")):
+    """An action with no result, a result that is not a state, or a memory
+    key that is not a name, is the EngineError whose code and message
+    parse_scenario gives the same fault, before anything is written to
+    memory; a memory key is checked before its value, as in the YAML."""
+    refused = []
+    for scenario, text, subject in (
+            (Scenario(actions={"a": ()}), "actions: {a: []}\n", "a"),
+            (Scenario(actions={"a": (S, "X")}), "actions: {a: [SUCCESS, X]}\n", "a"),
+            (Scenario(memory={"x": 1, "a b": 2}), "memory: {x: 1, a b: 2}\n", "a b"),
+            (Scenario(memory={"a b": [1]}), "memory: {a b: [1]}\n", "a b")):
         with pytest.raises(BttError) as parsed:
-            parse_scenario(f"actions: {yaml_actions}\n")
+            parse_scenario(text)
+        memory = {}
         with pytest.raises(EngineError) as exc:
-            Engine(tree(action("a")), scenario=Scenario(actions=actions))
+            Engine(tree(action("a")), scenario=scenario, memory=memory)
         assert (exc.value.code, exc.value.message, exc.value.subject) == (
-            parsed.value.code, parsed.value.message, "a")
-    assert (exc.value.code, exc.value.message) == ("UNKNOWN_STATE", "'X' is not a return state")
+            parsed.value.code, parsed.value.message, subject)
+        assert memory == {}
+        refused.append((exc.value.code, exc.value.message))
+    assert refused[1:3] == [("UNKNOWN_STATE", "'X' is not a return state"),
+                            ("SCHEMA_ERROR", "invalid memory key 'a b'")]
+    # a key that is not text, which no YAML scenario gives, is refused alike
+    memory = {}
+    with pytest.raises(EngineError) as exc:
+        Engine(tree(action("a")), scenario=Scenario(memory={1: 2}), memory=memory)
+    assert (exc.value.code, exc.value.message, exc.value.subject) == (
+        "SCHEMA_ERROR", "invalid memory key '1'", 1)
+    assert memory == {}
 
 
 def test_a_hand_built_scenario_with_no_result_list_or_a_memory_value_that_is_not_a_scalar():

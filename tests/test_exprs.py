@@ -22,7 +22,7 @@ from btt import (
     parse_expr,
     print_expr,
 )
-from btt import engine, exprs
+from btt import exprs
 from btt.exprs import compile_expr
 from btt.model import MAX_INT_DIGITS
 from oracles import (
@@ -230,14 +230,14 @@ def _parsed(parse, text, memories=()):
 
 
 def _compiled(compile, text, memories):
-    """What the engine's per-text cache ``compile`` makes of ``text``: its
-    key, if it is an assignment, and its outcome on each memory, or its
-    error."""
+    """What the per-text cache ``compile``, which the engine reads, makes
+    of ``text``: its key, if it is an assignment, and its outcome on each
+    memory, or its error."""
     try:
         compiled = compile(text)
     except ExprError as exc:
         return "error", exc.code, exc.message, exc.offset
-    key, fn = compiled if compile is engine._parsed_assignment else (None, compiled)
+    key, fn = compiled if compile is exprs._compiled_assignment else (None, compiled)
     return ("compiled", key, *(_outcome(lambda fn, memory: fn(memory), fn, m) for m in memories))
 
 
@@ -253,15 +253,15 @@ def _referenced(text, reference, memories):
 
 
 def _assert_compiles_alike(text):
-    """The engine's caches, which compile each shape once and bind each
+    """The per-text caches, which compile each shape once and bind each
     text's keys and literals into it, and the reference give ``text`` the
     same key and values on random memories, or the same error, as an
     expression, after an assignment's ``k := `` and as an assignment."""
     memories = _memories_of(text)
     for compile, reference, prefix in (
-            (engine._parsed_expr, reference_parse_expr, ""),
-            (engine._parsed_assignment, reference_parse_assignment, "k := "),
-            (engine._parsed_assignment, reference_parse_assignment, "")):
+            (exprs._compiled_expr, reference_parse_expr, ""),
+            (exprs._compiled_assignment, reference_parse_assignment, "k := "),
+            (exprs._compiled_assignment, reference_parse_assignment, "")):
         assert (_compiled(compile, prefix + text, memories)
                 == _referenced(prefix + text, reference, memories)), prefix + text
 
@@ -348,14 +348,18 @@ def test_texts_that_differ_only_in_keys_and_literals_share_one_parse(monkeypatch
         init(self, text)
 
     monkeypatch.setattr(exprs._Parser, "__init__", counted)
-    exprs._parsed_shape.cache_clear()
+    exprs._binder.cache_clear()
+    exprs._compiled_expr.cache_clear()
     texts = [f"k{i}/x-{i}.y + {i} * (n_{i} - {7 * i}) >= lim{i} || !done/{i}" for i in range(200)]
     for text in texts:
-        assert repr(parse_expr(text)) == repr(reference_parse_expr(text))
+        memories = _memories_of(text)
+        assert (_compiled(exprs._compiled_expr, text, memories)
+                == _referenced(text, reference_parse_expr, memories))
     assert len(parsers) == 1
     # a shape that does not parse is tried once; the text itself, every time
     for _ in range(3):
-        assert _parsed(parse_expr, "k > (1") == _parsed(reference_parse_expr, "k > (1")
+        assert (_compiled(exprs._compiled_expr, "k > (1", ())
+                == _referenced("k > (1", reference_parse_expr, ()))
     assert parsers[1:] == ["n > (0", "k > (1", "k > (1", "k > (1"]
 
 
@@ -380,7 +384,7 @@ def test_texts_of_one_shape_build_one_binder_and_no_tree(monkeypatch):
             assert len(planned) == 12  # 6 operators and 6 leaves
             for cls in (Lit, Var, Unary, Binary, Assignment):
                 monkeypatch.setattr(cls, "__init__", lambda *_: pytest.fail("a tree was built"))
-        assert engine._parsed_expr(text)(memory) is (i + i * (3 - 7 * i) >= -50)
+        assert exprs._compiled_expr(text)(memory) is (i + i * (3 - 7 * i) >= -50)
     assert len(planned) == 12
 
 
@@ -395,17 +399,17 @@ def test_a_literal_only_operand_folds_or_raises_per_text_in_one_shape():
             return fn
         return fn.__code__, tuple(map(plan, fn.__defaults__ or ()))
 
-    fn = engine._parsed_expr(folded)
-    assert plan(fn) == plan(engine._parsed_expr("k + 0 > 0"))
+    fn = exprs._compiled_expr(folded)
+    assert plan(fn) == plan(exprs._compiled_expr("k + 0 > 0"))
     assert fn({"k": 1}) is True
-    fn = engine._parsed_expr(raising)
+    fn = exprs._compiled_expr(raising)
     for _ in range(2):
         assert err(fn, {"k": 1}).code == "DIVISION_BY_ZERO"
     # 0.0 == -0.0, but the two values that texts of one shape fold to stay apart
     texts = ("(1.0 - 1.0) * -1.0", "(1.0 - 2.0) * -0.0")
     assert exprs._split(texts[0])[0] == exprs._split(texts[1])[0]
-    assert [repr(engine._parsed_expr(text)({})) for text in texts] == ["-0.0", "0.0"]
-    assert [repr(engine._parsed_assignment("k := " + text)[1]({})) for text in texts] == [
+    assert [repr(exprs._compiled_expr(text)({})) for text in texts] == ["-0.0", "0.0"]
+    assert [repr(exprs._compiled_assignment("k := " + text)[1]({})) for text in texts] == [
         "-0.0", "0.0"]
 
 

@@ -16,13 +16,13 @@ from btt import (
     ReturnState,
     SourceSpan,
     diagnostic_render,
-    dfs_preorder,
     serialize_expanded,
     validate_expanded,
     value_text,
     values_equal,
     with_leaf_defaults,
 )
+from btt.model import _preorder
 from oracles import reference_validate_expanded
 from util import CORPUS_DOCS, action, condition, control, expand_path, expand_text, tree
 
@@ -251,7 +251,7 @@ def test_diagnostic_render_format():
 @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.name)
 def test_dfs_visits_every_node_exactly_once(path):
     t = expand_path(path)
-    order = dfs_preorder(t)
+    order = _preorder(t)
     assert sorted(order) == sorted(nd.name for nd in t.nodes)
     assert len(order) == len(set(order))
     assert order[0] == t.root
