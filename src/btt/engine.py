@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import DumpError, EngineError, ExprError, TickError
@@ -24,12 +24,12 @@ from .model import (
     MAX_INT_DIGITS,
     NAME_RE,
     PAYLOAD_FIELDS,
+    _CLASSES,
     Diagnostic,
     ExpandedTree,
     NodeKind,
     ReturnState,
     require_valid,
-    value_tag,
     value_text,
 )
 
@@ -161,8 +161,21 @@ class Engine:
         # A valid tree gives each node one parent and the root none, so the
         # walk from the root cannot meet a cycle and a tick always ends.
         require_valid(tree, EngineError, "NOT_A_TREE")
+        memory = {} if memory is None else memory
+        seeds, actions = ({}, {}) if scenario is None else (scenario.memory, scenario.actions)
+        # What parse_scenario refuses in a text, refused in a hand-built
+        # scenario or memory before anything is written to the memory.
+        for what, mapping in (("memory", memory), ("memory", seeds), ("actions", actions)):
+            if type(mapping) not in _CLASSES["mapping"]:
+                raise EngineError("SCHEMA_ERROR", f"{what} must be a mapping")
+        for key, value in chain(memory.items(), seeds.items()):
+            if type(key) not in _CLASSES["memory key"] or not NAME_RE.fullmatch(key):
+                raise EngineError("SCHEMA_ERROR", f"invalid memory key '{key}'", subject=key)
+            if type(value) not in _CLASSES["memory value"]:
+                raise EngineError("SCHEMA_ERROR", f"memory value for '{key}' must be a scalar",
+                                  subject=key)
         self.tree = tree
-        self.memory = memory if memory is not None else {}
+        self.memory = memory
         self.scenario = scenario
         self.tick_count = 0
 
@@ -177,36 +190,26 @@ class Engine:
         numbers = dict(zip(names, range(n)))
         kinds = [_CODES[nd.type] for nd in nodes]
         scripts = [None] * n  # parsed script lines, or a scripted action's results
-        if scenario is not None:
-            # what parse_scenario refuses in a text, refused in a hand-built scenario
-            for key, value in scenario.memory.items():
-                if not isinstance(key, str) or not NAME_RE.fullmatch(key):
-                    raise EngineError("SCHEMA_ERROR", f"invalid memory key '{key}'", subject=key)
-                try:
-                    value_tag(value)
-                except TypeError:
-                    raise EngineError("SCHEMA_ERROR", f"memory value for '{key}' must be a scalar",
-                                      subject=key) from None
-            for name, results in scenario.actions.items():
-                if not isinstance(results, (tuple, list)):
-                    raise EngineError("SCHEMA_ERROR", f"results for '{name}' must be a list",
+        for name, results in actions.items():
+            if type(results) not in _CLASSES["results"]:
+                raise EngineError("SCHEMA_ERROR", f"results for '{name}' must be a list",
+                                  subject=name)
+            for state in results:
+                if type(state) not in _CLASSES["state"]:
+                    raise EngineError("UNKNOWN_STATE", f"'{state}' is not a return state",
                                       subject=name)
-                for state in results:
-                    if state.__class__ is not ReturnState:
-                        raise EngineError("UNKNOWN_STATE", f"'{state}' is not a return state",
-                                          subject=name)
-                if not results:
-                    raise EngineError("SCHEMA_ERROR", f"action '{name}' needs at least one result",
-                                      subject=name)
-                i = numbers.get(name)
-                if i is None or kinds[i] != _ACTION:
-                    raise EngineError(
-                        "UNKNOWN_SCENARIO_ACTION",
-                        f"scenario scripts '{name}', which is not an action in the tree",
-                        subject=name,
-                    )
-                kinds[i] = _SCRIPTED
-                scripts[i] = results
+            if not results:
+                raise EngineError("SCHEMA_ERROR", f"action '{name}' needs at least one result",
+                                  subject=name)
+            i = numbers.get(name) if type(name) in _CLASSES["name"] else None
+            if i is None or kinds[i] != _ACTION:
+                raise EngineError(
+                    "UNKNOWN_SCENARIO_ACTION",
+                    f"scenario scripts '{name}', which is not an action in the tree",
+                    subject=name,
+                )
+            kinds[i] = _SCRIPTED
+            scripts[i] = results
 
         first, sibling, parent = [-1] * n, [-1] * n, [-1] * n
         for i, nd in enumerate(nodes):
@@ -224,8 +227,7 @@ class Engine:
         # setdefault for every key, in one C-level merge: entries already
         # in memory keep their value and place, new keys follow in order
         self.memory.update({**dict.fromkeys(keys, ReturnState.EMPTY), **self.memory})
-        if scenario is not None:
-            self.memory.update(scenario.memory)
+        self.memory.update(seeds)
         self._program = (nodes, kinds, first, sibling, parent, keys, names, [None] * n,
                          [None] * n, [None] * n, [None] * n, scripts, [0] * n, [_NONE_YET] * n)
 

@@ -140,10 +140,28 @@ class NodeDef:
     span: "SourceSpan | None" = field(default=None, compare=False, repr=False)
 
 
+_TEXT, _SEQUENCE, _NONE = frozenset({str}), frozenset({tuple, list}), frozenset({type(None)})
+# The exact classes (``type(v) in``, so that no subclass passes) that each
+# field and container of a hand-built ExpandedTree, NodeDef and Scenario,
+# and each entry of an Engine's memory, may hold, so that every other rule
+# reads a name or text as text. NodeDef.args is read only as carried or
+# not, and a span is only carried along.
+_CLASSES = {
+    "nodes": _SEQUENCE, "node": frozenset({NodeDef}), "root": _TEXT, "name": _TEXT,
+    "type": _TEXT, "children": _SEQUENCE, "child": _TEXT, "script": _SEQUENCE | _NONE,
+    "script line": _TEXT, **dict.fromkeys(("if_", "then", "else_", "result"), _TEXT | _NONE),
+    # Scenario.memory and .actions, and the memory an Engine is given
+    "mapping": frozenset({dict}), "memory key": _TEXT, "memory value": _SCALAR_TYPES,
+    "results": _SEQUENCE, "state": frozenset({ReturnState}),
+}
+# What a message calls each NodeDef field of _CLASSES, in judging order,
+# and for a sequence, what it calls one entry and that entry's row.
+_FIELD_TEXT = (("name", "the name"), ("if_", "'if'"), ("then", "'then'"), ("else_", "'else'"),
+               ("result", "'result'"), ("script", "'script'", "a 'script' line", "script line"),
+               ("children", "'children'", "a child", "child"), ("type", "the type"))
 _NAME, _TYPE, _CHILDREN, _SCRIPT = map(attrgetter, ("name", "type", "children", "script"))
 _TEXTS = tuple(map(attrgetter, ("if_", "then", "else_", "result")))
 _CARRIED = partial(is_not, None)  # a payload text the node carries
-_SCRIPT_CLASSES = {tuple, type(None)}
 
 
 def payload_problem(nd: NodeDef, kind: str | None) -> str | None:
@@ -253,85 +271,70 @@ def diagnostic_render(d: Diagnostic) -> str:
     return f"{d.code}: {d.node}: {d.message}"
 
 
-def _sequence(v) -> bool:
-    """Whether a node's children or script ``v`` is a sequence: a tuple or a list."""
-    return isinstance(v, (tuple, list))
+def _class_problem(nd: NodeDef) -> str | None:
+    """What the first field of ``nd`` that _CLASSES does not allow holds,
+    or None if every field holds a class it allows."""
+    for fld, what, *entry in _FIELD_TEXT:
+        v = getattr(nd, fld)
+        if type(v) not in _CLASSES[fld]:
+            kind = "a sequence of text" if entry else "text"
+            return f"{what} must be {kind}, not {type(v).__name__}"
+        if entry and v is not None:
+            what, row = entry
+            for item in v:
+                if type(item) not in _CLASSES[row]:
+                    return f"{what} must be text, not {type(item).__name__}"
+    return None
 
 
-def _text_problems(nd: NodeDef) -> list:
-    """The (code, message) pairs the per-node text rules give ``nd``: the
-    first of a name, payload text or script line that is not text, a script
-    that is neither None nor a sequence, and children that are not a
-    sequence, is BAD_NODE; then "$" in any text, or "~" in a name position,
-    is residue, since quoted expression text may legitimately contain a
-    tilde. A script or children that are not a sequence hold no text, and a
-    type or child that is not text is left to the kind and children rules."""
-    script = () if nd.script is None else nd.script
-    children = nd.children
-    texts = [("the name", nd.name)]
-    texts += [(f"'{key}'", v) for key, v in zip(("if", "then", "else", "result"),
-                                                 (nd.if_, nd.then, nd.else_, nd.result))
-              if v is not None]  # None: the node does not carry the key
-    texts += [("a 'script' line", line) for line in (script if _sequence(script) else ())]
-    problems = []
-    for what, v in texts:
-        if not isinstance(v, str):
-            problems.append(("BAD_NODE", f"{what} must be text, not {type(v).__name__}"))
-            break
-    else:
-        for key, v in (("script", script), ("children", children)):
-            if not _sequence(v):
-                problems.append(("BAD_NODE", f"'{key}' must be a sequence of text, "
-                                 f"not {type(v).__name__}"))
-                break
-    if not _sequence(children):
-        children = ()
-    names = "".join(t for t in (nd.name, nd.type, *children) if isinstance(t, str))
-    payload = "".join(v for _, v in texts[1:] if isinstance(v, str))
-    if "$" in names or "~" in names or "$" in payload:
-        problems.append(("UNSUBSTITUTED_PLACEHOLDER", "node carries an unsubstituted '$' or '~'"))
-    return problems
+def _class_diagnostics(tree: ExpandedTree) -> list[Diagnostic]:
+    """One BAD_NODE for each node of ``tree`` that holds a class _CLASSES
+    does not allow, in node order, then BAD_ROOT for a root that is not
+    text. A node is named by its name if that is text, else by its place."""
+    diags = []
+    nodes = tree.nodes
+    if type(nodes) not in _CLASSES["nodes"]:
+        diags.append(Diagnostic("BAD_NODE", "nodes", "'nodes' must be a sequence of NodeDef, "
+                                f"not {type(nodes).__name__}"))
+        nodes = ()
+    for i, nd in enumerate(nodes):
+        if type(nd) not in _CLASSES["node"]:
+            diags.append(Diagnostic("BAD_NODE", f"nodes[{i}]",
+                                    f"a node must be a NodeDef, not {type(nd).__name__}"))
+            continue
+        problem = _class_problem(nd)
+        if problem:
+            name = nd.name if type(nd.name) in _CLASSES["name"] else f"nodes[{i}]"
+            diags.append(Diagnostic("BAD_NODE", name, problem, nd.span))
+    if type(tree.root) not in _CLASSES["root"]:
+        diags.append(Diagnostic("BAD_ROOT", "root",
+                                f"the root must be text, not {type(tree.root).__name__}"))
+    return diags
 
 
-def _may_carry_placeholder(defined: dict) -> bool:
-    """False only if no node of ``defined`` carries residue, a value that is
-    not text, or children or a script that is not a tuple: one scan over all
-    their texts, so that the per-node text rules run only on a tree that may
-    fail them."""
-    nodes = defined.values()
-    if not ({*map(type, map(_CHILDREN, nodes))} <= {tuple}
-            and {*map(type, map(_SCRIPT, nodes))} <= _SCRIPT_CLASSES):
-        return True
-    try:
-        names = "".join(chain(defined, map(_TYPE, nodes),
-                              chain.from_iterable(map(_CHILDREN, nodes))))
-        texts = "".join(chain(*(filter(_CARRIED, map(text, nodes)) for text in _TEXTS),
-                              chain.from_iterable(filter(None, map(_SCRIPT, nodes)))))
-    except TypeError:
-        return True
-    return "$" in names or "~" in names or "$" in texts
+def _texts(nodes) -> tuple[str, str] | None:
+    """The name positions (names, types, child entries) of ``nodes`` joined,
+    and their payload texts and script lines joined; or None if a node, or
+    a field or container of one, holds a class _CLASSES does not allow. One
+    scan of C-level passes: the classes of the nodes and their containers,
+    then of both text streams in one set, before the streams are joined."""
+    if not ({*map(type, nodes)} <= _CLASSES["node"]
+            and {*map(type, map(_CHILDREN, nodes))} <= _CLASSES["children"]
+            and {*map(type, map(_SCRIPT, nodes))} <= _CLASSES["script"]):
+        return None
+    names = [*map(_NAME, nodes), *map(_TYPE, nodes), *chain.from_iterable(map(_CHILDREN, nodes))]
+    texts = [*chain(*(filter(_CARRIED, map(text, nodes)) for text in _TEXTS),
+                    chain.from_iterable(filter(None, map(_SCRIPT, nodes))))]
+    if not {*map(type, names), *map(type, texts)} <= _TEXT:
+        return None
+    return "".join(names), "".join(texts)
 
 
-class _Unhashable:
-    """A name, type, child entry or root that cannot be hashed, as
-    validation holds it: it equals nothing, so it names no node and no
-    kind, and it prints as its value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __str__(self):
-        return str(self.value)
-
-
-def _hashable(v):
-    try:
-        hash(v)
-    except TypeError:
-        return _Unhashable(v)
-    return v
+def _residue(texts: tuple[str, str]) -> bool:
+    """Whether joined texts (see _texts) hold "$", or their name positions
+    "~"; quoted expression text may legitimately contain a tilde."""
+    names, payload = texts
+    return "$" in names or "~" in names or "$" in payload
 
 
 def _node_verdict(nd: NodeDef) -> tuple:
@@ -359,35 +362,23 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
     """Check all structural invariants; return one Diagnostic per violation,
     located at the node it names (a duplicate name at its later copy).
 
+    A tree with a field that holds a class _CLASSES does not allow gets
+    only those class diagnostics; the structural rules run on the rest.
     Pure and deterministic: the same tree always yields the same list in
     the same order. An empty list means the tree is valid.
     """
+    nodes = tree.nodes
+    texts = (_texts(nodes) if type(nodes) in _CLASSES["nodes"]
+             and type(tree.root) in _CLASSES["root"] else None)
+    if texts is None:
+        return _class_diagnostics(tree)
+    residue = _residue(texts)
     diags = []
 
     def flag(code, name, message, nd=None):
-        if name.__class__ is _Unhashable:
-            name = name.value
         diags.append(Diagnostic(code, name, message, None if nd is None else nd.span))
 
-    nodes = tree.nodes
-    try:
-        defined = tree.by_name()
-    except TypeError:  # a name that cannot be hashed
-        defined = None
-    problems = {}  # name -> what the text rules say, if they run
-    if defined is None or _may_carry_placeholder(defined):
-        # every other rule reads children that are not a sequence as none,
-        # and a name, type or child entry that cannot be hashed as a stand-in
-        keyed = [replace(nd, name=_hashable(nd.name), type=_hashable(nd.type),
-                         children=tuple(map(_hashable, nd.children))
-                         if _sequence(nd.children) else ())
-                 for nd in nodes]
-        defined = {}
-        for nd, written in zip(keyed, nodes):
-            if nd.name not in defined:
-                defined[nd.name] = nd
-                problems[nd.name] = _text_problems(written)
-        nodes = keyed
+    defined = tree.by_name()
     if len(defined) != len(nodes):
         seen = set()
         for nd in nodes:
@@ -401,21 +392,19 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
     dangling = False
     for nd in defined.values():
         # A node's shape: its kind, whether it has children, and the class of
-        # each payload field. When the kind is text, the shape decides what
-        # the per-node rules say: one verdict holds for every node of a shape.
-        kind, children = nd.type, nd.children
-        shape = (kind, not children, nd.args.__class__, nd.if_.__class__, nd.then.__class__,
+        # each payload field. The shape decides what the per-node rules say:
+        # one verdict holds for every node of a shape.
+        children = nd.children
+        shape = (nd.type, not children, nd.args.__class__, nd.if_.__class__, nd.then.__class__,
                  nd.else_.__class__, nd.script.__class__, nd.result.__class__)
         verdict = verdicts.get(shape)
         if verdict is None:
-            verdict = _node_verdict(nd)
-            if kind.__class__ is str:
-                verdicts[shape] = verdict
+            verdict = verdicts[shape] = _node_verdict(nd)
         for code, message in verdict:
             flag(code, nd.name, message, nd)
-        if problems:
-            for code, message in problems[nd.name]:
-                flag(code, nd.name, message, nd)
+        if residue and _residue(_texts((nd,))):
+            flag("UNSUBSTITUTED_PLACEHOLDER", nd.name, "node carries an unsubstituted '$' or '~'",
+                 nd)
         if children:
             entries += len(children)
             for child in children:
@@ -435,9 +424,9 @@ def validate_expanded(tree: ExpandedTree) -> list[Diagnostic]:
             ps = parents.get(nd.name, ())
             if len(ps) > 1:
                 flag("MULTIPLE_PARENTS", nd.name,
-                     f"listed as child of multiple nodes: {', '.join(map(str, ps))}", nd)
+                     f"listed as child of multiple nodes: {', '.join(ps)}", nd)
 
-    root = _hashable(tree.root)
+    root = tree.root
     if root not in defined:
         flag("BAD_ROOT", root, "root does not name a defined node")
         return diags

@@ -42,6 +42,7 @@ from btt.model import (
     PAYLOAD_FIELDS,
     PRIMARY_KINDS,
     TEMPLATED_PAYLOAD,
+    _CLASSES,
     value_tag,
 )
 
@@ -855,70 +856,83 @@ def reference_expand_document(doc: Document, builtins: dict | None = None,
 
 # --- reference validation -------------------------------------------------
 
-def _is_sequence(v):
-    return isinstance(v, (tuple, list))
+# The NodeDef slots whose classes _CLASSES gives, and what a message calls
+# each, written out here in the order the slots are judged: the text
+# fields, then each sequence and its entries, then the type.
+_TEXT_SLOTS = (("name", "the name"), ("if_", "'if'"), ("then", "'then'"), ("else_", "'else'"),
+               ("result", "'result'"))
+_SEQUENCE_SLOTS = (("script", "'script'", "script line", "a 'script' line"),
+                   ("children", "'children'", "child", "a child"))
 
 
-def _listed(nd: NodeDef):
-    """The node's children, or none if they are not a tuple or list."""
-    return nd.children if _is_sequence(nd.children) else ()
-
-
-def _first_non_text(nd: NodeDef):
+def _class_fault(nd: NodeDef):
     """What is wrong with the first of the node's name, payload texts,
-    script lines, script and children that is not text (a script: None or
-    a tuple or list; children: a tuple or list), or None if each is."""
-    if not isinstance(nd.name, str):
-        return f"the name must be text, not {type(nd.name).__name__}"
-    for key in ("if", "then", "else", "result"):
-        value = getattr(nd, PAYLOAD_FIELDS[key])
-        if value is not None and not isinstance(value, str):
-            return f"'{key}' must be text, not {type(value).__name__}"
-    if _is_sequence(nd.script):
-        for line in nd.script:
-            if not isinstance(line, str):
-                return f"a 'script' line must be text, not {type(line).__name__}"
-    elif nd.script is not None:
-        return f"'script' must be a sequence of text, not {type(nd.script).__name__}"
-    if not _is_sequence(nd.children):
-        return f"'children' must be a sequence of text, not {type(nd.children).__name__}"
+    script, children and type that holds a class _CLASSES does not allow,
+    or None if none does."""
+    for fld, what in _TEXT_SLOTS:
+        value = getattr(nd, fld)
+        if type(value) not in _CLASSES[fld]:
+            return f"{what} must be text, not {type(value).__name__}"
+    for fld, what, entry, entry_what in _SEQUENCE_SLOTS:
+        value = getattr(nd, fld)
+        if type(value) not in _CLASSES[fld]:
+            return f"{what} must be a sequence of text, not {type(value).__name__}"
+        for item in value or ():
+            if type(item) not in _CLASSES[entry]:
+                return f"{entry_what} must be text, not {type(item).__name__}"
+    if type(nd.type) not in _CLASSES["type"]:
+        return f"the type must be text, not {type(nd.type).__name__}"
     return None
+
+
+def _reference_class_diagnostics(tree: ExpandedTree) -> list:
+    """One BAD_NODE per faulty node in node order, named by its text name
+    or by ``nodes[<i>]``; then BAD_ROOT at ``root`` for a root that is not
+    text. Empty for a tree whose every slot holds a class it allows."""
+    diags = []
+    nodes = tree.nodes
+    if type(nodes) not in _CLASSES["nodes"]:
+        diags.append(Diagnostic("BAD_NODE", "nodes", "'nodes' must be a sequence of NodeDef, "
+                                f"not {type(nodes).__name__}"))
+        nodes = ()
+    for i, nd in enumerate(nodes):
+        if type(nd) not in _CLASSES["node"]:
+            fault, name = f"a node must be a NodeDef, not {type(nd).__name__}", None
+        else:
+            fault, name = _class_fault(nd), nd.name
+        if fault is not None:
+            where = name if type(name) in _CLASSES["name"] else f"nodes[{i}]"
+            diags.append(Diagnostic("BAD_NODE", where, fault))
+    if type(tree.root) not in _CLASSES["root"]:
+        diags.append(Diagnostic("BAD_ROOT", "root",
+                                f"the root must be text, not {type(tree.root).__name__}"))
+    return diags
 
 
 def _texts_with_placeholder(nd: NodeDef):
     # "$" is residue anywhere; "~" only counts in name positions, since
-    # quoted expression text may legitimately contain a tilde. A value that
-    # is not text, or a script that is not a sequence, carries no residue.
-    script = nd.script if _is_sequence(nd.script) else ()
-    names = [t for t in (nd.name, nd.type, *_listed(nd)) if isinstance(t, str)]
-    texts = [t for t in (nd.if_, nd.then, nd.else_, nd.result, *script)
-             if isinstance(t, str)]
+    # quoted expression text may legitimately contain a tilde.
+    names = [nd.name, nd.type, *nd.children]
+    texts = [t for t in (nd.if_, nd.then, nd.else_, nd.result, *(nd.script or ()))
+             if t is not None]
     return any("$" in t or "~" in t for t in names) or any("$" in t for t in texts)
 
 
-def _key(v):
-    """``v``, or a new object if ``v`` cannot be hashed: such a name, type,
-    child entry or root equals nothing, so it names no node and no kind."""
-    try:
-        hash(v)
-    except TypeError:
-        return object()
-    return v
-
-
 def reference_validate_expanded(tree: ExpandedTree) -> list:
-    """The validation that per-shape payload verdicts, one residue scan per
-    tree and a plain walk for trees without shared children replaced: every
-    node's payload is checked key by key, every node's texts are scanned
-    (a name, payload text or script line that is not text is BAD_NODE, and
-    so is a script or children that is not a sequence; such children are
-    read as none), and the walk is a DFS with colours. It builds its own
+    """The validation that a fused class and residue scan, per-shape
+    payload verdicts and a plain walk for trees without shared children
+    replaced: a tree with a class fault gets only its class diagnostics;
+    any other has every node's payload checked key by key and every node's
+    texts scanned, and the walk is a DFS with colours. It builds its own
     first-occurrence index instead of calling ``tree.by_name()``."""
+    class_diags = _reference_class_diagnostics(tree)
+    if class_diags:
+        return class_diags
     diags = []
     seen = set()
     defined = {}
     for nd in tree.nodes:
-        name = _key(nd.name)
+        name = nd.name
         if name in seen:
             diags.append(
                 Diagnostic("DUPLICATE_NAME", nd.name, "node name defined more than once")
@@ -927,18 +941,18 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
         defined.setdefault(name, nd)
 
     for nd in defined.values():
-        if _key(nd.type) not in PRIMARY_KINDS:
+        if nd.type not in PRIMARY_KINDS:
             diags.append(
                 Diagnostic("UNKNOWN_TYPE", nd.name,
                            f"type '{nd.type}' is not a primary node kind")
             )
         else:
-            if nd.type in LEAF_PAYLOAD and _listed(nd):
+            if nd.type in LEAF_PAYLOAD and nd.children:
                 diags.append(
                     Diagnostic("LEAF_WITH_CHILDREN", nd.name,
                                f"{nd.type} node must not have children")
                 )
-            elif nd.type not in LEAF_PAYLOAD and not _listed(nd):
+            elif nd.type not in LEAF_PAYLOAD and not nd.children:
                 diags.append(
                     Diagnostic("CONTROL_WITHOUT_CHILDREN", nd.name,
                                f"{nd.type} node requires at least one child")
@@ -950,16 +964,13 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
                        or unset and f"a {nd.type} node has no '{unset[0]}'")
             if problem:
                 diags.append(Diagnostic("BAD_NODE", nd.name, problem))
-        non_text = _first_non_text(nd)
-        if non_text is not None:
-            diags.append(Diagnostic("BAD_NODE", nd.name, non_text))
         if _texts_with_placeholder(nd):
             diags.append(
                 Diagnostic("UNSUBSTITUTED_PLACEHOLDER", nd.name,
                            "node carries an unsubstituted '$' or '~'")
             )
-        for child in _listed(nd):
-            if _key(child) not in defined:
+        for child in nd.children:
+            if child not in defined:
                 diags.append(
                     Diagnostic("UNRESOLVED_CHILD", nd.name,
                                f"child '{child}' is not defined")
@@ -967,8 +978,8 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
 
     parents = {}
     for nd in defined.values():
-        for child in _listed(nd):
-            if _key(child) in defined:
+        for child in nd.children:
+            if child in defined:
                 parents.setdefault(child, []).append(nd.name)
     for name, nd in defined.items():
         ps = parents.get(name, ())
@@ -978,7 +989,7 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
                            f"listed as child of multiple nodes: {', '.join(map(str, ps))}")
             )
 
-    if _key(tree.root) not in defined:
+    if tree.root not in defined:
         diags.append(
             Diagnostic("BAD_ROOT", tree.root, "root does not name a defined node")
         )
@@ -989,20 +1000,20 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {name: WHITE for name in defined}
     cycle_hits = []
-    stack = [(tree.root, iter(_listed(defined[tree.root])))]
+    stack = [(tree.root, iter(defined[tree.root].children))]
     color[tree.root] = GRAY
     while stack:
         name, children = stack[-1]
         advanced = False
         for child in children:
-            if _key(child) not in defined:
+            if child not in defined:
                 continue
             if color[child] == GRAY:
                 if child not in cycle_hits:
                     cycle_hits.append(child)
             elif color[child] == WHITE:
                 color[child] = GRAY
-                stack.append((child, iter(_listed(defined[child]))))
+                stack.append((child, iter(defined[child].children)))
                 advanced = True
                 break
         if not advanced:

@@ -1,5 +1,6 @@
 import re
 import sys
+import types
 
 import pytest
 
@@ -564,6 +565,24 @@ def test_readme_python_blocks_run(monkeypatch):
     for block in blocks:
         line = readme.count("\n", 0, block.start(1))
         exec(compile("\n" * line + block.group(1), "README.md", "exec"), {})
+
+
+def test_the_public_names_of_btt_are_pinned():
+    """Adding or removing a public name is a deliberate, recorded change:
+    edit this list with it."""
+    import btt
+    public = sorted(name for name in dir(btt) if not name.startswith("_")
+                    and not isinstance(getattr(btt, name), types.ModuleType))
+    assert public == [
+        "Assignment", "Binary", "BttError", "CanonicalizeError", "Diagnostic", "Document",
+        "DumpError", "Engine", "EngineError", "ExpandError", "ExpandedTree", "ExprError",
+        "ForeachBlock", "Lit", "MAX_EXPR_DEPTH", "NodeDef", "NodeKind", "ParamDecl", "ParseError",
+        "ReturnState", "Scenario", "SchemaError", "SourceSpan", "TemplateDef", "TickError",
+        "TraceEvent", "Unary", "ValidationFailure", "Var", "bind_arguments", "builtin_templates",
+        "diagnostic_render", "eval_expr", "expand_document", "instantiate", "parse_assignment",
+        "parse_document", "parse_expr", "parse_scenario", "parse_templates", "print_expr",
+        "render_memory_dump", "render_trace_event", "serialize_expanded", "shadowed_builtins",
+        "state_key", "validate_expanded", "value_text", "values_equal", "with_leaf_defaults"]
 
 
 def test_arity_mismatch_exit_3(tmp_path, capsys):

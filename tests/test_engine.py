@@ -5,6 +5,8 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btt import (
     BttError,
@@ -22,8 +24,8 @@ from btt import (
     state_key,
 )
 from oracles import control_step, parallel_step
-from util import (EXAMPLES, action, condition, control, expand_path, expand_text, run_ticks,
-                  tree)
+from util import (EXAMPLES, HASHABLE_ODD, ODD, SCALARS, action, condition, control, expand_path,
+                  expand_text, run_ticks, tree)
 
 S, F, R, E = (ReturnState.SUCCESS, ReturnState.FAILURE,
               ReturnState.RUNNING, ReturnState.EMPTY)
@@ -178,6 +180,83 @@ def test_a_hand_built_scenario_with_no_result_list_or_a_memory_value_that_is_not
         assert memory == {}
     assert [parsed.value.code, parsed.value.message] == [
         "SCHEMA_ERROR", "memory value for 'x' must be a scalar"]
+
+
+def test_memory_or_a_scenario_field_that_is_not_a_dict_is_refused_as_its_yaml_is():
+    """The memory an engine is given, and a scenario's memory and actions,
+    must each be a dict; anything else is the SCHEMA_ERROR parse_scenario
+    gives a scenario field that is not a mapping, and nothing is written."""
+    for kwargs, text in ((dict(memory=[1]), "memory: [1]\n"),
+                         (dict(scenario=Scenario(memory=None)), "memory: null\n"),
+                         (dict(scenario=Scenario(memory=[("x", 1)])), "memory: [[x, 1]]\n"),
+                         (dict(scenario=Scenario(actions=None)), "actions: null\n")):
+        with pytest.raises(BttError) as parsed:
+            parse_scenario(text)
+        with pytest.raises(EngineError) as exc:
+            Engine(tree(action("a")), **kwargs)
+        assert (exc.value.code, exc.value.message) == (parsed.value.code, parsed.value.message)
+    assert [parsed.value.code, parsed.value.message] == ["SCHEMA_ERROR",
+                                                         "actions must be a mapping"]
+
+
+def test_the_memory_an_engine_is_given_is_judged_as_a_scenario_memory_is():
+    """Each entry already in the memory argument meets the key rule and then
+    the value rule, so that no tick and no memory dump meets a value of
+    another class; a refused engine writes nothing to that memory."""
+    for memory, message, subject in (({"x": [1]}, "memory value for 'x' must be a scalar", "x"),
+                                     ({1: 2, "x": 1}, "invalid memory key '1'", 1)):
+        before = dict(memory)
+        with pytest.raises(EngineError) as exc:
+            Engine(tree(action("a", script=("y := x",))), memory=memory)
+        assert (exc.value.code, exc.value.message, exc.value.subject) == (
+            "SCHEMA_ERROR", message, subject)
+        assert memory == before
+
+
+_KEYS = st.one_of(st.sampled_from(["a", "b", "x", "a b", state_key("a")]), SCALARS,
+                  HASHABLE_ODD)
+_RESULTS = st.one_of(st.lists(st.one_of(st.sampled_from(ALL), SCALARS, ODD), max_size=3)
+                     .flatmap(lambda results: st.sampled_from([tuple(results), results])),
+                     SCALARS, ODD)
+
+
+def _mapping(valid, values):
+    """A third of the time each: ``valid``, a dict of any keys to
+    ``values``, or a value of any class instead of a dict."""
+    return st.sampled_from([
+        valid, st.dictionaries(_KEYS, values, min_size=1, max_size=3),
+        st.one_of(SCALARS, ODD, st.lists(st.tuples(_KEYS, values), max_size=2))]).flatmap(
+            lambda strategy: strategy)
+
+
+_MEMORY = _mapping(st.dictionaries(st.sampled_from(["x", "y", state_key("b")]), SCALARS,
+                                   max_size=2), st.one_of(SCALARS, ODD))
+
+
+@settings(max_examples=400)
+@given(seeds=_MEMORY, memory=st.one_of(st.none(), _MEMORY), actions=_mapping(
+    st.dictionaries(st.just("a"), st.lists(st.sampled_from(ALL), min_size=1, max_size=3)
+                    .map(tuple), max_size=1), _RESULTS))
+def test_hand_built_scenarios_and_memory_are_classified(seeds, actions, memory):
+    """A scenario's memory and actions, and the memory an engine is given,
+    of any class and with entries of any class, give the engine, three
+    ticks and a memory dump a BttError at worst; a refused engine leaves
+    the memory it was given as it was."""
+    t = tree(control("r", "sequence", ["a", "b"]), action("a", script=("n := 1",)),
+             condition("b", "x == 1"))
+    before = list(memory.items()) if type(memory) is dict else None
+    try:
+        engine = Engine(t, scenario=Scenario(memory=seeds, actions=actions), memory=memory)
+    except BttError:
+        if before is not None:
+            assert list(memory.items()) == before
+        return
+    try:
+        for _ in range(3):
+            engine.tick()
+        render_memory_dump(engine.memory)
+    except BttError:
+        pass
 
 
 # --- ticking -------------------------------------------------------------

@@ -16,6 +16,7 @@ from btt import (
     ReturnState,
     SourceSpan,
     diagnostic_render,
+    render_memory_dump,
     serialize_expanded,
     validate_expanded,
     value_text,
@@ -24,7 +25,8 @@ from btt import (
 )
 from btt.model import _preorder
 from oracles import reference_validate_expanded
-from util import CORPUS_DOCS, action, condition, control, expand_path, expand_text, tree
+from util import (CORPUS_DOCS, ODD, SCALARS, EqRaises, HashRaises, Text, action, condition,
+                  control, expand_path, expand_text, tree)
 
 
 def codes(diags):
@@ -49,16 +51,7 @@ def test_cross_tag_equality_is_false_not_an_error():
     assert values_equal("x", "x")
 
 
-scalar_values = st.one_of(
-    st.booleans(),
-    st.integers(-5, 5),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
-    st.text(max_size=4),
-    st.sampled_from(list(ReturnState)),
-)
-
-
-@given(a=scalar_values, b=scalar_values)
+@given(a=SCALARS, b=SCALARS)
 def test_value_equality_reflexive_and_symmetric(a, b):
     assert values_equal(a, a)
     assert values_equal(a, b) == values_equal(b, a)
@@ -334,16 +327,16 @@ def test_validation_matches_the_reference(t):
             == [diagnostic_render(d) for d in reference_validate_expanded(t)])
 
 
-# Any scalar, or None, where a node holds text; names and kinds that
-# resolve now and then, so that some trees are valid and get ticked. A
-# name, kind or child entry may also be a list, which cannot be hashed.
-_ANY = st.one_of(st.none(), scalar_values)
+# Any value where a tree holds text or a sequence: a scalar, None, or a
+# value of a class no field may hold (see util.ODD); names and kinds that
+# resolve now and then, so that some trees are valid and get ticked.
+_ANY = st.one_of(st.none(), SCALARS, ODD)
 _LISTS = st.lists(st.sampled_from(["a", "b", "sequence"]), max_size=2)
 _ANY_NAME = st.one_of(st.sampled_from(["a", "b", "c"]), _ANY, _LISTS)
 _ANY_TEXT = st.one_of(st.sampled_from(["true", "SUCCESS", "x == 1", "n := 1"]), _ANY)
 _ANY_FIELD = {
     "name": _ANY_NAME, "type": st.one_of(st.sampled_from(_TYPES[:6]), _ANY, _LISTS),
-    # children and a script may also be a lone name or text, or any scalar
+    # children and a script may also be a lone name or text, or any value
     "children": st.one_of(st.lists(_ANY_NAME, max_size=3).map(tuple), _ANY_NAME),
     "if_": _ANY_TEXT, "then": _ANY_TEXT, "else_": _ANY_TEXT, "result": _ANY_TEXT,
     "script": st.one_of(st.lists(_ANY_TEXT, max_size=2).map(tuple), _ANY_TEXT),
@@ -361,56 +354,91 @@ def _any_node(draw):
     return nd
 
 
+@st.composite
+def _any_tree(draw):
+    """Nodes in a tuple or a list, now and then with one entry or the whole
+    container drawn from anything instead, and now and then a root drawn
+    like a name."""
+    nodes = draw(st.lists(_any_node(), min_size=1, max_size=4))
+    edit = draw(st.sampled_from(["tuple", "tuple", "list", "entry", "container"]))
+    if edit == "entry":
+        nodes[draw(st.integers(0, len(nodes) - 1))] = draw(_ANY)
+    if edit == "container":
+        nodes = draw(_ANY)
+    root = draw(st.booleans().flatmap(lambda odd: _ANY_NAME if odd else st.just("a")))
+    return ExpandedTree(nodes if edit in ("list", "container") else tuple(nodes), root)
+
+
 @settings(max_examples=600)
-@given(nodes=st.lists(_any_node(), min_size=1, max_size=4))
-def test_values_that_are_not_text_are_classified(nodes):
-    """A node field of any scalar type is judged, never a crash: a name,
-    payload text or script line that is not text is BAD_NODE; the writer
-    and the engine refuse or run the tree with a BttError at worst."""
-    t = ExpandedTree(tuple(nodes), "a")
+@given(t=_any_tree())
+def test_values_that_are_not_text_are_classified(t):
+    """A field or container of any class is judged, never a crash: a value
+    of a class the table does not allow is BAD_NODE or BAD_ROOT; the writer
+    and the engine refuse or run the tree with a BttError at worst, and a
+    refused engine leaves the memory it was given as it was."""
     diags = validate_expanded(t)
     assert diags == reference_validate_expanded(t)
     assert ([diagnostic_render(d) for d in diags]
             == [diagnostic_render(d) for d in reference_validate_expanded(t)])
+    assert all(type(d.node) is str for d in diags)
+    memory = {"m": 1}
     try:
         serialize_expanded(t)
-        engine = Engine(t)
+    except BttError:
+        pass
+    try:
+        engine = Engine(t, memory=memory)
+    except BttError:
+        assert memory == {"m": 1}
+        return
+    try:
         for _ in range(3):
             engine.tick()
+        render_memory_dump(memory)
     except BttError:
         pass
 
 
 def test_a_non_text_name_payload_or_script_line_is_bad_node():
-    cases = [(NodeDef(1, "action", script=(), result="SUCCESS"), "the name must be text, not int"),
-             (NodeDef("a", "action", script=(), result=ReturnState.SUCCESS),
+    """A tree with a value of a class its slot may not hold gets only its
+    class diagnostics: one BAD_NODE for each such node, naming its first
+    faulty field, at its name if that is text and else at its place."""
+    cases = [(NodeDef(1, "action", script=(), result="SUCCESS"), "nodes[0]",
+              "the name must be text, not int"),
+             (NodeDef("a", "action", script=(), result=ReturnState.SUCCESS), "a",
               "'result' must be text, not ReturnState"),
-             (NodeDef("a", "condition", if_=True, then="SUCCESS", else_="FAILURE"),
+             (NodeDef("a", "condition", if_=True, then="SUCCESS", else_="FAILURE"), "a",
               "'if' must be text, not bool"),
-             (NodeDef("a", "action", script=("n := 1", None), result="SUCCESS"),
-              "a 'script' line must be text, not NoneType")]
-    for nd, message in cases:
-        assert validate_expanded(ExpandedTree((nd,), "a"))[:1] == [
-            Diagnostic("BAD_NODE", nd.name, message)]
-    # a kind or a child that is not text is judged by its own rule
-    assert codes(validate_expanded(ExpandedTree((NodeDef("a", 1),), "a"))) == ["UNKNOWN_TYPE"]
-    assert codes(validate_expanded(tree(control("a", "sequence", [1])))) == ["UNRESOLVED_CHILD"]
+             (NodeDef("a", "action", script=("n := 1", None), result="SUCCESS"), "a",
+              "a 'script' line must be text, not NoneType"),
+             # a kind or a child that is not text is a class fault too
+             (NodeDef("a", 1), "a", "the type must be text, not int"),
+             (control("a", "sequence", [1]), "a", "a child must be text, not int"),
+             (NodeDef("a", 1, children=(2,), result=3), "a", "'result' must be text, not int")]
+    for nd, node, message in cases:
+        t = ExpandedTree((nd,), "a")
+        assert validate_expanded(t) == [Diagnostic("BAD_NODE", node, message)]
+        assert validate_expanded(t) == reference_validate_expanded(t)
 
 
 def test_a_name_type_child_or_root_that_cannot_be_hashed_is_judged_not_a_crash():
-    """Such a value equals nothing: it is judged as a hashable value that is
-    not text and names no node is, and the writer and the engine refuse the
-    tree as invalid."""
+    """Such a value is of a class its slot may not hold, so the tree gets
+    only its class diagnostics, and the writer and the engine refuse it as
+    invalid. A root that is not text is BAD_ROOT at ``root``. Classes are
+    compared exactly, so a str subclass is not text, and no name is hashed
+    or compared before it is judged."""
     b = action("b")
     cases = [(ExpandedTree((control("a", "sequence", ["b"]), b, action(["b"])), "a"),
-              [("BAD_NODE", ["b"], "the name must be text, not list"),
-               ("UNREACHABLE", ["b"], "node is not reachable from the root")]),
+              [("BAD_NODE", "nodes[2]", "the name must be text, not list")]),
+             *((ExpandedTree((action(name),), "a"),
+                [("BAD_NODE", "nodes[0]", f"the name must be text, not {type(name).__name__}")])
+               for name in (HashRaises("a"), EqRaises(), Text("a"))),
              (ExpandedTree((NodeDef("a", ["x"]),), "a"),
-              [("UNKNOWN_TYPE", "a", "type '['x']' is not a primary node kind")]),
+              [("BAD_NODE", "a", "the type must be text, not list")]),
              (ExpandedTree((control("a", "sequence", ["b", ["b"]]), b), "a"),
-              [("UNRESOLVED_CHILD", "a", "child '['b']' is not defined")]),
+              [("BAD_NODE", "a", "a child must be text, not list")]),
              (ExpandedTree((control("a", "sequence", ["b"]), b), ["a"]),
-              [("BAD_ROOT", ["a"], "root does not name a defined node")])]
+              [("BAD_ROOT", "root", "the root must be text, not list")])]
     for t, want in cases:
         diags = validate_expanded(t)
         assert [(d.code, d.node, d.message) for d in diags] == want
@@ -422,23 +450,44 @@ def test_a_name_type_child_or_root_that_cannot_be_hashed_is_judged_not_a_crash()
 
 
 def test_children_or_a_script_that_is_not_a_sequence_is_bad_node():
-    """Such children are read as none, and such a script holds no line: a
-    text is not iterated as its characters."""
+    """A text is not iterated as its characters, and the tree gets no
+    other diagnostic."""
     b = action("b")
-    cases = [(NodeDef("a", "sequence", children=None), ["CONTROL_WITHOUT_CHILDREN", "BAD_NODE"],
+    cases = [(NodeDef("a", "sequence", children=None),
               "'children' must be a sequence of text, not NoneType"),
-             (NodeDef("a", "sequence", children="b"), ["CONTROL_WITHOUT_CHILDREN", "BAD_NODE"],
+             (NodeDef("a", "sequence", children="b"),
               "'children' must be a sequence of text, not str"),
-             (NodeDef("a", "action", script=5, result="SUCCESS"), ["BAD_NODE"],
+             (NodeDef("a", "action", script=5, result="SUCCESS"),
               "'script' must be a sequence of text, not int"),
-             (NodeDef("a", "action", script="x := 1", result="SUCCESS"), ["BAD_NODE"],
+             (NodeDef("a", "action", script="x := 1", result="SUCCESS"),
               "'script' must be a sequence of text, not str")]
-    for nd, want, message in cases:
+    for nd, message in cases:
         t = ExpandedTree((nd, b), "a")
         diags = validate_expanded(t)
-        assert codes(diags) == want + ["UNREACHABLE"]
-        assert diags[len(want) - 1] == Diagnostic("BAD_NODE", "a", message)
+        assert diags == [Diagnostic("BAD_NODE", "a", message)]
         assert diags == reference_validate_expanded(t)
+        with pytest.raises(EngineError, match="NOT_A_TREE"):
+            Engine(t)
+
+
+def test_nodes_that_are_not_a_sequence_of_nodedefs_are_bad_node():
+    """The container is named ``nodes``, an entry that is no NodeDef by its
+    place; no node can have either name, since a name has no brackets."""
+    cases = [(ExpandedTree(None, "a"),
+              [("BAD_NODE", "nodes", "'nodes' must be a sequence of NodeDef, not NoneType")]),
+             (ExpandedTree((None,), "a"),
+              [("BAD_NODE", "nodes[0]", "a node must be a NodeDef, not NoneType")]),
+             (ExpandedTree((action("a"), "a"), 1),
+              [("BAD_NODE", "nodes[1]", "a node must be a NodeDef, not str"),
+               ("BAD_ROOT", "root", "the root must be text, not int")]),
+             (ExpandedTree(("a",), "a"),
+              [("BAD_NODE", "nodes[0]", "a node must be a NodeDef, not str")])]
+    for t, want in cases:
+        diags = validate_expanded(t)
+        assert [(d.code, d.node, d.message) for d in diags] == want
+        assert diags == reference_validate_expanded(t)
+        with pytest.raises(CanonicalizeError, match="CANONICALIZE_ERROR"):
+            serialize_expanded(t)
         with pytest.raises(EngineError, match="NOT_A_TREE"):
             Engine(t)
 

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import strategies as st
 
 from btt import (
     ExpandedTree,
     NodeDef,
+    ReturnState,
     builtin_templates,
     expand_document,
     parse_document,
@@ -55,6 +57,49 @@ def control(name, type_, children):
 
 def tree(*nodes, root=None):
     return ExpandedTree(tuple(nodes), root if root is not None else nodes[0].name)
+
+
+class Text(str):
+    """A str subclass: text to ``isinstance``, not to the class rules."""
+
+
+class HashRaises(str):
+    """A str subclass whose hash raises, as a hostile name's might."""
+
+    def __hash__(self):
+        raise ValueError("no hash")
+
+
+class EqRaises:
+    """An object whose ``__eq__`` raises, and whose ``__hash__`` does too
+    unless it is built ``hashable``."""
+
+    def __init__(self, hashable=False):
+        self.hashable = hashable
+
+    def __eq__(self, other):
+        raise ValueError("no equality")
+
+    def __hash__(self):
+        if not self.hashable:
+            raise ValueError("no hash")
+        return id(self)
+
+
+SCALARS = st.one_of(st.booleans(), st.integers(-5, 5),
+                    st.floats(allow_nan=False, allow_infinity=False, width=32),
+                    st.text(max_size=4), st.sampled_from(list(ReturnState)))
+# Values of a class no field, container or memory entry may hold, or of a
+# subclass of one that it may; each hashable one may be a dict key.
+HASHABLE_ODD = st.one_of(
+    st.none(), st.just(float("nan")), st.binary(max_size=2),
+    st.sampled_from(["a", "x", "SUCCESS"]).map(Text), st.builds(EqRaises, st.just(True)),
+    st.tuples(st.sampled_from(["a", 1])), st.frozensets(st.integers(0, 2), max_size=2))
+ODD = st.one_of(
+    HASHABLE_ODD, st.sampled_from(["a", "x"]).map(HashRaises), st.builds(EqRaises),
+    st.lists(st.sampled_from(["a", 1]), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "x"]), SCALARS, max_size=2),
+    st.sets(st.integers(0, 2), max_size=2), st.builds(NodeDef, st.just("a"), st.just("action")))
 
 
 def run_ticks(engine, k):
