@@ -31,7 +31,6 @@ from .model import (
     validate_expanded,
     value_text,
     values_equal,
-    with_leaf_defaults,
 )
 from .exprs import (
     MAX_EXPR_DEPTH,

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import Engine, check_expressions, render_memory_dump
+from .engine import Engine, check_expressions, render_memory_dump, render_trace_event
 from .errors import (
     BttError,
     CanonicalizeError,
@@ -139,19 +139,22 @@ def _load_tree(args):
 
 def _run(args, tree, scenario):
     engine = Engine(tree, scenario=scenario)
-    lines = []
-    result = None
-    for _ in range(args.ticks):
-        result, events = engine.tick()
-        if args.trace:
-            lines.extend(events._lines())
-    if args.memory_dump:
-        lines.append("---")
-        dump = render_memory_dump(engine.memory)
-        if dump:
-            lines.append(dump)
-    lines.append(f"result={result.value}")
-    _write("\n".join(lines) + "\n", args.output)
+    lines = []  # written also when a tick or the dump fails: the trace up to the failure
+    try:
+        for _ in range(args.ticks):
+            result, events = engine.tick()
+            if args.trace:
+                lines.extend(events._lines())
+        if args.memory_dump:  # "---", then the dump unless it is empty
+            lines.extend(filter(None, ("---", render_memory_dump(engine.memory))))
+        lines.append(f"result={result.value}")
+    except TickError as exc:
+        if args.trace:  # the failing tick's events up to the failing node
+            lines.extend(map(render_trace_event, exc.events))
+        raise
+    finally:
+        if lines:
+            _write("\n".join(lines) + "\n", args.output)
 
 
 def main(argv=None) -> int:

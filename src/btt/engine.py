@@ -191,6 +191,8 @@ class Engine:
         kinds = [_CODES[nd.type] for nd in nodes]
         scripts = [None] * n  # parsed script lines, or a scripted action's results
         for name, results in actions.items():
+            if type(name) not in _CLASSES["name"] or not NAME_RE.fullmatch(name):
+                raise EngineError("SCHEMA_ERROR", f"invalid action name '{name}'", subject=name)
             if type(results) not in _CLASSES["results"]:
                 raise EngineError("SCHEMA_ERROR", f"results for '{name}' must be a list",
                                   subject=name)
@@ -201,7 +203,7 @@ class Engine:
             if not results:
                 raise EngineError("SCHEMA_ERROR", f"action '{name}' needs at least one result",
                                   subject=name)
-            i = numbers.get(name) if type(name) in _CLASSES["name"] else None
+            i = numbers.get(name)
             if i is None or kinds[i] != _ACTION:
                 raise EngineError(
                     "UNKNOWN_SCENARIO_ACTION",

@@ -44,7 +44,6 @@ from .model import (
     payload_problem,
     validate_expanded,
     value_text,
-    with_leaf_defaults,
 )
 
 DEFAULT_MAX_DEPTH = 64
@@ -215,7 +214,7 @@ class _NodePlan:
         result."""
         cached = self.leaves.get(kind)
         if cached is None:
-            nd = with_leaf_defaults(replace(self.pattern, type=kind))
+            nd = replace(self.pattern, type=kind)
             script = nd.script and tuple(map(_compile, nd.script))
             fields = (*map(_compile, (nd.if_, nd.then, nd.else_)), script, _compile(nd.result))
             cached = self.leaves[kind] = (payload_problem(self.pattern, kind), fields)
@@ -473,7 +472,7 @@ def expand_document(doc: Document, builtins: dict | None = None,
     out = []
     for name, nd in doc.nodes.items():
         if nd.type in PRIMARY_KINDS:
-            out.append(with_leaf_defaults(nd))
+            out.append(nd)
         elif nd.type in registry:
             out.extend(instantiate(registry[nd.type], nd, registry,
                                    (nd.type,), max_depth=max_depth))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import keyword
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import attrgetter, is_not
@@ -124,8 +124,9 @@ class NodeDef:
     ``type`` is kept as text: it may name a primary kind or a template;
     resolution happens in the expander. A payload field is None exactly
     when the node does not carry its key; an empty ``script`` or ``args``
-    is carried. ``args`` carries scalar arguments for template
-    instantiation only; expanded primary nodes have none.
+    is carried. A leaf carries every optional key of its kind: one left
+    unset takes its LEAF_PAYLOAD default. ``args`` carries scalar arguments
+    for template instantiation only; expanded primary nodes have none.
     """
 
     name: str
@@ -138,6 +139,14 @@ class NodeDef:
     script: tuple[str, ...] | None = None
     result: str | None = None
     span: "SourceSpan | None" = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        # Only a type of the exact class str is looked up, so that this never
+        # raises; the class rules of validate_expanded judge any other.
+        if type(self.type) is str:
+            for key, default in LEAF_PAYLOAD.get(self.type, {}).items():
+                if default is not None and getattr(self, PAYLOAD_FIELDS[key]) is None:
+                    object.__setattr__(self, PAYLOAD_FIELDS[key], default)
 
 
 _TEXT, _SEQUENCE, _NONE = frozenset({str}), frozenset({tuple, list}), frozenset({type(None)})
@@ -176,14 +185,6 @@ def payload_problem(nd: NodeDef, kind: str | None) -> str | None:
         elif key not in takes:
             return f"a {kind or 'templated'} node takes no '{key}'"
     return None
-
-
-def with_leaf_defaults(node: NodeDef) -> NodeDef:
-    """Fill the defaults of the optional leaf payload keys ``node`` leaves unset."""
-    unset = {PAYLOAD_FIELDS[key]: default
-             for key, default in LEAF_PAYLOAD.get(node.type, {}).items()
-             if default is not None and getattr(node, PAYLOAD_FIELDS[key]) is None}
-    return replace(node, **unset) if unset else node
 
 
 @dataclass(frozen=True)
@@ -339,8 +340,7 @@ def _residue(texts: tuple[str, str]) -> bool:
 
 def _node_verdict(nd: NodeDef) -> tuple:
     """The (code, message) pairs the per-node rules give ``nd``, in order:
-    its kind, its children, then its payload (see payload_problem), whose
-    optional keys an expanded leaf carries with their defaults."""
+    its kind, its children, then its payload (see payload_problem)."""
     kind = nd.type
     if kind not in PRIMARY_KINDS:
         return (("UNKNOWN_TYPE", f"type '{kind}' is not a primary node kind"),)
@@ -350,9 +350,7 @@ def _node_verdict(nd: NodeDef) -> tuple:
         verdict.append(("LEAF_WITH_CHILDREN", f"{kind} node must not have children"))
     elif leaf is None and not nd.children:
         verdict.append(("CONTROL_WITHOUT_CHILDREN", f"{kind} node requires at least one child"))
-    unset = [key for key, default in (leaf or {}).items()
-             if default is not None and getattr(nd, PAYLOAD_FIELDS[key]) is None]
-    problem = payload_problem(nd, kind) or unset and f"a {kind} node has no '{unset[0]}'"
+    problem = payload_problem(nd, kind)
     if problem:
         verdict.append(("BAD_NODE", problem))
     return tuple(verdict)

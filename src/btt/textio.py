@@ -283,17 +283,14 @@ def _parse_node(name, node, pattern, source=None):
             raise SchemaError("SCHEMA_ERROR", f"invalid child reference '{entry}'",
                               span=_span(keys["children"]), subject=name)
 
-    # A primary kind's absent keys take defaults; other types leave them None.
-    primary = type_ in PRIMARY_KINDS
+    # An absent key stays None; NodeDef fills a leaf's optional keys.
     fields = {}
     for key, default in payload.items():
         value = keys.get(key)
         if value is None:
-            if primary:
-                if default is None:
-                    raise SchemaError("SCHEMA_ERROR", f"{type_} node is missing '{key}'",
-                                      span=_span(node), subject=name)
-                fields[PAYLOAD_FIELDS[key]] = default
+            if default is None and type_ in PRIMARY_KINDS:
+                raise SchemaError("SCHEMA_ERROR", f"{type_} node is missing '{key}'",
+                                  span=_span(node), subject=name)
             continue
         if isinstance(default, dict):  # args, which only a non-primary type takes
             value = _args(value, name)

@@ -33,7 +33,6 @@ from btt import (
     validate_expanded,
     value_text,
     values_equal,
-    with_leaf_defaults,
 )
 from btt.model import (
     LEAF_PAYLOAD,
@@ -498,6 +497,15 @@ def _payload_problem(nd, kind):
     return None
 
 
+def _with_leaf_defaults(node):
+    """``node`` with each optional leaf key it leaves unset at its default,
+    filled here rather than trusted to NodeDef."""
+    unset = {PAYLOAD_FIELDS[key]: default
+             for key, default in LEAF_PAYLOAD.get(node.type, {}).items()
+             if default is not None and getattr(node, PAYLOAD_FIELDS[key]) is None}
+    return replace(node, **unset) if unset else node
+
+
 @dataclass
 class _Binding:
     """Bound parameter values for one instantiation.
@@ -756,7 +764,7 @@ def _finalize_primary(it, type_sub, children):
         result=sub(pat.result),
         span=pat.span,
     )
-    return with_leaf_defaults(node)
+    return _with_leaf_defaults(node)
 
 
 def _finalize_item(it, local_map, registry, stack, max_depth):
@@ -839,7 +847,7 @@ def reference_expand_document(doc: Document, builtins: dict | None = None,
     out = []
     for name, nd in doc.nodes.items():
         if nd.type in PRIMARY_KINDS:
-            out.append(with_leaf_defaults(nd))
+            out.append(_with_leaf_defaults(nd))
         elif nd.type in registry:
             out.extend(reference_instantiate(registry[nd.type], nd, registry,
                                    (nd.type,), max_depth=max_depth))
@@ -957,11 +965,7 @@ def reference_validate_expanded(tree: ExpandedTree) -> list:
                     Diagnostic("CONTROL_WITHOUT_CHILDREN", nd.name,
                                f"{nd.type} node requires at least one child")
                 )
-            # an expanded leaf also carries the default of every optional key
-            unset = [key for key, default in LEAF_PAYLOAD.get(nd.type, {}).items()
-                     if default is not None and getattr(nd, PAYLOAD_FIELDS[key]) is None]
-            problem = (_payload_problem(nd, nd.type)
-                       or unset and f"a {nd.type} node has no '{unset[0]}'")
+            problem = _payload_problem(nd, nd.type)
             if problem:
                 diags.append(Diagnostic("BAD_NODE", nd.name, problem))
         if _texts_with_placeholder(nd):

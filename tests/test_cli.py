@@ -217,6 +217,34 @@ def test_run_memory_dump_after_separator(tmp_path, capsys):
     assert lines[-1] == "result=SUCCESS"
 
 
+def test_a_traced_run_that_fails_keeps_its_trace(tmp_path, capsys):
+    """A tick that fails writes the trace of the ticks before it and of its
+    own events up to the failing node; a dump that fails writes every
+    tick's trace. Neither writes a separator, a dump or a result."""
+    doc = write(tmp_path, "f.yaml", "root: s\nnodes:\n  s: {type: sequence, children: [a, c]}\n"
+                "  a: {type: action}\n  c: {type: condition, if: \"y > 1\"}\n")
+    code, out, err = run_cli(capsys, "run", doc, "--trace", "--ticks", 2)
+    assert (code, out) == (4, "1\ta\tSUCCESS\n")
+    assert err.startswith(f"{doc}:5:6: RUNTIME_ERROR: c: tick 1: UNDEFINED_VARIABLE")
+    # a divides by zero in tick 2, after b
+    doc = write(tmp_path, "g.yaml", "root: s\nnodes:\n  s: {type: sequence, children: [b, a]}\n"
+                "  b: {type: action}\n"
+                "  a: {type: action, script: ['t := t + 1', 'x := 1 / (2 - t)']}\n")
+    scenario = write(tmp_path, "t.yaml", "memory: {t: 0}\n")
+    code, out, err = run_cli(capsys, "run", doc, "--scenario", scenario, "--trace", "--ticks", 3,
+                             "--memory-dump")
+    assert (code, out) == (4, "1\tb\tSUCCESS\n1\ta\tSUCCESS\n1\ts\tSUCCESS\n2\tb\tSUCCESS\n")
+    assert err.startswith(f"{doc}:5:6: RUNTIME_ERROR: a: tick 2: DIVISION_BY_ZERO")
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return
+    doc = write(tmp_path, "sq.yaml",
+                "root: sq\nnodes:\n  sq: {type: action, script: ['x := x * x']}\n")
+    scenario = write(tmp_path, "s.yaml", "memory: {x: 10}\n")
+    code, out, _ = run_cli(capsys, "run", doc, "--scenario", scenario, "--ticks", 13,
+                           "--memory-dump", "--trace")
+    assert (code, out) == (4, "".join(f"{t}\tsq\tSUCCESS\n" for t in range(1, 14)))
+
+
 def test_memory_dump_of_an_integer_too_long_to_write_exits_4(tmp_path, capsys):
     doc = write(tmp_path, "sq.yaml",
                 "root: sq\nnodes:\n  sq: {type: action, script: ['x := x * x']}\n")
@@ -582,7 +610,7 @@ def test_the_public_names_of_btt_are_pinned():
         "diagnostic_render", "eval_expr", "expand_document", "instantiate", "parse_assignment",
         "parse_document", "parse_expr", "parse_scenario", "parse_templates", "print_expr",
         "render_memory_dump", "render_trace_event", "serialize_expanded", "shadowed_builtins",
-        "state_key", "validate_expanded", "value_text", "values_equal", "with_leaf_defaults"]
+        "state_key", "validate_expanded", "value_text", "values_equal"]
 
 
 def test_arity_mismatch_exit_3(tmp_path, capsys):

@@ -2,7 +2,6 @@ import gc
 import itertools
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ from btt import (
     DumpError,
     Engine,
     EngineError,
+    NodeDef,
     NodeKind,
     ReturnState,
     Scenario,
@@ -134,15 +134,18 @@ def test_unknown_scenario_action():
 
 def test_a_hand_built_scenario_is_refused_as_its_yaml_is():
     """An action with no result, a result that is not a state, or a memory
-    key that is not a name, is the EngineError whose code and message
-    parse_scenario gives the same fault, before anything is written to
-    memory; a memory key is checked before its value, as in the YAML."""
+    key or action name that is not a name, is the EngineError whose code
+    and message parse_scenario gives the same fault, before anything is
+    written to memory; a memory key is checked before its value, and an
+    action name before its results, as in the YAML."""
     refused = []
     for scenario, text, subject in (
             (Scenario(actions={"a": ()}), "actions: {a: []}\n", "a"),
             (Scenario(actions={"a": (S, "X")}), "actions: {a: [SUCCESS, X]}\n", "a"),
             (Scenario(memory={"x": 1, "a b": 2}), "memory: {x: 1, a b: 2}\n", "a b"),
-            (Scenario(memory={"a b": [1]}), "memory: {a b: [1]}\n", "a b")):
+            (Scenario(memory={"a b": [1]}), "memory: {a b: [1]}\n", "a b"),
+            (Scenario(actions={"a b": (S,)}), "actions: {a b: [SUCCESS]}\n", "a b"),
+            (Scenario(actions={"a b": ()}), "actions: {a b: []}\n", "a b")):
         with pytest.raises(BttError) as parsed:
             parse_scenario(text)
         memory = {}
@@ -154,13 +157,21 @@ def test_a_hand_built_scenario_is_refused_as_its_yaml_is():
         refused.append((exc.value.code, exc.value.message))
     assert refused[1:3] == [("UNKNOWN_STATE", "'X' is not a return state"),
                             ("SCHEMA_ERROR", "invalid memory key 'a b'")]
-    # a key that is not text, which no YAML scenario gives, is refused alike
-    memory = {}
+    assert refused[4:] == [("SCHEMA_ERROR", "invalid action name 'a b'")] * 2
+    # a key or an action name that is not text, which no YAML scenario
+    # gives, is refused alike
+    for scenario, message in ((Scenario(memory={1: 2}), "invalid memory key '1'"),
+                              (Scenario(actions={1: (S,)}), "invalid action name '1'")):
+        memory = {}
+        with pytest.raises(EngineError) as exc:
+            Engine(tree(action("a")), scenario=scenario, memory=memory)
+        assert (exc.value.code, exc.value.message, exc.value.subject) == (
+            "SCHEMA_ERROR", message, 1)
+        assert memory == {}
+    # a valid name that is not an action in the tree is the tree's fault
     with pytest.raises(EngineError) as exc:
-        Engine(tree(action("a")), scenario=Scenario(memory={1: 2}), memory=memory)
-    assert (exc.value.code, exc.value.message, exc.value.subject) == (
-        "SCHEMA_ERROR", "invalid memory key '1'", 1)
-    assert memory == {}
+        Engine(tree(action("a")), scenario=Scenario(actions={"b": (S,)}))
+    assert exc.value.code == "UNKNOWN_SCENARIO_ACTION"
 
 
 def test_a_hand_built_scenario_with_no_result_list_or_a_memory_value_that_is_not_a_scalar():
@@ -215,8 +226,12 @@ def test_the_memory_an_engine_is_given_is_judged_as_a_scenario_memory_is():
 
 _KEYS = st.one_of(st.sampled_from(["a", "b", "x", "a b", state_key("a")]), SCALARS,
                   HASHABLE_ODD)
-_RESULTS = st.one_of(st.lists(st.one_of(st.sampled_from(ALL), SCALARS, ODD), max_size=3)
-                     .flatmap(lambda results: st.sampled_from([tuple(results), results])),
+# A list of results, or its tuple. The choice is drawn as a flag, not
+# sampled from the drawn values: Hypothesis hashes the values a strategy is
+# built from, and a drawn HashRaises would raise there.
+_RESULTS = st.one_of(st.tuples(st.lists(st.one_of(st.sampled_from(ALL), SCALARS, ODD),
+                                        max_size=3), st.booleans())
+                     .map(lambda p: tuple(p[0]) if p[1] else p[0]),
                      SCALARS, ODD)
 
 
@@ -427,9 +442,9 @@ def test_ticks_a_chain_deeper_than_the_recursion_limit():
     ((control("a", "sequence", ["ghost"]),), None, "UNRESOLVED_CHILD"),
     ((control("a", "sequnce", ["b"]), action("b")), None, "UNKNOWN_TYPE"),
     ((action("a"),), "ghost", "BAD_ROOT"),
-    ((replace(condition("a", "true"), then=None),), None, "BAD_NODE"),
+    ((NodeDef("a", "condition"),), None, "BAD_NODE"),
 ], ids=["through-root", "below-root", "repeated-child", "dangling-child", "unknown-type",
-        "undefined-root", "condition-without-then"])
+        "undefined-root", "condition-without-if"])
 def test_tree_that_would_not_end_a_tick_is_rejected(nodes, root, first):
     """Engine validates a tree that expand_document did not mark, and
     rejects one that fails, naming the first diagnostic."""

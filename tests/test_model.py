@@ -16,12 +16,12 @@ from btt import (
     ReturnState,
     SourceSpan,
     diagnostic_render,
+    parse_document,
     render_memory_dump,
     serialize_expanded,
     validate_expanded,
     value_text,
     values_equal,
-    with_leaf_defaults,
 )
 from btt.model import _preorder
 from oracles import reference_validate_expanded
@@ -149,17 +149,63 @@ def test_leaf_payload_rules():
 
 
 def test_leaf_without_its_defaults():
-    """A hand-built leaf that never went through with_leaf_defaults is
-    BAD_NODE; the engine and the writer would trip over its None fields."""
+    """A hand-built leaf that leaves an optional key unset carries its
+    default: it is complete and valid, as its YAML would be."""
     cases = [
-        (NodeDef("c", "condition", if_="true"), "a condition node has no 'then'"),
-        (NodeDef("c", "condition", if_="true", then="SUCCESS"), "a condition node has no 'else'"),
-        (NodeDef("c", "action", script=()), "a action node has no 'result'"),
-        (NodeDef("c", "action", script=None, result="SUCCESS"), "a action node has no 'script'"),
+        (NodeDef("c", "condition", if_="true"), ("true", "SUCCESS", "FAILURE", None, None)),
+        (NodeDef("c", "condition", if_="true", then="RUNNING"),
+         ("true", "RUNNING", "FAILURE", None, None)),
+        (NodeDef("c", "action", script=()), (None, None, None, (), "SUCCESS")),
+        (NodeDef("c", "action", script=None, result="FAILURE"),
+         (None, None, None, (), "FAILURE")),
     ]
-    for nd, message in cases:
-        assert validate_expanded(tree(nd)) == [Diagnostic("BAD_NODE", "c", message)]
-        assert validate_expanded(tree(with_leaf_defaults(nd))) == []
+    for nd, fields in cases:
+        assert (nd.if_, nd.then, nd.else_, nd.script, nd.result) == fields
+        assert validate_expanded(tree(nd)) == []
+    # a control node, a template's node and a type that is not exactly text fill nothing
+    for type_ in ("sequence", "latch", "$k", Text("action"), ["action"]):
+        nd = NodeDef("c", type_)
+        assert (nd.if_, nd.then, nd.else_, nd.script, nd.result) == (None,) * 5
+
+
+def test_a_hand_built_leaf_is_the_node_its_yaml_parses_to():
+    for text, nd in [("{type: action}", NodeDef("a", "action")),
+                     ("{type: condition, if: 'x == 1'}", NodeDef("a", "condition", if_="x == 1"))]:
+        assert parse_document(f"root: a\nnodes:\n  a: {text}\n").nodes == {"a": nd}
+
+
+# Each leaf kind's optional fields and their defaults, written out here
+# rather than read from btt.model; each row's values are valid for its field.
+_OPTIONAL = {
+    "condition": {"then": "SUCCESS", "else_": "FAILURE"},
+    "action": {"script": (), "result": "SUCCESS"},
+}
+_WRITTEN = {"then": ["SUCCESS", "FAILURE", "RUNNING"], "else_": ["SUCCESS", "FAILURE", "RUNNING"],
+            "result": ["SUCCESS", "FAILURE", "RUNNING"],
+            "script": [(), [], ("n := 1",), ["n := 1", "m := n + 1"]]}
+
+
+@settings(max_examples=200)
+@given(data=st.data(), kind=st.sampled_from(sorted(_OPTIONAL)))
+def test_a_leaf_built_with_any_optional_keys_unset_is_complete(data, kind):
+    """Leaving any subset of a leaf's optional keys unset builds the node
+    written with those keys at their defaults; the validator, the writer
+    and the engine over three ticks all accept it."""
+    defaults = _OPTIONAL[kind]
+    unset = data.draw(st.sets(st.sampled_from(sorted(defaults))), label="unset")
+    written = {fld: data.draw(st.sampled_from(_WRITTEN[fld]), label=fld)
+               for fld in sorted(defaults) if fld not in unset}
+    if kind == "condition":
+        written["if_"] = "true"
+    nd = NodeDef("a", kind, **written)
+    full = NodeDef("a", kind, **written, **{fld: defaults[fld] for fld in unset})
+    assert nd == full
+    t = tree(nd)
+    assert validate_expanded(t) == []
+    assert serialize_expanded(t) == serialize_expanded(tree(full))
+    engine = Engine(t)
+    for _ in range(3):
+        engine.tick()
 
 
 def test_an_empty_payload_is_carried_as_the_written_key_is():
@@ -264,14 +310,13 @@ _ARGS = st.sampled_from([{}, [], {"k": 1}, None])
 
 @st.composite
 def _node(draw, name=None, type_=None, children=None):
-    nd = NodeDef(
+    return NodeDef(
         name=draw(st.sampled_from(_NAMES)) if name is None else name,
         type=draw(st.sampled_from(_TYPES)) if type_ is None else type_,
         children=(tuple(draw(st.lists(st.sampled_from(_NAMES + ["zz"]), max_size=3)))
                   if children is None else children),
         args=draw(_ARGS), if_=draw(_TEXTS), then=draw(_TEXTS), else_=draw(_TEXTS),
         script=draw(_SCRIPTS), result=draw(_TEXTS))
-    return with_leaf_defaults(nd) if draw(st.booleans()) else nd
 
 
 @st.composite
@@ -397,6 +442,22 @@ def test_values_that_are_not_text_are_classified(t):
         render_memory_dump(memory)
     except BttError:
         pass
+
+
+@settings(max_examples=400)
+@given(fields=st.fixed_dictionaries({"type": _ANY_FIELD["type"], **{
+    fld: st.one_of(st.none(), SCALARS, ODD, _LISTS)
+    for fld in ("name", "children", "args", "if_", "then", "else_", "script", "result")}}))
+def test_a_nodedef_is_built_from_any_field_values(fields):
+    """Building a NodeDef never raises; it fills a field only when the type
+    is exactly the text of a leaf kind and the field is None."""
+    nd = NodeDef(**fields)
+    fills = _OPTIONAL.get(fields["type"], {}) if type(fields["type"]) is str else {}
+    for fld, given_value in fields.items():
+        if given_value is None and fld in fills:
+            assert getattr(nd, fld) == fills[fld]
+        else:
+            assert getattr(nd, fld) is given_value
 
 
 def test_a_non_text_name_payload_or_script_line_is_bad_node():

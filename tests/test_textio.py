@@ -326,11 +326,16 @@ def test_serialize_rejects_invalid_trees():
         serialize_expanded(tree(action("a", children=("b",)), action("b")))
     # payload the writer could not write, or would drop
     for nd in (NodeDef("a", "condition", then="SUCCESS", else_="FAILURE"),
-               action("a", if_="x"), NodeDef("a", "condition", if_="true"),
-               NodeDef("a", "action")):
+               action("a", if_="x"), condition("a", "true", script=()),
+               NodeDef("a", "action", then="SUCCESS")):
         with pytest.raises(CanonicalizeError) as exc:
             serialize_expanded(tree(nd))
         assert exc.value.message == "tree fails validation: BAD_NODE on 'a'"
+    # a leaf built without its optional keys carries their defaults, which the writer omits
+    assert serialize_expanded(tree(NodeDef("a", "condition", if_="x == 1"))) == (
+        "root: a\nnodes:\n  a:\n    type: condition\n    if: x == 1\n")
+    assert serialize_expanded(tree(NodeDef("a", "action"))) == (
+        "root: a\nnodes:\n  a:\n    type: action\n")
 
 
 def test_serialize_writes_a_list_script_as_its_tuple():

@@ -13,7 +13,6 @@ from btt import (
     builtin_templates,
     expand_document,
     parse_document,
-    with_leaf_defaults,
 )
 
 TESTS = Path(__file__).resolve().parent
@@ -44,11 +43,11 @@ def expand_text(text, builtins=True):
 
 
 def action(name, **kw):
-    return with_leaf_defaults(NodeDef(name=name, type="action", **kw))
+    return NodeDef(name=name, type="action", **kw)
 
 
 def condition(name, if_, **kw):
-    return with_leaf_defaults(NodeDef(name=name, type="condition", if_=if_, **kw))
+    return NodeDef(name=name, type="condition", if_=if_, **kw)
 
 
 def control(name, type_, children):
