@@ -41,6 +41,7 @@ from .model import (
     ForeachBlock,
     NodeDef,
     TemplateDef,
+    node_class_diagnostics,
     payload_problem,
     validate_expanded,
     value_text,
@@ -467,6 +468,11 @@ def expand_document(doc: Document, builtins: dict | None = None,
     outside 1 to MAX_DEPTH_CEILING is a ValueError.
     """
     _check_max_depth(max_depth)
+    # A hand-built node is judged by the class table before its type is
+    # looked up, as validate_expanded judges an expanded one.
+    diags = node_class_diagnostics(tuple(doc.nodes.values()))
+    if diags:
+        raise ValidationFailure(diags)
     registry = dict(builtins) if builtins else {}
     registry.update(doc.templates)
     out = []

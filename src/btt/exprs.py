@@ -18,9 +18,11 @@ once, in the operator table below; the tokenizer, the parser, the compiler
 and the printer all read it.
 
 parse_expr and parse_assignment parse their own text. The engine's path
-parses and compiles each shape once: beside the tokenizer, the splitter
-turns a text into its shape and its names and literal values, which bind
-straight into the shape's closures (see "shapes" below).
+parses each shape once: beside the tokenizer, the splitter turns a text
+into its shape and its names and literal values (see "shapes" below). Each
+structure compiles once into the source of one Python function, whose
+factory each text then calls with its own keys and literal values (see
+"compiling" below).
 
 Note that IDENT may contain "-", "/" and ".", so arithmetic over variables
 needs spaces around the operators ("a - b", not "a-b").
@@ -29,7 +31,6 @@ needs spaces around the operators ("a - b", not "a-b").
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -82,19 +83,14 @@ _RESERVED = {
 
 # --- operators -----------------------------------------------------------
 #
-# An expression compiles into nested closures, one per operator, so that
-# an evaluation dispatches on nothing: each closure applies its own
-# operator and checks its operands' types with the language's error codes
-# and messages. An operator's builder makes its closure from its compiled
-# operands, the left one's memory key and the right one's literal value
-# (see _plan): ==, != and the numeric operators hold a literal right
-# operand in the closure, whose type is then known, and read a memory-key
-# left operand there too, which saves a call per operand. Each closure
-# takes its operands as default arguments rather than closure cells, which
-# would cost 40 bytes more per operand.
+# Each expression shape compiles into the source of one Python function (see
+# "compiling" below) that evaluates the whole expression in straight-line
+# code. Each operator there checks its operands' types, with a fast path for
+# operands of the exact classes int and float, or for == and != of a literal
+# operand's class, and raises the language's error codes and messages
+# through the helpers here.
 
 _NUMBER = frozenset({int, float})  # exact types: bool is not a number
-_NO_LITERAL = object()  # what an operand that is not a literal has for its value
 
 
 def _not_bool(v, op):
@@ -127,106 +123,20 @@ def _divide(a, b):
     return a / b  # OverflowError is the caller's to turn into _too_large
 
 
-def _not(operand):
-    def not_(memory, operand=operand):
-        v = operand(memory)
-        if v is True or v is False:
-            return not v
-        raise _not_bool(v, "!")
-    return not_
-
-
-def _negate(operand):
-    def negate(memory, operand=operand):
-        return -_require_number(operand(memory), "-")
-    return negate
-
-
-def _junction(op, go_on):
-    """The builder of ``op``, && or ||, whose right operand is evaluated
-    only when the left one is ``go_on``."""
-    def build(left, right, _key, _b):
-        def junction(memory, left=left, right=right, go_on=go_on, op=op):
-            v = left(memory)
-            if v is go_on:
-                v = right(memory)
-            if v is True or v is False:
-                return v
-            raise _not_bool(v, op)
-        return junction
-    return build
-
-
-def _fused(op, fn, fast, slow, left, name, b):
-    """The closure of ``left op b`` for a literal ``b``: ``fn(a, b)`` when
-    the left value ``a`` has a type in ``fast``, ``slow(a, b)`` otherwise.
-    A left operand that reads the key ``name`` is read in the closure itself."""
-    def fused(memory, left=left, name=name, b=b, op=op, fn=fn, fast=fast, slow=slow):
-        try:
-            a = left(memory) if name is None else memory[name]
-        except KeyError:  # only memory[name] raises it; compiled operands raise ExprError
-            raise _undefined(name) from None
-        if type(a) in fast:
-            try:
-                return fn(a, b)
-            except OverflowError:
-                raise _too_large(op) from None
-        return slow(a, b)
-    return fused
-
-
-def _equality(op, cmp):
-    """The builder of ``op``, == or !=, which applies ``cmp`` to two values
-    of one type."""
-    same = cmp(0, 0)  # what op gives for equal values
-
-    def slow(a, b):
-        return values_equal(a, b) is same
-
-    def build(left, right, key, b):
-        if b is not _NO_LITERAL:
-            return _fused(op, cmp, (type(b),), slow, left, key, b)
-
-        def equality(memory, left=left, right=right, same=same):
-            return values_equal(left(memory), right(memory)) is same
-        return equality
-    return build
-
-
-def _numeric(op, fn):
-    """The builder of ``op``, which applies ``fn`` to two numbers."""
-    def slow(a, b):  # a is not a number
-        return fn(_require_number(a, op), b)
-
-    def build(left, right, key, b):
-        if type(b) in _NUMBER:
-            return _fused(op, fn, _NUMBER, slow, left, key, b)
-
-        def numeric(memory, op=op, fn=fn, left=left, right=right):
-            a = left(memory)
-            b = right(memory)
-            if type(a) in _NUMBER and type(b) in _NUMBER:
-                try:
-                    return fn(a, b)
-                except OverflowError:
-                    raise _too_large(op) from None
-            return fn(_require_number(a, op), _require_number(b, op))
-        return numeric
-    return build
-
-
 # The operator table. A binary operator has a precedence level, 1 binding
-# loosest, and a builder; it is left-associative, except that comparisons
-# do not chain. A prefix operator binds tighter than every binary one.
-_BINARY = {"||": (1, _junction("||", False)), "&&": (2, _junction("&&", True)),
-           "==": (3, _equality("==", operator.eq)), "!=": (3, _equality("!=", operator.ne))} | {
-    op: (level, _numeric(op, fn)) for op, level, fn in (
-        ("<", 3, operator.lt), ("<=", 3, operator.le), (">", 3, operator.gt),
-        (">=", 3, operator.ge), ("+", 4, operator.add), ("-", 4, operator.sub),
-        ("*", 5, operator.mul), ("/", 5, _divide))}
+# loosest, a kind and its Python: for a junction, the left value on which
+# its right operand is evaluated; for the others, the expression of their
+# fast path over two operands. Binary operators are left-associative, except
+# that comparisons do not chain. A prefix operator, of its own kind, binds
+# tighter than every binary one.
+_BINARY = {"||": (1, "junction", "False"), "&&": (2, "junction", "True"),
+           "==": (3, "equality", "{} == {}"), "!=": (3, "equality", "{} != {}")} | {
+    op: (level, "numeric", "_divide({}, {})" if op == "/" else f"{{}} {op} {{}}")
+    for op, level in (("<", 3), ("<=", 3), (">", 3), (">=", 3), ("+", 4), ("-", 4), ("*", 5),
+                      ("/", 5))}
 _COMPARISON = _BINARY["=="][0]
-_PREFIX = {"!": _not, "-": _negate}
-_PREFIX_LEVEL = 1 + max(level for level, _ in _BINARY.values())  # atoms bind tighter still
+_PREFIX = {"!": "not", "-": "negate"}
+_PREFIX_LEVEL = 1 + max(level for level, _, _ in _BINARY.values())  # atoms bind tighter still
 
 _OPERATORS = sorted({*_BINARY, *_PREFIX, ":=", "(", ")"}, key=lambda op: (-len(op), op))
 # The tokens that carry a value, each a name and a pattern; the tokenizer
@@ -381,14 +291,15 @@ class _Parser:
 # patterns. A text's shape is the text with each name, integer, float and
 # text literal replaced by a placeholder of its kind. The splitter matches
 # the tokenizer's own value patterns, so a shape's tokens are the text's
-# but for their values. Each shape is parsed and compiled once, and each
-# text binds its own values into the shape's binder. A text whose shape
-# does not parse, or with a number literal out of range, is parsed on its
-# own, so its error and offset are its own.
+# but for their values. Each shape is parsed once, and each text binds its
+# own values into the shape's binder. A text whose shape does not parse, or
+# with a number literal out of range, is parsed on its own, so its error
+# and offset are its own.
 
 def _split(text):
-    """``text``'s shape and its names and literal values in source order, or
-    None if a number literal in it is out of range."""
+    """``text``'s shape and the values of its leaves in source order (its
+    names, literals and reserved words), or None if a number literal in it
+    is out of range."""
     parts = _VALUE_RE.split(text)  # text between tokens, then a token, and so on
     values = []
     for i in range(1, len(parts), 2):
@@ -404,7 +315,9 @@ def _split(text):
                 return None
             values.append(value)
             parts[i] = "0.0" if type(value) is float else "0"
-        elif token not in _RESERVED:
+        elif token in _RESERVED:
+            values.append(_RESERVED[token].value)
+        else:
             values.append(token)
             parts[i] = "n"
     return "".join(parts), values
@@ -412,27 +325,30 @@ def _split(text):
 
 @lru_cache(maxsize=None)
 def _binder(shape, rule):
-    """_binding of ``shape`` parsed by ``rule``, a parser method, or None if
-    it does not parse."""
+    """The binder of ``shape`` parsed by ``rule``, a parser method, or None
+    if it does not parse: a function of a text's values (see _split) that
+    returns what the text compiles to. An assignment's first value is its
+    key, which is returned with its value's compiled function."""
     try:
         e = rule(_Parser(shape))
     except ExprError:
         return None
-    return _binding(e)
-
-
-_RESERVED_TYPES = {type(lit.value) for lit in _RESERVED.values()}
+    if type(e) is not Assignment:
+        return _skeleton_binder(_skeleton(e, []))
+    bind = _skeleton_binder(_skeleton(e.value, []))
+    return lambda values: (values[0], bind(values[1:]))
 
 
 def _compile_text(text, rule):
-    """``text`` parsed by ``rule`` and bound by its shape's binder (see _binding)."""
+    """``text`` parsed by ``rule`` and bound by its shape's binder."""
     split = _split(text)
     if split is not None:
         shape, values = split
         bind = _binder(shape, rule)
         if bind is not None:
-            return bind(iter(values))
-    return _binding(rule(_Parser(text)))(iter(()))
+            return bind(values)
+    e = rule(_Parser(text))
+    return (e.key, compile_expr(e.value)) if type(e) is Assignment else compile_expr(e)
 
 
 # The per-text caches that the engine and check_expressions read: each text
@@ -460,89 +376,240 @@ def parse_assignment(text: str) -> Assignment:
 
 # --- compiling and evaluation ----------------------------------------------
 #
-# A tree compiles through its binder (see _plan). Key reads and literals
-# are leaves shared process-wide, like the per-text caches.
+# An expression tree's skeleton is its structure without its values: an
+# operator is a tuple of its symbol and its operands' skeletons, a key read
+# is _KEY and a literal is its value's class. Each skeleton is written once
+# as the source of a factory (see _Writer), which is compiled once; each
+# text or tree then calls the factory with its own leaf values, its keys and
+# literals, as arguments, in source order, and gets its own function of the
+# memory. Texts of one shape, and trees of one structure, share one factory.
+#
+# The fold rule: a literal-only subtree (an operator whose operands are all
+# literals, or fold to literals) is evaluated once per text, when the text is
+# bound, and its value becomes a literal leaf. One that raises is not folded,
+# so that it raises at every evaluation, and the operators over it do not
+# fold either. So a factory is keyed on the skeleton with its folded
+# subtrees replaced, which says both the shape and what folded.
+
+_KEY = None
+_CLASS_NAMES = {bool: "bool", int: "int", float: "float", str: "str", ReturnState: "ReturnState"}
+# The names a factory's source may use besides its own, and Python's builtins.
+_GLOBALS = {"_undefined": _undefined, "_not_bool": _not_bool, "_too_large": _too_large,
+            "_require_number": _require_number, "_divide": _divide, "_NUMBER": _NUMBER,
+            "values_equal": values_equal, "ReturnState": ReturnState}
+
+
+class _Writer:
+    """The source of ``skeleton``'s factory: a function of the skeleton's
+    leaf values that returns the function of the memory that evaluates it.
+
+    That function is straight-line code: each key read and operator puts its
+    value in a temporary of its own, ``v0``, ``v1``, …, and a junction's
+    right operand is a block under its test. Leaf values are the factory's
+    arguments, ``a0``, ``a1``, …, which the function holds as defaults. So
+    the source is written from the operator table and these names alone,
+    and no text of a document ever appears in it.
+
+    Each operand's exact class is known when it is a literal, or a value
+    that ==, !=, ! or a junction gave, which is a bool. A check that a known
+    class passes is not written, nor is a fast path that it fails."""
+
+    def __init__(self, skeleton):
+        self.lines = []
+        self.indent = 2
+        self.args = self.temps = 0
+        value, _ = self.operand(skeleton)
+        self.write(f"return {value}")
+        args = [f"a{i}" for i in range(self.args)]
+        self.source = "\n".join([
+            f"def factory({', '.join(args)}):",
+            f"    def evaluate(memory{''.join(f', {a}={a}' for a in args)}):",
+            *self.lines, "    return evaluate\n"])
+
+    def write(self, *lines):
+        self.lines.extend("    " * self.indent + line for line in lines)
+
+    def temp(self):
+        self.temps += 1
+        return f"v{self.temps - 1}"
+
+    def operand(self, node):
+        """Write the code of ``node``; return the name that holds its value
+        and its exact class, or None if that is not known."""
+        if type(node) is not tuple:
+            arg = f"a{self.args}"
+            self.args += 1
+            if node is not _KEY:
+                return arg, node
+            v = self.temp()
+            self.write("try:", f"    {v} = memory[{arg}]",
+                       "except KeyError:", f"    raise _undefined({arg}) from None")
+            return v, None
+        op, *operands = node
+        if len(operands) == 1:
+            return self.prefix(op, self.operand(operands[0]))
+        _, kind, python = _BINARY[op]
+        left = self.operand(operands[0])
+        if kind == "junction":
+            return self.junction(op, python, left, operands[1])
+        right = self.operand(operands[1])
+        return (self.equality if kind == "equality" else self.numeric)(op, python, left, right)
+
+    def junction(self, op, go_on, left, right):
+        """The right operand is evaluated, and then checked, when the left
+        one is ``go_on``; else the left one must be the other bool."""
+        (a, a_cls), v = left, self.temp()
+        self.write(f"{v} = {a}", f"if {v} is {go_on}:")
+        self.indent += 1
+        b, b_cls = self.operand(right)
+        self.write(f"{v} = {b}")
+        if b_cls is not bool:
+            self.write(f"if {v} is not True and {v} is not False:",
+                       f"    raise _not_bool({v}, {op!r})")
+        self.indent -= 1
+        if a_cls is not bool:
+            self.write(f"elif {v} is not {go_on == 'False'}:", f"    raise _not_bool({v}, {op!r})")
+        return v, bool
+
+    def equality(self, op, python, left, right):
+        """``values_equal``, or the operator itself when one operand's class
+        is known and the other has it."""
+        (a, a_cls), (b, b_cls) = left, right
+        v = self.temp()
+        line = f"values_equal({a}, {b}) is {op == '=='}"
+        if (a_cls is None) != (b_cls is None) and (a_cls or b_cls) in _CLASS_NAMES:
+            name = _CLASS_NAMES[a_cls or b_cls]
+            line = f"{python.format(a, b)} if type({b if a_cls else a}) is {name} else {line}"
+        self.write(f"{v} = {line}")
+        return v, bool
+
+    def numeric(self, op, python, left, right):
+        """The fast path when each operand is an int or a float, else the
+        same with each operand checked in turn; an overflow is _too_large."""
+        v = self.temp()
+        tests, checked = zip(*(_number_test(a, cls, op) for a, cls in (left, right)))
+        slow = f"{v} = {python.format(*checked)}"
+        self.write("try:")
+        if False in tests or not any(tests):  # no fast path, or no test for it
+            self.write(f"    {slow}")
+        else:
+            self.write(f"    if {' and '.join(filter(None, tests))}:",
+                       f"        {v} = {python.format(left[0], right[0])}",
+                       "    else:", f"        {slow}")
+        self.write("except OverflowError:", f"    raise _too_large({op!r}) from None")
+        return v, None
+
+    def prefix(self, op, operand):
+        a, cls = operand
+        v = self.temp()
+        if _PREFIX[op] == "not":
+            if cls is not bool:
+                self.write(f"if {a} is not True and {a} is not False:",
+                           f"    raise _not_bool({a}, {op!r})")
+            self.write(f"{v} = {a} is False")
+            return v, bool
+        test, checked = _number_test(a, cls, op)
+        self.write(f"{v} = -{a} if {test} else -{checked}" if test else f"{v} = -{checked}")
+        return v, None
+
+
+def _number_test(a, cls, op):
+    """The test under which the operand ``a``, of exact class ``cls`` or
+    None, is a number (None if it is one, False if it is not), and ``a``
+    checked to be one."""
+    if cls in _NUMBER:
+        return None, a
+    return (f"type({a}) in _NUMBER" if cls is None else False), f"_require_number({a}, {op!r})"
+
 
 @lru_cache(maxsize=None)
-def _key(name):
-    def key(memory, name=name):
-        try:
-            return memory[name]
-        except KeyError:
-            raise _undefined(name) from None
-    return key
+def _factory(skeleton):
+    """The factory of ``skeleton`` (see _Writer), compiled once."""
+    namespace = dict(_GLOBALS)
+    exec(compile(_Writer(skeleton).source, "<btt expression>", "exec"), namespace)
+    return namespace["factory"]
 
 
-@lru_cache(maxsize=None)
-def _constant(kind, value):
-    """One leaf per literal: ``kind`` keeps 1, 1.0 and true apart."""
-    return lambda memory, value=value: value
-
-
-def _leaf(v):
-    # 0.0 == -0.0, so float literals get a leaf of their own
-    return (_constant.__wrapped__ if type(v) is float else _constant)(type(v), v)
-
-
-def _fold(fn):
-    """The fold rule: ``fn``, an operator over literals only, is applied once,
-    here, and folds to the literal it gives. One that raises stays compiled,
-    so that it raises at every evaluation; the operators over it do not fold."""
-    try:
-        v = fn({})  # no key to read
-    except ExprError:
-        return fn, None, _NO_LITERAL
-    return _leaf(v), None, v
-
-
-def _plan(e):
-    """The binder of the expression tree ``e``: a function of an iterator over
-    a text's names and values (see _split) that returns the text's compiled
-    function, the key it reads or None, and its literal value or
-    _NO_LITERAL. A leaf given no value keeps its own: no values compile ``e``."""
+def _skeleton(e, values):
+    """The skeleton of the expression tree ``e``; its leaf values are
+    appended to ``values`` in source order."""
     t = type(e)
     if t is Var:
-        def var(values, own=e.name):
-            name = next(values, own)
-            return _key(name), name, _NO_LITERAL
-        return var
-    if t is Lit:  # a reserved word is not a placeholder
-        def literal(values, own=e.value, placeholder=type(e.value) not in _RESERVED_TYPES):
-            v = next(values, own) if placeholder else own
-            return _leaf(v), None, v
-        return literal
+        values.append(e.name)
+        return _KEY
+    if t is Lit:
+        values.append(e.value)
+        return type(e.value)
     if t is Unary:
-        operand, build = _plan(e.operand), _PREFIX[e.op]
-
-        def unary(values):
-            fn, _, v = operand(values)
-            return (build(fn), None, _NO_LITERAL) if v is _NO_LITERAL else _fold(build(fn))
-        return unary
+        return e.op, _skeleton(e.operand, values)
     if t is Binary:
-        left, right, build = _plan(e.left), _plan(e.right), _BINARY[e.op][1]
-
-        def binary(values):
-            fn, key, a = left(values)
-            right_fn, _, b = right(values)
-            fn = build(fn, right_fn, key, b)
-            return (fn, None, _NO_LITERAL) if a is _NO_LITERAL or b is _NO_LITERAL else _fold(fn)
-        return binary
+        return e.op, _skeleton(e.left, values), _skeleton(e.right, values)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _binding(e):
-    """The binder of a parsed text: of an expression, its compiled function
-    (see _plan); of an assignment, its key and its value's function."""
-    if type(e) is not Assignment:
-        return lambda values, bind=_plan(e): bind(values)[0]
-    bind = _plan(e.value)
-    return lambda values, own=e.key: (next(values, own), bind(values)[0])
+def _reads(node):
+    """Whether the skeleton ``node`` reads a key."""
+    return node is _KEY if type(node) is not tuple else any(map(_reads, node[1:]))
+
+
+def _folds(node):
+    """Whether an operator of the skeleton ``node`` reads no key."""
+    return type(node) is tuple and (not _reads(node) or any(map(_folds, node[1:])))
+
+
+def _fold(node, values, out):
+    """``node`` with each literal-only subtree that evaluates replaced by its
+    value's class (the fold rule): ``values`` iterates its leaf values, and
+    the leaf values of the result are appended to ``out``."""
+    if type(node) is not tuple:
+        out.append(next(values))
+        return node
+    start = len(out)
+    node = (node[0], *(_fold(operand, values, out) for operand in node[1:]))
+    if any(type(operand) is tuple or operand is _KEY for operand in node[1:]):
+        return node
+    try:
+        v = _factory(node)(*out[start:])({})  # no key to read
+    except ExprError:
+        return node
+    out[start:] = [v]
+    return type(v)
+
+
+@lru_cache(maxsize=None)
+def _skeleton_binder(skeleton):
+    """A function of leaf values that returns ``skeleton``'s function of the
+    memory over them, each text folding its own literal-only subtrees."""
+    if _folds(skeleton):
+        def bind(values):
+            out = []
+            folded = _fold(skeleton, iter(values), out)
+            return _constant(folded, *out) if folded in _SHARED else _factory(folded)(*out)
+        return bind
+    if skeleton in _SHARED:
+        return lambda values: _constant(skeleton, *values)
+    factory = _factory(skeleton)
+    return lambda values: factory(*values)
+
+
+# The classes whose equal values are alike (0.0 == -0.0), and so whose
+# constants texts may share: a call site that meets one function, as a
+# tick's does when many texts are or fold to one value, is specialized for
+# it.
+_SHARED = frozenset({bool, int, str, ReturnState})
+
+
+@lru_cache(maxsize=None)
+def _constant(cls, v):
+    """The function of every text that folds to ``v``, of class ``cls``."""
+    return _factory(cls)(v)
 
 
 def compile_expr(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
     """Compile ``e`` into a function of the memory that returns what
     ``eval_expr(e, memory)`` returns and raises what it raises."""
-    return _plan(e)(iter(()))[0]
+    values = []
+    return _skeleton_binder(_skeleton(e, values))(values)
 
 
 def eval_expr(e: Expr, memory: Mapping[str, Value]) -> Value:

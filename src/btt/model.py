@@ -288,16 +288,14 @@ def _class_problem(nd: NodeDef) -> str | None:
     return None
 
 
-def _class_diagnostics(tree: ExpandedTree) -> list[Diagnostic]:
-    """One BAD_NODE for each node of ``tree`` that holds a class _CLASSES
-    does not allow, in node order, then BAD_ROOT for a root that is not
-    text. A node is named by its name if that is text, else by its place."""
+def node_class_diagnostics(nodes) -> list[Diagnostic]:
+    """One BAD_NODE for each of ``nodes``, a sequence, that is not a NodeDef
+    or holds a class _CLASSES does not allow, in order; none, after one scan
+    (see _texts), if every one passes. A node is named by its name if that
+    is text, else by its place."""
+    if _texts(nodes) is not None:
+        return []
     diags = []
-    nodes = tree.nodes
-    if type(nodes) not in _CLASSES["nodes"]:
-        diags.append(Diagnostic("BAD_NODE", "nodes", "'nodes' must be a sequence of NodeDef, "
-                                f"not {type(nodes).__name__}"))
-        nodes = ()
     for i, nd in enumerate(nodes):
         if type(nd) not in _CLASSES["node"]:
             diags.append(Diagnostic("BAD_NODE", f"nodes[{i}]",
@@ -307,6 +305,18 @@ def _class_diagnostics(tree: ExpandedTree) -> list[Diagnostic]:
         if problem:
             name = nd.name if type(nd.name) in _CLASSES["name"] else f"nodes[{i}]"
             diags.append(Diagnostic("BAD_NODE", name, problem, nd.span))
+    return diags
+
+
+def _class_diagnostics(tree: ExpandedTree) -> list[Diagnostic]:
+    """The BAD_NODE diagnostics of ``tree``'s nodes (see
+    node_class_diagnostics), then BAD_ROOT for a root that is not text."""
+    nodes = tree.nodes
+    if type(nodes) in _CLASSES["nodes"]:
+        diags = node_class_diagnostics(nodes)
+    else:
+        diags = [Diagnostic("BAD_NODE", "nodes", "'nodes' must be a sequence of NodeDef, "
+                            f"not {type(nodes).__name__}")]
     if type(tree.root) not in _CLASSES["root"]:
         diags.append(Diagnostic("BAD_ROOT", "root",
                                 f"the root must be text, not {type(tree.root).__name__}"))

@@ -1,6 +1,14 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btt import (
+    BttError,
+    Diagnostic,
+    Document,
+    ExpandedTree,
     ExpandError,
     ForeachBlock,
     NodeDef,
@@ -14,7 +22,8 @@ from btt import (
     serialize_expanded,
 )
 from btt.expander import _INSTANCE, _Text, _Unfilled
-from util import (BODY_PAYLOAD_LINE, CORPUS_DOCS, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES,
+from oracles import _reference_class_diagnostics
+from util import (BODY_PAYLOAD_LINE, CORPUS_DOCS, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES, ODD,
                   body_payload_doc, expand_path, expand_text)
 
 BUILTINS = builtin_templates()
@@ -533,6 +542,39 @@ def test_a_max_depth_outside_1_to_256_is_a_value_error(max_depth):
         assert [nd.name for nd in expand_document(doc, max_depth=cap).nodes] == ["a"]
         assert [nd.name for nd in instantiate(tmpl, NodeDef("a", "t"), {"t": tmpl},
                                               max_depth=cap)] == ["a"]
+
+
+def test_a_hand_built_document_node_of_a_class_the_table_refuses_is_bad_node():
+    doc = Document({}, {"a": NodeDef("a", ["x"])}, "a")
+    with pytest.raises(ValidationFailure) as exc:
+        expand_document(doc)
+    assert exc.value.diagnostics == (
+        Diagnostic("BAD_NODE", "a", "the type must be text, not list"),)
+
+
+@settings(max_examples=300)
+@given(fld=st.sampled_from(["name", "type", "children", "if_", "then", "else_", "script",
+                            "result"]),
+       odd=ODD, entry=st.booleans(), templated=st.booleans())
+def test_a_hand_built_document_node_is_judged_before_its_type_is_looked_up(
+        fld, odd, entry, templated):
+    """An odd value in a field, or as the one entry of children or script,
+    of a primary or templated node: the class table's BAD_NODE diagnostics
+    for it as a ValidationFailure, or, for a value the table allows, a tree
+    or a BttError, never a crash."""
+    value = (odd,) if entry and fld in ("children", "script") else odd
+    base = NodeDef("a", "latch", children=("b",)) if templated else NodeDef("a", "action")
+    nd = replace(base, **{fld: value})
+    want = _reference_class_diagnostics(ExpandedTree((nd,), "a"))
+    try:
+        expand_document(Document({}, {"a": nd}, "a"), builtins=BUILTINS)
+    except ValidationFailure as exc:
+        if want:
+            assert list(exc.diagnostics) == want
+            return
+    except BttError:
+        pass
+    assert not want
 
 
 # --- laws ----------------------------------------------------------------

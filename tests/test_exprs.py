@@ -365,27 +365,86 @@ def test_texts_that_differ_only_in_keys_and_literals_share_one_parse(monkeypatch
 
 # --- the engine's path: each shape compiled once, each text bound into it ---
 
+def _compiles(monkeypatch):
+    """Empty the caches of compiled texts, shapes and structures; return the
+    list of each source that exprs compiles from here on."""
+    sources = []
+
+    def counted(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(exprs, "compile", counted, raising=False)
+    for cache in (exprs._compiled_expr, exprs._compiled_assignment, exprs._binder,
+                  exprs._skeleton_binder, exprs._factory, exprs._constant):
+        cache.cache_clear()
+    return sources
+
+
 def test_texts_of_one_shape_build_one_binder_and_no_tree(monkeypatch):
-    planned = []  # one entry per node of each tree a binder is built for
-    plan = exprs._plan
+    parsers = []
+    init = exprs._Parser.__init__
 
-    def counted(e):
-        planned.append(e)
-        return plan(e)
+    def counted(self, text):
+        parsers.append(text)
+        init(self, text)
 
-    monkeypatch.setattr(exprs, "_plan", counted)
-    exprs._binder.cache_clear()
+    monkeypatch.setattr(exprs._Parser, "__init__", counted)
+    sources = _compiles(monkeypatch)
     texts = [f"q{i}/x-{i}.y + {i} * (m_{i} - {7 * i}) >= top{i} || !ok/{i}" for i in range(200)]
     memory = {}
     for i in range(200):
         memory |= {f"q{i}/x-{i}.y": i, f"m_{i}": 3, f"top{i}": -50, f"ok/{i}": True}
     for i, text in enumerate(texts):
-        if i == 1:  # the binder is built; from here on, no text builds a tree
-            assert len(planned) == 12  # 6 operators and 6 leaves
+        if i == 1:  # the shape is parsed and compiled; from here on, no text builds a tree
+            assert (len(parsers), len(sources)) == (1, 1)
             for cls in (Lit, Var, Unary, Binary, Assignment):
                 monkeypatch.setattr(cls, "__init__", lambda *_: pytest.fail("a tree was built"))
         assert exprs._compiled_expr(text)(memory) is (i + i * (3 - 7 * i) >= -50)
-    assert len(planned) == 12
+    assert (len(parsers), len(sources)) == (1, 1)
+
+
+def test_texts_of_one_shape_share_one_source_that_holds_none_of_their_text(monkeypatch):
+    texts = ("alpha/x + 17 > limit_a && mode == 'run' || !paused",
+             "beta-y + 23 > cap && phase == 'stop' || !held")
+    compiled = []
+    for text in texts:  # each compiled from empty caches
+        compiled.append(_compiles(monkeypatch))
+        exprs._compiled_expr(text)
+    sources = [source for sources in compiled for source in sources]
+    assert len(sources) == 2 and sources[0] == sources[1]
+    for text in texts:
+        for value in exprs._split(text)[1]:
+            assert str(value) not in sources[0]
+    sources = _compiles(monkeypatch)  # both from one cache, as the engine's path runs
+    assert exprs._compiled_expr(texts[0]).__code__ is exprs._compiled_expr(texts[1]).__code__
+    assert len(sources) == 1
+
+
+# Memory keys spelled like the generated code's own names, and Python's.
+@pytest.mark.parametrize("key", ["memory", "v1", "k0", "a0", "True", "None", "_undefined",
+                                 "__class__", "factory", "evaluate", "type"])
+def test_keys_spelled_like_python_names_are_plain_keys(key):
+    memory = {key: 5, "other": 2}
+    assert exprs._compiled_expr(f"{key} + other * {key}")(memory) == 15
+    assert exprs._compiled_expr(f"{key} == 5 && !({key} < other) || missing")(memory) is True
+    assert exprs._compiled_expr(f"-{key}")(memory) == -5
+    name, fn = exprs._compiled_assignment(f"{key} := {key} - 1")
+    assert (name, fn(memory)) == (key, 4)
+    e = err(exprs._compiled_expr(f"other > 1 && {key}"), {"other": 2})
+    assert (e.code, e.subject) == ("UNDEFINED_VARIABLE", key)
+
+
+def test_eval_expr_compiles_each_structure_once(monkeypatch):
+    """Trees of one structure, and texts of the same shape on the engine's
+    path, share one factory: only the first compiles."""
+    sources = _compiles(monkeypatch)
+    for i in range(200):
+        e = Binary("&&", Binary(">", Binary("+", Var(f"k{i}"), Lit(i)), Lit(-0.5 * i - 1)),
+                   Unary("!", Var(f"d{i}")))
+        assert eval_expr(e, {f"k{i}": i, f"d{i}": False}) is True
+    assert exprs._compiled_expr("x + 1 > 0.5 && !y")({"x": 0, "y": True}) is False
+    assert len(sources) == 1
 
 
 def test_a_literal_only_operand_folds_or_raises_per_text_in_one_shape():
@@ -393,19 +452,20 @@ def test_a_literal_only_operand_folds_or_raises_per_text_in_one_shape():
     texts share one shape and so one binder."""
     folded, raising = "k + 1 / 2 > 0", "k + 1 / 0 > 0"
     assert exprs._split(folded)[0] == exprs._split(raising)[0]
-
-    def plan(fn):  # the closures' code and defaults, all the way down
-        if not callable(fn) or not hasattr(fn, "__code__"):
-            return fn
-        return fn.__code__, tuple(map(plan, fn.__defaults__ or ()))
-
+    # the folded text runs the generated function of k + 0 > 0, with 0 for 1 / 2
     fn = exprs._compiled_expr(folded)
-    assert plan(fn) == plan(exprs._compiled_expr("k + 0 > 0"))
+    assert fn.__code__ is exprs._compiled_expr("k + 0 > 0").__code__
+    assert fn.__defaults__ == ("k", 0, 0)
     assert fn({"k": 1}) is True
     fn = exprs._compiled_expr(raising)
+    assert fn.__code__ is not exprs._compiled_expr("k + 0 > 0").__code__
     for _ in range(2):
         assert err(fn, {"k": 1}).code == "DIVISION_BY_ZERO"
-    # 0.0 == -0.0, but the two values that texts of one shape fold to stay apart
+    # texts that are or fold to one value share one function; 0.0 == -0.0,
+    # but the two values that texts of one shape fold to stay apart
+    assert exprs._compiled_expr("1 > 2") is exprs._compiled_expr("-3 > 4")
+    assert exprs._compiled_assignment("a := EMPTY")[1] is exprs._compiled_assignment(
+        "b := (EMPTY)")[1] is exprs._compiled_expr("EMPTY")
     texts = ("(1.0 - 1.0) * -1.0", "(1.0 - 2.0) * -0.0")
     assert exprs._split(texts[0])[0] == exprs._split(texts[1])[0]
     assert [repr(exprs._compiled_expr(text)({})) for text in texts] == ["-0.0", "0.0"]
@@ -413,13 +473,17 @@ def test_a_literal_only_operand_folds_or_raises_per_text_in_one_shape():
         "-0.0", "0.0"]
 
 
-# Besides the nesting forms: chains of ||, && over comparisons, -( chains and
-# right-nested sums.
+# Besides the nesting forms: chains of ||, && over comparisons, -( chains,
+# right-nested sums and right-nested junctions.
 _CHAINS = {
     "or": lambda depth: " || ".join(["true"] * depth),
     "and_cmp": lambda depth: " && ".join(["1 < 2"] * depth),
     "neg_paren": lambda depth: "-(" * depth + "1" + ")" * depth,
     "right_sum": lambda depth: "1 + (" * depth + "1" + ")" * depth,
+    # k && (k && (... k)), exactly depth levels deep: over a key, it does
+    # not fold, and its generated code nests a block per junction
+    "right_and": lambda depth: "(" * (1 - depth % 2) + "k && (" * ((depth - 1) // 2) + "k"
+    + ")" * ((depth - 1) // 2 + 1 - depth % 2),
 }
 
 
@@ -598,9 +662,10 @@ def test_literal_only_text_compiles_to_its_value_or_its_error(text):
     want = _outcome(reference_eval_expr, e, {})
     for _ in range(2):  # an error comes at every call, not only the first
         assert _outcome(lambda e, memory: compiled(memory), e, _Unreadable()) == want
-    if text in _FOLDING:  # it became a literal leaf, shared unless it is a float
-        v = reference_eval_expr(e, {})
-        assert (compiled is compile_expr(Lit(v))) is (type(v) is not float)
+    if text in _FOLDING:  # it became a literal: it runs the function of the literal itself
+        literal = compile_expr(Lit(reference_eval_expr(e, {})))
+        assert compiled.__code__ is literal.__code__
+        assert repr(compiled.__defaults__) == repr(literal.__defaults__)
 
 
 def test_equal_literals_of_other_types_or_signs_stay_apart():
