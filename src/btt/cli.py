@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import Engine, check_expressions, render_memory_dump, render_trace_event
+from .engine import Engine, check_expressions, render_memory_dump
 from .errors import (
     BttError,
     CanonicalizeError,
@@ -150,7 +150,7 @@ def _run(args, tree, scenario):
         lines.append(f"result={result.value}")
     except TickError as exc:
         if args.trace:  # the failing tick's events up to the failing node
-            lines.extend(map(render_trace_event, exc.events))
+            lines.extend(exc.events._lines())
         raise
     finally:
         if lines:

@@ -7,12 +7,14 @@ The rules, in the order they apply to one templated node:
    with scalar params, falling back to declared defaults.
 2. Every string in the template body is substituted in a single
    left-to-right pass: ``$param`` becomes the bound value's text, ``~`` and
-   ``$name`` become the instance name. Substituted output is never
+   ``$name`` become the instance name, but a whole ``$param`` arg forwards
+   the bound value itself, with its kind. Substituted output is never
    re-scanned, so values cannot inject further placeholders.
 3. foreach blocks are unrolled, one copy of their fragment per list
    element, and export the per-iteration ``emit`` node names.
-4. Children lists are spliced: a ``$@block`` entry expands to that block's
-   emitted names, a ``$param`` entry bound to a list expands element-wise.
+4. Children lists and list args are spliced: a ``$@block`` entry expands to
+   that block's emitted names, a whole ``$param`` bound to a list expands
+   element-wise.
 5. Node names are qualified under the instance name
    (``<instance>/<local>``); the body node the template's ``root`` resolves
    to takes the instance's own name, so the parent's child reference keeps
@@ -107,9 +109,10 @@ def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> dict:
 
 class _Text:
     """A pattern string with placeholders, split into ``(literal, key)``
-    pieces and a literal tail; ``key`` is the env key a placeholder reads."""
+    pieces and a literal tail; ``key`` is the env key a placeholder reads,
+    ``ref`` that of a text that is one whole placeholder, or one never bound."""
 
-    __slots__ = ("pattern", "pieces", "tail")
+    __slots__ = ("pattern", "pieces", "tail", "ref")
 
     def __init__(self, pattern):
         self.pattern = pattern
@@ -123,6 +126,7 @@ class _Text:
             start = m.end()
         self.pieces = tuple(pieces)
         self.tail = pattern[start:]
+        self.ref = key if len(pieces) == 1 and m.group() == pattern else _UNBOUND
 
     def fill(self, env):
         parts = []
@@ -144,6 +148,11 @@ class _Text:
                             f"in '{self.pattern}'")
         return value_text(v)
 
+    def value(self, env):
+        """The text, or for a whole reference its bound value with its kind."""
+        v = env.get(self.ref, _UNBOUND)
+        return self.fill(env) if v is _UNBOUND else v  # fill raises the unbound error
+
 
 class _Unfilled(Exception):
     """A placeholder ``_Text.fill`` cannot fill, or a children entry naming
@@ -156,57 +165,40 @@ class _Unfilled(Exception):
 
 
 def _compile(pattern):
-    """A pattern with no placeholder, or None, stays as it is."""
-    return _Text(pattern) if pattern and ("$" in pattern or "~" in pattern) else pattern
+    """A pattern with no placeholder, or any value but text, stays as it is."""
+    placeholder = isinstance(pattern, str) and _PLACEHOLDER_RE.search(pattern)
+    return _Text(pattern) if placeholder else pattern
 
 
-def _fill(text, env):
-    return text.fill(env) if text.__class__ is _Text else text
-
-
-def _forward_value(v, env):
-    if not isinstance(v, str):
-        return v
-    w = _WHOLE_REF_RE.fullmatch(v)
-    key = w and (_INSTANCE if w.group(1) == "name" else w.group(1))
-    if key in env:
-        return env[key]  # forwarded with its kind intact
-    return _fill(_compile(v), env)
-
-
-def _forward_args(args, env):
-    if args is None:
-        return None
-    out = {}
-    for key, v in args.items():
-        if isinstance(v, tuple):  # a forwarded list splices into a list arg
-            fwd = [_forward_value(elem, env) for elem in v]
-            out[key] = tuple(x for f in fwd for x in (f if isinstance(f, tuple) else (f,)))
-        else:
-            out[key] = _forward_value(v, env)
+def _spliced(pieces, env):
+    """The values of a compiled list arg, each bound list spliced in."""
+    out = []
+    for piece in pieces:
+        v = piece.value(env) if piece.__class__ is _Text else piece
+        out += v if isinstance(v, tuple) else (v,)
     return out
 
 
 # --- the plan -------------------------------------------------------------
 
 def _compile_child(entry, blocks):
-    """A children entry: a ``$@block`` splice, a whole ``$param`` reference,
-    or text; ``blocks`` names the foreach blocks at the entry's body level."""
+    """A children entry: a ``$@block`` splice, as (whether ``blocks``, the
+    foreach blocks at the entry's body level, has it, its name), or a value."""
     m = _SPLICE_RE.fullmatch(entry)
-    if m is not None:
-        return ("block" if m.group(1) in blocks else "no block", m.group(1))
-    w = _WHOLE_REF_RE.fullmatch(entry)
-    return ("ref", (w.group(1), _Text(entry))) if w else ("text", _compile(entry))
+    return (m.group(1) in blocks, m.group(1)) if m else _compile(entry)
 
 
 class _NodePlan:
     """One body node pattern, compiled."""
 
-    __slots__ = ("pattern", "key", "type", "children", "leaves")
+    __slots__ = ("pattern", "key", "type", "children", "args", "leaves")
 
     def __init__(self, key, pattern, blocks):
         self.pattern, self.key, self.type = pattern, _compile(key), _compile(pattern.type)
         self.children = tuple(_compile_child(entry, blocks) for entry in pattern.children)
+        self.args = pattern.args and {
+            k: tuple(map(_compile, v)) if isinstance(v, tuple) else _compile(v)
+            for k, v in pattern.args.items()}
         self.leaves = {}  # primary kind -> leaf(kind)
 
     def leaf(self, kind):
@@ -321,7 +313,7 @@ def _unroll(plan, env, items):
             emitted.append(items[start + emit_at][0])
             continue
         try:
-            emitted.append(_fill(emit, ienv))
+            emitted.append(emit.fill(ienv) if emit.__class__ is _Text else emit)
         except _Unfilled as exc:
             raise exc.at(env[_INSTANCE], block.span) from None
     return emitted
@@ -329,22 +321,25 @@ def _unroll(plan, env, items):
 
 def _children(entries, env, local_map, emitted):
     out = []
-    for tag, entry in entries:
-        if tag == "text":
-            t = _fill(entry, env)
-            out.append(local_map.get(t, t))
-        elif tag == "ref":
-            bound = env.get(entry[0])
-            if isinstance(bound, tuple):  # a list param splices element-wise
-                out.extend(local_map.get(t, t) for t in map(value_text, bound))
-            else:
-                t = entry[1].fill(env)
-                out.append(local_map.get(t, t))
-        elif tag == "block":
-            out.extend(local_map.get(nm, nm) for nm in emitted[entry])
-        else:
-            raise _Unfilled("UNKNOWN_BLOCK", f"no foreach block named '{entry}', in '$@{entry}'")
+    for entry in entries:
+        if entry.__class__ is tuple:  # a $@block splice
+            found, block = entry
+            if not found:
+                raise _Unfilled("UNKNOWN_BLOCK",
+                                f"no foreach block named '{block}', in '$@{block}'")
+            out.extend(local_map.get(nm, nm) for nm in emitted[block])
+            continue
+        v = entry.value(env) if entry.__class__ is _Text else entry
+        for t in map(value_text, v) if isinstance(v, tuple) else (value_text(v),):
+            out.append(local_map.get(t, t))  # a bound list splices element-wise
     return tuple(out)
+
+
+def _args(args, env):
+    """A nested instance's args; a scalar arg bound to a list stays a list."""
+    return args and {key: tuple(_spliced(v, env)) if v.__class__ is tuple
+                     else v.value(env) if v.__class__ is _Text else v
+                     for key, v in args.items()}
 
 
 def _check_max_depth(max_depth):
@@ -386,7 +381,7 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
 
         prefix = instance + "/"
         try:
-            root = _fill(root, env)
+            root = root.fill(env) if root.__class__ is _Text else root
         except _Unfilled as exc:
             raise exc.at(instance, tmpl.span) from None
         root_q = root if root == instance or root.startswith(prefix) else prefix + root
@@ -439,7 +434,7 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
                         raise _invalid_name(final, span)
                     # the pattern's leaf payload rides along for instantiate to reject
                     p = node.pattern
-                    nested = _NodeDef(final, type_, children, _forward_args(p.args, ienv),
+                    nested = _NodeDef(final, type_, children, _args(node.args, ienv),
                                       p.if_, p.then, p.else_, p.script, p.result, span)
                     out.extend(instantiate(registry[type_], nested, registry, stack + (type_,),
                                            max_depth=max_depth))

@@ -530,9 +530,12 @@ def _factory(skeleton):
     return namespace["factory"]
 
 
-def _skeleton(e, values):
-    """The skeleton of the expression tree ``e``; its leaf values are
-    appended to ``values`` in source order."""
+def _skeleton(e, values, depth=1):
+    """The skeleton of the expression tree ``e``, ``depth`` levels down; its
+    leaf values are appended to ``values`` in source order. A hand-built
+    tree deeper than the parser's cap is refused, as a parsed one would be."""
+    if depth > MAX_EXPR_DEPTH:
+        raise ExprError("EXPR_SYNTAX", "expression is nested too deeply")
     t = type(e)
     if t is Var:
         values.append(e.name)
@@ -541,9 +544,9 @@ def _skeleton(e, values):
         values.append(e.value)
         return type(e.value)
     if t is Unary:
-        return e.op, _skeleton(e.operand, values)
+        return e.op, _skeleton(e.operand, values, depth + 1)
     if t is Binary:
-        return e.op, _skeleton(e.left, values), _skeleton(e.right, values)
+        return e.op, _skeleton(e.left, values, depth + 1), _skeleton(e.right, values, depth + 1)
     raise TypeError(f"not an expression node: {e!r}")
 
 

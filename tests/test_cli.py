@@ -556,6 +556,14 @@ def test_substitution_error_names_the_node_and_its_line(tmp_path, capsys, field,
                    f"(while instantiating t)\n")
 
 
+def test_a_foreach_list_that_names_no_arg_is_unbound(tmp_path, capsys):
+    doc = write(tmp_path, "doc.yaml", _SUBSTITUTION_DOC.format(**_SUBSTITUTION_OK).replace(
+        'list: "$xs"', 'list: "$nope"'))
+    assert run_cli(capsys, "expand", doc) == (
+        3, "", f"{doc}:11:9: UNBOUND_PLACEHOLDER: $nope: '$nope' is not bound "
+               "(while instantiating t)\n")
+
+
 def test_run_on_expanded_document_gives_identical_trace(tmp_path, capsys):
     expanded = write(tmp_path, "expanded.yaml",
                      (GOLDEN / "latch_expanded.yaml").read_text())

@@ -464,6 +464,22 @@ def test_trace_event_is_a_plain_tuple():
     assert (tick, node, result) == (2, "a", R)
 
 
+@pytest.mark.parametrize("name, ticks", [("latch", 4), ("patrol", 6)])
+def test_trace_lines_are_the_rendered_events(name, ticks):
+    """The CLI writes each tick's trace with ``_lines``, one line per event
+    as render_trace_event renders it, also for a tick that fails."""
+    scenario = parse_scenario((EXAMPLES / f"{name}_scenario.yaml").read_text(encoding="utf-8"))
+    eng = Engine(expand_path(EXAMPLES / f"{name}.yaml"), scenario=scenario)
+    for _ in range(ticks):
+        _, events = eng.tick()
+        assert events._lines() == [render_trace_event(e) for e in events]
+    eng = Engine(tree(control("s", "sequence", ["a", "c"]), action("a"), condition("c", "y > 1")))
+    with pytest.raises(TickError) as exc:
+        eng.tick()
+    events = exc.value.events
+    assert events._lines() == [render_trace_event(e) for e in events] == ["1\ta\tSUCCESS"]
+
+
 def test_render_formats():
     assert render_trace_event(TraceEvent(3, "a/b", R)) == "3\ta/b\tRUNNING"
     dump = render_memory_dump({"b": 2, "a": True, "c": "x", "d": S})

@@ -522,6 +522,38 @@ def test_nesting_counts_every_level_kind():
     assert err(parse_expr, "-(" + " + ".join(["1"] * 63) + ")").code == "EXPR_SYNTAX"
 
 
+# Trees no parse gives, as (wrap one level, innermost leaf, value when
+# MAX_EXPR_DEPTH deep); past the cap, the generated code of a right-nested
+# junction nests a block per level, and any walk recurses per level.
+_HAND_BUILT = {
+    "right_and": (lambda e: Binary("&&", Var("k"), e), Var("k"), True),
+    "negated": (lambda e: Unary("-", e), Lit(1), -1),
+    "left_sum": (lambda e: Binary("+", e, Lit(1)), Lit(1), MAX_EXPR_DEPTH),
+}
+
+
+def _hand_built(form, depth):
+    wrap, e, _ = _HAND_BUILT[form]
+    for _ in range(depth - 1):
+        e = wrap(e)
+    return e
+
+
+@pytest.mark.parametrize("form", _HAND_BUILT)
+def test_a_hand_built_tree_at_the_nesting_cap_evaluates(form):
+    assert eval_expr(_hand_built(form, MAX_EXPR_DEPTH), {"k": True}) == _HAND_BUILT[form][2]
+
+
+@pytest.mark.parametrize("form, depth", [("right_and", MAX_EXPR_DEPTH + 1), ("right_and", 99),
+                                         ("negated", 3000), ("left_sum", 200)])
+def test_a_hand_built_tree_past_the_nesting_cap_is_a_syntax_error(form, depth):
+    """It is refused while it is compiled, not with Python's
+    IndentationError or RecursionError."""
+    e = _hand_built(form, depth)
+    for exc in (err(eval_expr, e, {"k": True}), err(compile_expr, e)):
+        assert (exc.code, exc.message) == ("EXPR_SYNTAX", "expression is nested too deeply")
+
+
 def test_print_minimal_parentheses():
     assert print_expr(Binary("+", Lit(1), Binary("*", Lit(2), Lit(3)))) == "1 + 2 * 3"
     assert print_expr(Binary("*", Binary("+", Lit(1), Lit(2)), Lit(3))) == "(1 + 2) * 3"

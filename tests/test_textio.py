@@ -269,6 +269,9 @@ templates:
     assert list(templates) == ["one"]
     with pytest.raises(SchemaError):
         parse_templates("root: a\n")
+    with pytest.raises(ParseError) as exc:
+        parse_templates("")
+    assert (exc.value.code, exc.value.message) == ("PARSE_ERROR", "templates document is empty")
 
 
 # --- serialize_expanded --------------------------------------------------
