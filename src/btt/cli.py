@@ -170,7 +170,7 @@ def main(argv=None) -> int:
             diagnostics = check_expressions(tree)
             if diagnostics:
                 raise ValidationFailure(diagnostics)
-        elif args.command == "run":
+        else:  # run
             scenario = None
             if args.scenario is not None:
                 source = args.scenario

@@ -37,6 +37,7 @@ from .model import (
     BLOCK_NAME,
     NAME_RE,
     PARAM_NAME,
+    PARAM_REF_RE,
     PRIMARY_KINDS,
     Document,
     ExpandedTree,
@@ -53,7 +54,6 @@ DEFAULT_MAX_DEPTH = 64
 MAX_DEPTH_CEILING = 256  # instantiate recurses once per level: far below the recursion limit
 
 _PLACEHOLDER_RE = re.compile(rf"\$(@?)({PARAM_NAME})?|~")
-_WHOLE_REF_RE = re.compile(rf"\$({PARAM_NAME})")
 _SPLICE_RE = re.compile(rf"\$@({BLOCK_NAME})")
 
 # Fill-environment keys no parameter or foreach variable can take, since
@@ -219,7 +219,7 @@ def _compile_block(key, block):
     ``emit_at`` is the place, among one iteration's items, of the body node
     whose key is the emit pattern, so that the emitted name is its name;
     None if there is none, or a block before it makes the place vary."""
-    w = _WHOLE_REF_RE.fullmatch(block.list_ref)
+    w = PARAM_REF_RE.fullmatch(block.list_ref)
     emit_at = None
     for at, (local, entry) in enumerate(block.nodes.items()):
         if isinstance(entry, ForeachBlock) or local == block.emit:

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Union
 
 from .errors import ExprError
-from .model import MAX_INT_DIGITS, ReturnState, Value, value_tag, value_text, values_equal
+from .model import IDENT, MAX_INT_DIGITS, ReturnState, Value, value_tag, value_text, values_equal
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ _OPERATORS = sorted({*_BINARY, *_PREFIX, ":=", "(", ")"}, key=lambda op: (-len(o
 # and the splitter both match them. Digits and spaces are ASCII ones, as in
 # identifiers.
 _VALUE_TOKENS = (("number", r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"), ("text", r"'[^']*'"),
-                 ("ident", r"[A-Za-z_][A-Za-z0-9_/.\-]*"))
+                 ("ident", IDENT))
 _TOKEN_RE = re.compile("|".join([
     r"(?P<ws>\s+)", *(f"(?P<{kind}>{pattern})" for kind, pattern in _VALUE_TOKENS),
     "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"]), re.ASCII)
@@ -340,15 +340,14 @@ def _binder(shape, rule):
 
 
 def _compile_text(text, rule):
-    """``text`` parsed by ``rule`` and bound by its shape's binder."""
+    """``text`` parsed by ``rule`` and bound by its shape's binder. A text
+    whose shape does not parse, or with a number literal out of range, does
+    not parse itself: its own parse raises its own error."""
     split = _split(text)
-    if split is not None:
-        shape, values = split
-        bind = _binder(shape, rule)
-        if bind is not None:
-            return bind(values)
-    e = rule(_Parser(text))
-    return (e.key, compile_expr(e.value)) if type(e) is Assignment else compile_expr(e)
+    bind = split and _binder(split[0], rule)
+    if bind is None:
+        rule(_Parser(text))
+    return bind(split[1])
 
 
 # The per-text caches that the engine and check_expressions read: each text

@@ -16,16 +16,25 @@ from itertools import chain
 from operator import attrgetter, is_not
 from typing import Union
 
-# Node names, memory keys and expression identifiers share one alphabet;
-# "/" doubles as the qualification separator used by the expander and by
-# the engine's __STATE__/<node> keys.
-NAME_RE = re.compile(r"[A-Za-z0-9_/.\-]+")
-# Template-body keys may additionally carry substitution markers.
-PATTERN_NAME_RE = re.compile(r"[A-Za-z0-9_/.\-$~]+")
-# Template args and foreach variables, which "$name" refers to.
+# The name grammar, built from one alphabet: node names, memory keys and
+# expression identifiers are spelled in it, and "/" doubles as the
+# qualification separator of the expander and of __STATE__/<node> keys.
+NAME_CHARS = r"A-Za-z0-9_/.\-"
+NAME_RE = re.compile(f"[{NAME_CHARS}]+")
+# Template-body keys may also carry the markers "$" and "~", and children
+# entries in a body "$@" splices.
+PATTERN_NAME_RE = re.compile(f"[{NAME_CHARS}$~]+")
+CHILD_PATTERN_RE = re.compile(f"[{NAME_CHARS}$~@]+")
+# Template args and foreach variables, which "$name" refers to; a declared
+# one may not be "name", the instance's own.
 PARAM_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-# Template and foreach block names; "$@name" splices a block.
-BLOCK_NAME = r"[A-Za-z0-9_.\-]+"
+PARAM_NAME_RE = re.compile(PARAM_NAME)
+DECLARED_PARAM_RE = re.compile(rf"(?!name\Z){PARAM_NAME}")
+PARAM_REF_RE = re.compile(rf"\$({PARAM_NAME})")  # a whole "$param"
+IDENT = f"[A-Za-z_][{NAME_CHARS}]*"  # expression identifiers: begun as a param, then the alphabet
+# Template and foreach block names: the alphabet but "/"; "$@name" splices a block.
+BLOCK_NAME = "[" + NAME_CHARS.replace("/", "") + "]+"
+BLOCK_NAME_RE = re.compile(BLOCK_NAME)
 
 # CPython 3.11+ refuses to convert longer digit strings to int; the cap on
 # integer literals and YAML integers holds on every version, so that a

@@ -34,11 +34,15 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from .engine import Scenario
 from .errors import CanonicalizeError, ParseError, SchemaError
 from .model import (
-    BLOCK_NAME,
+    BLOCK_NAME_RE,
+    CHILD_PATTERN_RE,
+    DECLARED_PARAM_RE,
     LEAF_PAYLOAD,
     MAX_INT_DIGITS,
+    NAME_CHARS,
     NAME_RE,
-    PARAM_NAME,
+    PARAM_NAME_RE,
+    PARAM_REF_RE,
     PATTERN_NAME_RE,
     PAYLOAD_FIELDS,
     PRIMARY_KINDS,
@@ -61,11 +65,6 @@ class SourceSpan:
     column: int  # 1-based
     source: str | None = None  # None: the file being read; builtins: btt:templates/<file>
 
-
-_PARAM_NAME_RE = re.compile(PARAM_NAME)
-_LIST_REF_RE = re.compile(r"\$" + PARAM_NAME)
-_TEMPLATE_NAME_RE = re.compile(BLOCK_NAME)
-_CHILD_PATTERN_RE = re.compile(r"[A-Za-z0-9_/.\-$~@]+")
 
 # A node whose type is not a primary kind names a template, or a type that
 # substitution supplies, so it may carry any payload until the expander
@@ -260,11 +259,12 @@ def _scalar_or_list(node, what):
     return _typed_scalar(node, what)
 
 
-def _check_name(name, what, span, pattern=False):
-    rx = PATTERN_NAME_RE if pattern else NAME_RE
-    if not rx.fullmatch(name):
+def _check_name(name, what, node, rule, subject=None):
+    """SCHEMA_ERROR "invalid <what> '<name>'" at ``node``, about ``subject`` (the
+    owner) or else the name, unless ``rule``, a btt.model name rule, matches all of it."""
+    if not rule.fullmatch(name):
         raise SchemaError("SCHEMA_ERROR", f"invalid {what} '{name}'",
-                          span=span, subject=name)
+                          span=_span(node), subject=subject or name)
 
 
 def _parse_node(name, node, pattern, source=None):
@@ -277,11 +277,9 @@ def _parse_node(name, node, pattern, source=None):
                               span=_span(key_node), subject=name)
 
     children = tuple(_text_list(keys["children"], "children")) if "children" in keys else ()
-    rx = _CHILD_PATTERN_RE if pattern else NAME_RE
+    rule = CHILD_PATTERN_RE if pattern else NAME_RE
     for entry in children:
-        if not rx.fullmatch(entry):
-            raise SchemaError("SCHEMA_ERROR", f"invalid child reference '{entry}'",
-                              span=_span(keys["children"]), subject=name)
+        _check_name(entry, "child reference", keys["children"], rule, name)
 
     # An absent key stays None; NodeDef fills a leaf's optional keys.
     fields = {}
@@ -305,9 +303,7 @@ def _parse_node(name, node, pattern, source=None):
 def _args(node, owner):
     args = {}
     for pname, pvalue, pkey in _mapping_items(node, "args"):
-        if not _PARAM_NAME_RE.fullmatch(pname):
-            raise SchemaError("SCHEMA_ERROR", f"invalid argument name '{pname}'",
-                              span=_span(pkey), subject=owner)
+        _check_name(pname, "argument name", pkey, PARAM_NAME_RE, owner)
         args[pname] = _scalar_or_list(pvalue, f"argument '{pname}'")
     return args
 
@@ -320,31 +316,27 @@ def _parse_body(node, owner, source):
         if any(k.value == "foreach" for k, _ in entry):
             body[key] = _parse_foreach(key, value_node, key_node, source)
         else:
-            _check_name(key, "node name pattern", _span(key_node), pattern=True)
+            _check_name(key, "node name pattern", key_node, PATTERN_NAME_RE)
             body[key] = _parse_node(key, value_node, pattern=True, source=source)
     return body
 
 
 def _parse_foreach(key, node, key_node, source):
-    if not _TEMPLATE_NAME_RE.fullmatch(key):
-        raise SchemaError("SCHEMA_ERROR", f"invalid foreach block name '{key}'",
-                          span=_span(key_node), subject=key)
+    _check_name(key, "foreach block name", key_node, BLOCK_NAME_RE)
     fields = _fields(node, "foreach block", key)
-    spec = {k: _text(v, k) for k, v in _fields(fields["foreach"], "foreach", key).items()}
-    spec_span = _span(fields["foreach"])
-    if not _LIST_REF_RE.fullmatch(spec["list"]):
+    spec_node = fields["foreach"]
+    spec = {k: _text(v, k) for k, v in _fields(spec_node, "foreach", key).items()}
+    if not PARAM_REF_RE.fullmatch(spec["list"]):
         raise SchemaError("SCHEMA_ERROR",
                           f"foreach 'list' must be a $param reference, got '{spec['list']}'",
-                          span=spec_span, subject=key)
+                          span=_span(spec_node), subject=key)
     var = spec["var"]
     index = spec.get("index", "i")
     for label, token in (("var", var), ("index", index)):
-        if not _PARAM_NAME_RE.fullmatch(token) or token == "name":
-            raise SchemaError("SCHEMA_ERROR", f"invalid foreach {label} '{token}'",
-                              span=spec_span, subject=key)
+        _check_name(token, f"foreach {label}", spec_node, DECLARED_PARAM_RE, key)
     if var == index:
         raise SchemaError("SCHEMA_ERROR", "foreach var and index must differ",
-                          span=spec_span, subject=key)
+                          span=_span(spec_node), subject=key)
 
     return ForeachBlock(
         list_ref=spec["list"],
@@ -367,9 +359,7 @@ def _parse_template(name, node, source):
             decl = _fields(item, "arg declaration", name)
             pname = _text(decl["name"], "arg name")
             kind = _text(decl["kind"], "arg kind")
-            if not _PARAM_NAME_RE.fullmatch(pname) or pname == "name":
-                raise SchemaError("SCHEMA_ERROR", f"invalid arg name '{pname}'",
-                                  span=_span(item), subject=name)
+            _check_name(pname, "arg name", item, DECLARED_PARAM_RE, name)
             if any(p.name == pname for p in params):
                 raise SchemaError("SCHEMA_ERROR", f"duplicate arg '{pname}'",
                                   span=_span(item), subject=name)
@@ -416,9 +406,7 @@ def _parse_template(name, node, source):
 def _parse_templates_map(node, source=None):
     templates = {}
     for name, value_node, key_node in _mapping_items(node, "templates"):
-        if not _TEMPLATE_NAME_RE.fullmatch(name):
-            raise SchemaError("SCHEMA_ERROR", f"invalid template name '{name}'",
-                              span=_span(key_node), subject=name)
+        _check_name(name, "template name", key_node, BLOCK_NAME_RE)
         if name in PRIMARY_KINDS:
             raise SchemaError("SCHEMA_ERROR",
                               f"template name '{name}' collides with a primary node kind",
@@ -438,7 +426,7 @@ def parse_document(text: str) -> Document:
     nodes = {}
     if "nodes" in fields:
         for name, nd_node, nd_key in _mapping_items(fields["nodes"], "nodes"):
-            _check_name(name, "node name", _span(nd_key))
+            _check_name(name, "node name", nd_key, NAME_RE)
             nodes[name] = _parse_node(name, nd_node, pattern=False)
     root = _text(fields["root"], "root")
     if root not in nodes:
@@ -472,11 +460,11 @@ def parse_scenario(text: str) -> Scenario:
     actions = {}
     if "memory" in fields:
         for mkey, mvalue, mkey_node in _mapping_items(fields["memory"], "memory"):
-            _check_name(mkey, "memory key", _span(mkey_node))
+            _check_name(mkey, "memory key", mkey_node, NAME_RE)
             memory[mkey] = _typed_scalar(mvalue, f"memory value for '{mkey}'")
     if "actions" in fields:
         for aname, avalue, akey_node in _mapping_items(fields["actions"], "actions"):
-            _check_name(aname, "action name", _span(akey_node))
+            _check_name(aname, "action name", akey_node, NAME_RE)
             states = []
             for entry in _text_list(avalue, f"results for '{aname}'"):
                 if entry not in RETURN_STATES:
@@ -492,8 +480,9 @@ def parse_scenario(text: str) -> Scenario:
 
 # --- canonical writer ---------------------------------------------------
 
-_PLAIN_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_/.\-]*")
-_PLAIN_BLOCK_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_/.\-=!<>&|+*()' :]*")
+# A plain scalar starts with a letter, digit or "_"; a block scalar may go
+# on in the operators and spaces of expressions too.
+_PLAIN_BLOCK_RE = re.compile(f"[A-Za-z0-9_][{NAME_CHARS}=!<>&|+*()' :]*")
 
 
 def _quote(s):
@@ -510,7 +499,7 @@ def _block_scalar(s):
 
 
 def _flow_scalar(s):
-    if _PLAIN_NAME_RE.fullmatch(s):
+    if NAME_RE.fullmatch(s) and s[0] not in "/.-":
         return s
     return _quote(s)
 

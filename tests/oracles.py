@@ -1068,3 +1068,31 @@ def reference_typed_scalar(node, what):
     if value is None or type(value) is int and not -_INT_BOUND < value < _INT_BOUND:
         raise SchemaError("SCHEMA_ERROR", f"{what} is not {expected}", span=span)
     return value
+
+
+# --- reference name rules -------------------------------------------------
+
+# Each kind of name's rule, written out literally as each module spelled it
+# before btt.model built every kind from one alphabet. A declared template
+# arg or foreach variable may not be "name" either.
+_PARAM = r"[A-Za-z_][A-Za-z0-9_]*"
+_REFERENCE_NAME_RULES = {
+    "node name": re.compile(r"[A-Za-z0-9_/.\-]+"),
+    "node name pattern": re.compile(r"[A-Za-z0-9_/.\-$~]+"),
+    "child pattern": re.compile(r"[A-Za-z0-9_/.\-$~@]+"),
+    "param name": re.compile(_PARAM),
+    "declared param": re.compile(_PARAM),
+    "param reference": re.compile(r"\$" + _PARAM),
+    "block name": re.compile(r"[A-Za-z0-9_.\-]+"),
+    "identifier": re.compile(r"[A-Za-z_][A-Za-z0-9_/.\-]*", re.ASCII),
+    "plain name": re.compile(r"[A-Za-z0-9_][A-Za-z0-9_/.\-]*"),
+    "plain block": re.compile(r"[A-Za-z0-9_][A-Za-z0-9_/.\-=!<>&|+*()' :]*"),
+}
+REFERENCE_NAME_KINDS = tuple(_REFERENCE_NAME_RULES)
+
+
+def reference_name_ok(kind, s):
+    """Whether ``s`` is a name of ``kind`` (a key of the table above)."""
+    if kind == "declared param" and s == "name":
+        return False
+    return _REFERENCE_NAME_RULES[kind].fullmatch(s) is not None

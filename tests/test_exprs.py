@@ -522,6 +522,16 @@ def test_nesting_counts_every_level_kind():
     assert err(parse_expr, "-(" + " + ".join(["1"] * 63) + ")").code == "EXPR_SYNTAX"
 
 
+def test_parentheses_past_the_cap_are_refused_where_they_close():
+    """64 terms fill the cap; the pair around them is one level more, found
+    once it closes, and located at its opening, on the engine's path too."""
+    text = "(" + " + ".join(["a"] * MAX_EXPR_DEPTH) + ")"
+    for parse in (parse_expr, exprs._compiled_expr):
+        e = err(parse, text)
+        assert (e.code, e.message, e.offset) == (
+            "EXPR_SYNTAX", "expression is nested too deeply (at offset 0)", 0)
+
+
 # Trees no parse gives, as (wrap one level, innermost leaf, value when
 # MAX_EXPR_DEPTH deep); past the cap, the generated code of a right-nested
 # junction nests a block per level, and any walk recurses per level.
@@ -552,6 +562,17 @@ def test_a_hand_built_tree_past_the_nesting_cap_is_a_syntax_error(form, depth):
     e = _hand_built(form, depth)
     for exc in (err(eval_expr, e, {"k": True}), err(compile_expr, e)):
         assert (exc.code, exc.message) == ("EXPR_SYNTAX", "expression is nested too deeply")
+
+
+def test_a_wrong_object_is_a_programming_error():
+    """Evaluating or printing a value that is not a syntax tree raises
+    TypeError, and printing a text literal that holds a quote, which no
+    parse gives, raises ValueError."""
+    for call in (lambda: eval_expr(5, {}), lambda: print_expr(5)):
+        with pytest.raises(TypeError, match="^not an expression node: 5$"):
+            call()
+    with pytest.raises(ValueError, match="^text literals cannot contain a single quote$"):
+        print_expr(Lit("a'b"))
 
 
 def test_print_minimal_parentheses():

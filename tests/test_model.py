@@ -57,6 +57,15 @@ def test_value_equality_reflexive_and_symmetric(a, b):
     assert values_equal(a, b) == values_equal(b, a)
 
 
+def test_values_of_one_tag_compare_by_value_whatever_their_class():
+    """values_equal takes any value: a str subclass is text to it."""
+    class Sub(str):
+        pass
+
+    assert values_equal(Sub("a"), "a")
+    assert not values_equal(Sub("a"), "b")
+
+
 def test_value_text_canonical_forms():
     assert value_text(True) == "true"
     assert value_text(False) == "false"
