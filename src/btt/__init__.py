@@ -26,6 +26,7 @@ from .model import (
     NodeKind,
     ParamDecl,
     ReturnState,
+    Scenario,
     TemplateDef,
     diagnostic_render,
     validate_expanded,
@@ -46,10 +47,8 @@ from .exprs import (
 )
 from .engine import (
     Engine,
-    Scenario,
     TraceEvent,
     render_memory_dump,
-    render_trace_event,
     state_key,
 )
 from .textio import (

@@ -9,20 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .engine import Engine, check_expressions, render_memory_dump
-from .errors import (
-    BttError,
-    CanonicalizeError,
-    DumpError,
-    EngineError,
-    ExpandError,
-    ParseError,
-    SchemaError,
-    TickError,
-    ValidationFailure,
-)
+from .errors import BttError, ParseError, TickError, ValidationFailure
 from .expander import DEFAULT_MAX_DEPTH, MAX_DEPTH_CEILING, expand_document
 from .model import NodeKind, _preorder, diagnostic_render
 from .stdlib import SHADOWED_BUILTIN, builtin_templates, shadowed_builtins
@@ -91,13 +80,6 @@ def _report(exc: BttError, path):
         print(f"{_location(exc.span, path)}{exc.render()}", file=sys.stderr)
 
 
-def _write(text, output):
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
-
-
 def render_dot(tree) -> str:
     lines = ["digraph bt {"]
     index = tree.by_name()
@@ -115,7 +97,8 @@ def render_dot(tree) -> str:
 
 def _read_text(path):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(
             "PARSE_ERROR",
@@ -137,55 +120,60 @@ def _load_tree(args):
     return expand_document(doc, builtins=builtins, max_depth=args.max_depth)
 
 
-def _run(args, tree, scenario):
-    engine = Engine(tree, scenario=scenario)
-    lines = []  # written also when a tick or the dump fails: the trace up to the failure
+def _run(args, engine):
+    """The run's output, one text per tick as it completes: its trace lines
+    under --trace; on a TickError, the failing tick's lines up to the
+    failing node before the error goes on. Then the dump and the result."""
     try:
         for _ in range(args.ticks):
             result, events = engine.tick()
             if args.trace:
-                lines.extend(events._lines())
-        if args.memory_dump:  # "---", then the dump unless it is empty
-            lines.extend(filter(None, ("---", render_memory_dump(engine.memory))))
-        lines.append(f"result={result.value}")
+                yield "".join(events._lines())
     except TickError as exc:
-        if args.trace:  # the failing tick's events up to the failing node
-            lines.extend(exc.events._lines())
+        if args.trace:
+            yield "".join(exc.events._lines())
         raise
-    finally:
-        if lines:
-            _write("\n".join(lines) + "\n", args.output)
+    if args.memory_dump:  # "---", then the dump unless it is empty
+        dump = render_memory_dump(engine.memory)
+        yield f"---\n{dump}\n" if dump else "---\n"
+    yield f"result={result.value}\n"
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     source = args.input  # the file that a parse or schema error points into
+    out = None
     try:
-        tree = _load_tree(args)
-        if args.command == "expand":
-            _write(serialize_expanded(tree), args.output)
-        elif args.command == "dot":
-            _write(render_dot(tree), args.output)
-        elif args.command == "validate":
-            diagnostics = check_expressions(tree)
-            if diagnostics:
-                raise ValidationFailure(diagnostics)
-        else:  # run
-            scenario = None
-            if args.scenario is not None:
-                source = args.scenario
-                scenario = parse_scenario(_read_text(args.scenario))
-            _run(args, tree, scenario)
+        try:
+            tree = _load_tree(args)
+            if args.command == "validate":
+                diagnostics = check_expressions(tree)
+                if diagnostics:
+                    raise ValidationFailure(diagnostics)
+                return 0
+            if args.command == "run":
+                scenario = None
+                if args.scenario is not None:
+                    source = args.scenario
+                    scenario = parse_scenario(_read_text(args.scenario))
+                    source = args.input
+                texts = _run(args, Engine(tree, scenario=scenario))
+            elif args.command == "expand":
+                texts = (serialize_expanded(tree),)
+            else:
+                texts = (render_dot(tree),)
+            out = sys.stdout if args.output is None else open(
+                args.output, "w", encoding="utf-8", newline="\n")
+            out.writelines(texts)
+        finally:  # in the try: a stdout the reader closed is an IO_ERROR, not a complaint at exit
+            if out is sys.stdout:
+                out.flush()
+            elif out is not None:
+                out.close()
         return 0
-    except (ParseError, SchemaError) as exc:
+    except BttError as exc:
         _report(exc, source)
-        return 2
-    except (ValidationFailure, ExpandError, CanonicalizeError, EngineError) as exc:
-        _report(exc, args.input)
-        return 3
-    except (TickError, DumpError) as exc:
-        _report(exc, args.input)
-        return 4
+        return exc.exit_code
     except OSError as exc:
         print(f"IO_ERROR: {exc}", file=sys.stderr)
         return 2

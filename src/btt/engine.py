@@ -13,7 +13,6 @@ lookups, and tree depth is unbounded.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -29,6 +28,7 @@ from .model import (
     ExpandedTree,
     NodeKind,
     ReturnState,
+    Scenario,
     require_valid,
     value_text,
 )
@@ -38,18 +38,6 @@ STATE_PREFIX = "__STATE__/"
 
 def state_key(name: str) -> str:
     return STATE_PREFIX + name
-
-
-@dataclass
-class Scenario:
-    """Deterministic test double: memory seeds plus scripted action results.
-
-    Each scripted action returns its next listed state instead of running
-    its script; the last entry repeats once the list is exhausted.
-    """
-
-    memory: dict = field(default_factory=dict)
-    actions: dict = field(default_factory=dict)  # name -> tuple[ReturnState, ...]
 
 
 class TraceEvent(NamedTuple):
@@ -80,14 +68,11 @@ class TickEvents(Sequence):
         return map(_new_event, repeat(TraceEvent), fields)
 
     def _lines(self):
-        """render_trace_event's line for each event, with no TraceEvent built."""
+        """Each event's trace line, with no TraceEvent built: its tick, node
+        and state, tab-separated, ending in a newline."""
         head, names = f"{self._tick}\t", self._names
-        return [f"{head}{names[node]}\t{_STATE_TEXT[state]}"
+        return [f"{head}{names[node]}\t{_STATE_TEXT[state]}\n"
                 for node, state in zip(self._nodes, self._results)]
-
-
-def render_trace_event(event: TraceEvent) -> str:
-    return f"{event.tick}\t{event.node}\t{event.result.value}"
 
 
 def render_memory_dump(memory) -> str:

@@ -1,7 +1,9 @@
 """Error types shared across the package.
 
 Every failure carries a machine-readable ``code`` so callers (and the CLI)
-can classify problems without matching message text.
+can classify problems without matching message text, and each class its
+``exit_code``, the status a btt command exits with: 2 parse and schema
+errors, 3 expansion and validation errors, 4 runtime errors while ticking.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ class BttError(Exception):
 
 class ParseError(BttError):
     """Input text is not a well-formed document (bad YAML, empty stream)."""
+    exit_code = 2
 
 
 class SchemaError(BttError):
     """Well-formed input that does not fit the document schema."""
+    exit_code = 2
 
 
 class ExprError(BttError):
@@ -36,6 +40,7 @@ class ExprError(BttError):
 
     ``offset`` is the 0-based character position for EXPR_SYNTAX errors.
     """
+    exit_code = 3
 
     def __init__(self, code, message, *, offset=None, subject=None):
         self.offset = offset
@@ -47,6 +52,7 @@ class ExprError(BttError):
 class ExpandError(BttError):
     """Template instantiation failure. ``chain`` is the instantiation stack;
     one of more than 8 names renders as its first and last three."""
+    exit_code = 3
 
     def __init__(self, code, message, *, subject=None, span=None, chain=()):
         self.chain = tuple(chain)
@@ -68,6 +74,7 @@ class ValidationFailure(BttError):
     Carries the full diagnostic list; code, subject and span mirror the
     first entry.
     """
+    exit_code = 3
 
     def __init__(self, diagnostics):
         self.diagnostics = tuple(diagnostics)
@@ -77,10 +84,12 @@ class ValidationFailure(BttError):
 
 class CanonicalizeError(BttError):
     """serialize_expanded was handed a tree that fails validation."""
+    exit_code = 3
 
 
 class EngineError(BttError):
     """Engine construction failure (e.g. scenario names an unknown action)."""
+    exit_code = 3
 
 
 class TickError(BttError):
@@ -89,6 +98,7 @@ class TickError(BttError):
     ``events`` holds the aborted tick's events up to the failing node, and
     ``span`` is that node's source span.
     """
+    exit_code = 4
 
     def __init__(self, message, *, node, tick, events=(), span=None):
         self.node = node
@@ -99,3 +109,4 @@ class TickError(BttError):
 
 class DumpError(BttError):
     """The final memory cannot be written out (``--memory-dump``)."""
+    exit_code = 4

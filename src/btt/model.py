@@ -269,6 +269,18 @@ class ExpandedTree:
         return index
 
 
+@dataclass
+class Scenario:
+    """Deterministic test double: memory seeds plus scripted action results.
+
+    Each scripted action returns its next listed state instead of running
+    its script; the last entry repeats once the list is exhausted.
+    """
+
+    memory: dict = field(default_factory=dict)
+    actions: dict = field(default_factory=dict)  # name -> tuple[ReturnState, ...]
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     code: str

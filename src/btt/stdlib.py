@@ -11,8 +11,8 @@ reports such collisions so front ends can warn (code SHADOWED_BUILTIN).
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib.resources import files
 
 SHADOWED_BUILTIN = "SHADOWED_BUILTIN"
 
@@ -22,11 +22,11 @@ def _builtins():
     from .textio import parse_templates
 
     merged = {}
-    sources = files(__package__).joinpath("templates").iterdir()
-    for source in sorted(sources, key=lambda f: f.name):
-        if source.name.endswith(".yaml"):
-            merged.update(parse_templates(source.read_text(encoding="utf-8"),
-                                          source=f"btt:templates/{source.name}"))
+    folder = os.path.join(os.path.dirname(__file__), "templates")
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".yaml"):
+            with open(os.path.join(folder, name), encoding="utf-8") as f:
+                merged.update(parse_templates(f.read(), source=f"btt:templates/{name}"))
     return merged
 
 

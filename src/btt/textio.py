@@ -31,7 +31,6 @@ from yaml.events import (
 )
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
-from .engine import Scenario
 from .errors import CanonicalizeError, ParseError, SchemaError
 from .model import (
     BLOCK_NAME_RE,
@@ -53,6 +52,7 @@ from .model import (
     ForeachBlock,
     NodeDef,
     ParamDecl,
+    Scenario,
     TemplateDef,
     _preorder,
     require_valid,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 # Statements that may stay unrun, each with its reason, as "<file>:<line>".
 ALLOWED = {
-    "cli.py:195": "sys.exit(main()) runs only under 'python -m btt.cli', in a process of its "
+    "cli.py:183": "sys.exit(main()) runs only under 'python -m btt.cli', in a process of its "
                   "own, which an in-process tracer cannot follow",
 }
 

@@ -1,10 +1,14 @@
+import ast
+import os
 import re
+import subprocess
 import sys
+import tracemalloc
 import types
 
 import pytest
 
-from btt import expander, model, textio, validate_expanded
+from btt import BttError, expander, model, textio, validate_expanded
 from btt.cli import main
 from util import (BODY_PAYLOAD_LINE, CORPUS, CORPUS_DOCS, EXAMPLES, GOLDEN,
                   LEAF_PAYLOAD_VALUES, NESTED_FORMS, REPO, TEMPLATES, body_payload_doc, nested)
@@ -261,6 +265,72 @@ def test_memory_dump_of_an_integer_too_long_to_write_exits_4(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", doc, "--scenario", scenario,
                            "--ticks", 12, "--memory-dump")
     assert code == 0 and f"x = 1{'0' * 4096}" in out.splitlines()
+
+
+PATROL_RUN = ("run", EXAMPLES / "patrol.yaml", "--scenario", EXAMPLES / "patrol_scenario.yaml")
+
+
+def test_a_traced_run_holds_one_tick_of_output(tmp_path, capsys):
+    """Each tick's trace is written when the tick completes, so a run of
+    20,000 ticks peaks where one of 2,000 does; holding the whole trace
+    until the end took 43 MB more."""
+    out_path = tmp_path / "trace.txt"
+    assert run_cli(capsys, *PATROL_RUN, "--trace", "-o", out_path)[0] == 0  # fills the caches
+    peaks = []
+    tracemalloc.start()
+    try:
+        for ticks in (2000, 20000):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = run_cli(capsys, *PATROL_RUN, "--ticks", ticks, "--trace", "-o", out_path)[0]
+            assert code == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 256 * 1024, peaks
+    lines = out_path.read_text().splitlines()
+    assert (lines[0], lines[-2:]) == ("1\tbattery_low\tFAILURE", ["20000\tpatrol\tSUCCESS",
+                                                                 "result=SUCCESS"])
+
+
+def test_a_reader_that_closes_stdout_stops_the_run_with_exit_2():
+    """The next write fails, which is an IO_ERROR at exit 2, with no
+    traceback and no complaint at interpreter shutdown."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))))
+    with subprocess.Popen(
+            [sys.executable, "-m", "btt.cli", *map(str, PATROL_RUN), "--ticks", "100000",
+             "--trace"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"1\tbattery_low\tFAILURE\n"
+        proc.stdout.close()  # the rest of the trace, megabytes of it, cannot fit in the pipe
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (2, b"IO_ERROR: [Errno 32] Broken pipe\n")
+
+
+def test_output_path_is_opened_once_the_engine_is_built(tmp_path, capsys):
+    """-o PATH is created before the first tick, so a run that fails in
+    tick 1 without --trace leaves it empty; a document that fails before
+    then creates none, and validate never does."""
+    out_path = tmp_path / "out.txt"
+    doc = write(tmp_path, "c.yaml", "root: c\nnodes:\n  c: {type: condition, if: 'y > 1'}\n")
+    code, out, err = run_cli(capsys, "run", doc, "-o", out_path)
+    assert (code, out, out_path.read_text()) == (4, "", "")
+    assert err.startswith(f"{doc}:3:6: RUNTIME_ERROR: c: tick 1: UNDEFINED_VARIABLE")
+    out_path.unlink()
+    doc = write(tmp_path, "u.yaml", "root: c\nnodes:\n  c: {type: sequence, children: [x]}\n")
+    for command in ("run", "expand", "dot", "validate"):
+        assert run_cli(capsys, command, doc, "-o", out_path)[0] == 3
+        assert not out_path.exists()
+    assert run_cli(capsys, "validate", EXAMPLES / "sequence_star.yaml", "-o", out_path)[0] == 0
+    assert not out_path.exists()  # validate writes nothing
+
+
+@pytest.mark.parametrize("command", ["expand", "run", "dot"])
+def test_an_output_path_that_cannot_be_opened_is_an_io_error(tmp_path, capsys, command):
+    for path, reason in (("", "[Errno 2] No such file or directory: ''"),
+                         (tmp_path, f"[Errno 21] Is a directory: '{tmp_path}'")):
+        code, out, err = run_cli(capsys, command, EXAMPLES / "sequence_star.yaml", "-o", path)
+        assert (code, out, err) == (2, "", f"IO_ERROR: {reason}\n")
 
 
 def test_run_undefined_variable_exit_4(tmp_path, capsys):
@@ -617,8 +687,50 @@ def test_the_public_names_of_btt_are_pinned():
         "TraceEvent", "Unary", "ValidationFailure", "Var", "bind_arguments", "builtin_templates",
         "diagnostic_render", "eval_expr", "expand_document", "instantiate", "parse_assignment",
         "parse_document", "parse_expr", "parse_scenario", "parse_templates", "print_expr",
-        "render_memory_dump", "render_trace_event", "serialize_expanded", "shadowed_builtins",
+        "render_memory_dump", "serialize_expanded", "shadowed_builtins",
         "state_key", "validate_expanded", "value_text", "values_equal"]
+
+
+def _imports(path):
+    """The modules that the import statements of ``path`` name, anywhere in
+    it; a relative one as btt.<module>."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(f"btt.{node.module}" if node.level else node.module)
+    return names
+
+
+def test_btt_imports_neither_importlib_nor_pathlib():
+    """Read in the source, since ``site`` imports both before any test runs."""
+    paths = sorted((REPO / "src" / "btt").glob("*.py"))
+    assert len(paths) == 9
+    for path in paths:
+        assert not {name.split(".")[0] for name in _imports(path)} & {"importlib", "pathlib"}, path
+
+
+def test_the_front_end_does_not_import_the_tick_interpreter():
+    graph = {path.stem: {name[4:] for name in _imports(path) if name.startswith("btt.")}
+             for path in (REPO / "src" / "btt").glob("*.py")}
+    reached, todo = set(), ["textio"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(graph[module])
+    assert reached == {"textio", "errors", "model"}
+
+
+def test_each_error_class_carries_its_exit_code():
+    import btt
+    public = {name: getattr(btt, name) for name in dir(btt)}
+    assert {name: cls.exit_code for name, cls in public.items()
+            if isinstance(cls, type) and issubclass(cls, BttError) and cls is not BttError} == {
+        "ParseError": 2, "SchemaError": 2, "ExprError": 3, "ExpandError": 3,
+        "ValidationFailure": 3, "CanonicalizeError": 3, "EngineError": 3, "TickError": 4,
+        "DumpError": 4}
 
 
 def test_arity_mismatch_exit_3(tmp_path, capsys):
