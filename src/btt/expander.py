@@ -21,6 +21,8 @@ The rules, in the order they apply to one templated node:
    working. Children references prefer local body names over external ones.
 6. Nested templated nodes recurse with the instantiation stack extended;
    a template already on the stack is a RECURSIVE_TEMPLATE error.
+7. One expansion makes at most MAX_NODES nodes: the instance that would
+   make more is a TOO_MANY_NODES error.
 
 A template is compiled once, on first use, into a plan kept on the
 TemplateDef; an instance binds its arguments and fills the plan's pieces,
@@ -44,6 +46,7 @@ from .model import (
     ForeachBlock,
     NodeDef,
     TemplateDef,
+    args_problem,
     node_class_diagnostics,
     payload_problem,
     validate_expanded,
@@ -52,6 +55,7 @@ from .model import (
 
 DEFAULT_MAX_DEPTH = 64
 MAX_DEPTH_CEILING = 256  # instantiate recurses once per level: far below the recursion limit
+MAX_NODES = 100_000  # nodes in one expansion: nesting multiplies them
 
 _PLACEHOLDER_RE = re.compile(rf"\$(@?)({PARAM_NAME})?|~")
 _SPLICE_RE = re.compile(rf"\$@({BLOCK_NAME})")
@@ -68,6 +72,9 @@ _UNBOUND = object()
 def bind_arguments(tmpl: TemplateDef, inst: NodeDef) -> dict:
     """The instance's values for the template's params: node names from
     its children, scalars and lists from its args or their defaults."""
+    problem = args_problem(inst.args)
+    if problem is not None:
+        raise ExpandError("BAD_NODE", problem, subject=inst.name, span=inst.span)
     _, _, singles, variadic, declared, scalars = _plan(tmpl)
     children = inst.children
     n, least = len(children), len(singles) + (variadic is not None)
@@ -267,9 +274,10 @@ class _NodeDef:
         self.__class__ = NodeDef
 
 
-def _collect(level, env, items):
+def _collect(level, env, items, room):
     """Append ``(local name, node plan, env, emitted)`` for each body node of a
-    level, unrolling its blocks; ``emitted`` maps block names to emitted names."""
+    level, unrolling its blocks; ``emitted`` maps block names to emitted names.
+    A block stops unrolling once ``items`` holds more than ``room``."""
     emitted = {}
     for entry in level:
         if entry.__class__ is _NodePlan:
@@ -280,10 +288,10 @@ def _collect(level, env, items):
             except _Unfilled as exc:
                 raise exc.at(env[_INSTANCE], entry.pattern.span) from None
         else:
-            emitted[entry[0]] = _unroll(entry, env, items)
+            emitted[entry[0]] = _unroll(entry, env, items, room)
 
 
-def _unroll(plan, env, items):
+def _unroll(plan, env, items, room):
     _, block, list_key, emit, body, emit_at = plan
 
     def error(code, message, subject=block.list_ref):
@@ -301,9 +309,11 @@ def _unroll(plan, env, items):
     seen = set()
     var, index = block.var, block.index
     for k, elem in enumerate(value):
+        if len(items) > room:
+            break
         ienv = {**env, var: elem, index: k}
         start = len(items)
-        _collect(body, ienv, items)
+        _collect(body, ienv, items, room)
         for i in range(start, len(items)):
             name = items[i][0]
             if name in seen:
@@ -359,12 +369,21 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
 
     ``stack`` is the instantiation chain including ``tmpl.name`` itself.
     The returned collection contains exactly one node named ``inst.name``
-    (the template's root); all others are prefixed ``<inst.name>/``.
+    (the template's root); all others are prefixed ``<inst.name>/``, and
+    there are at most MAX_NODES.
     An ExpandError raised within that carries no chain gets ``stack``.
     A ``max_depth`` outside 1 to MAX_DEPTH_CEILING is a ValueError.
     """
     _check_max_depth(max_depth)
-    stack = tuple(stack) if stack is not None else (tmpl.name,)
+    out = []
+    _instantiate(tmpl, inst, registry, tuple(stack) if stack is not None else (tmpl.name,),
+                 max_depth, out, MAX_NODES)
+    return out
+
+
+def _instantiate(tmpl, inst, registry, stack, max_depth, out, limit):
+    """Append instantiate's collection to ``out``, which then holds at most
+    ``limit`` nodes: the caller keeps one place for each node still to come."""
     try:
         if len(stack) > max_depth:
             raise ExpandError("DEPTH_EXCEEDED",
@@ -377,7 +396,10 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
         instance = env[_INSTANCE] = inst.name
         level, root = _plan(tmpl)[:2]
         items = []
-        _collect(level, env, items)
+        _collect(level, env, items, limit - len(out))
+        if len(out) + len(items) > limit:  # each item makes one node at least
+            raise ExpandError("TOO_MANY_NODES", f"expansion makes more than {MAX_NODES} nodes",
+                              subject=instance, span=inst.span)
 
         prefix = instance + "/"
         try:
@@ -401,9 +423,10 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
             raise ExpandError("BAD_TEMPLATE_ROOT",
                               f"template root '{tmpl.root}' does not resolve to a body node",
                               subject=instance, span=tmpl.span)
-        out = []
+        pending = len(items)
         try:
             for name, node, ienv, emitted in items:
+                pending -= 1
                 final, span = local_map[name], node.pattern.span
                 type_ = node.type
                 if type_.__class__ is _Text:
@@ -436,15 +459,14 @@ def instantiate(tmpl: TemplateDef, inst: NodeDef, registry: dict,
                     p = node.pattern
                     nested = _NodeDef(final, type_, children, _args(node.args, ienv),
                                       p.if_, p.then, p.else_, p.script, p.result, span)
-                    out.extend(instantiate(registry[type_], nested, registry, stack + (type_,),
-                                           max_depth=max_depth))
+                    _instantiate(registry[type_], nested, registry, stack + (type_,), max_depth,
+                                 out, limit - pending)
                 else:
                     raise ExpandError("UNKNOWN_TYPE",
                                       f"type '{type_}' is neither a primary kind nor a template",
                                       subject=final, span=span)
         except _Unfilled as exc:  # a fill of the current item's texts
             raise exc.at(final, span) from None
-        return out
     except ExpandError as exc:
         if exc.chain:
             raise
@@ -459,7 +481,8 @@ def expand_document(doc: Document, builtins: dict | None = None,
     Document-local templates take precedence over builtins of the same
     name. The result always passes validate_expanded, and is marked
     ``validated`` so that serializing it does not check it again; any
-    diagnostics are promoted to a ValidationFailure. A ``max_depth``
+    diagnostics are promoted to a ValidationFailure. It holds no list of
+    the caller's, which could change under the mark. A ``max_depth``
     outside 1 to MAX_DEPTH_CEILING is a ValueError.
     """
     _check_max_depth(max_depth)
@@ -471,12 +494,17 @@ def expand_document(doc: Document, builtins: dict | None = None,
     registry = dict(builtins) if builtins else {}
     registry.update(doc.templates)
     out = []
+    pending = len(doc.nodes)
     for name, nd in doc.nodes.items():
+        pending -= 1
         if nd.type in PRIMARY_KINDS:
+            if list in (type(nd.children), type(nd.script)):
+                nd = replace(nd, children=tuple(nd.children),
+                             script=None if nd.script is None else tuple(nd.script))
             out.append(nd)
         elif nd.type in registry:
-            out.extend(instantiate(registry[nd.type], nd, registry,
-                                   (nd.type,), max_depth=max_depth))
+            _instantiate(registry[nd.type], nd, registry, (nd.type,), max_depth, out,
+                         MAX_NODES - pending)
         else:
             raise ExpandError("UNKNOWN_TYPE",
                               f"type '{nd.type}' is neither a primary kind nor a template",

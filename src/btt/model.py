@@ -162,8 +162,8 @@ _TEXT, _SEQUENCE, _NONE = frozenset({str}), frozenset({tuple, list}), frozenset(
 # The exact classes (``type(v) in``, so that no subclass passes) that each
 # field and container of a hand-built ExpandedTree, NodeDef and Scenario,
 # and each entry of an Engine's memory, may hold, so that every other rule
-# reads a name or text as text. NodeDef.args is read only as carried or
-# not, and a span is only carried along.
+# reads a name or text as text. A templated node's args are judged when
+# they are bound (args_problem), and a span is only carried along.
 _CLASSES = {
     "nodes": _SEQUENCE, "node": frozenset({NodeDef}), "root": _TEXT, "name": _TEXT,
     "type": _TEXT, "children": _SEQUENCE, "child": _TEXT, "script": _SEQUENCE | _NONE,
@@ -171,6 +171,8 @@ _CLASSES = {
     # Scenario.memory and .actions, and the memory an Engine is given
     "mapping": frozenset({dict}), "memory key": _TEXT, "memory value": _SCALAR_TYPES,
     "results": _SEQUENCE, "state": frozenset({ReturnState}),
+    # NodeDef.args: each value a scalar or a tuple of scalars
+    "args": frozenset({dict}) | _NONE, "arg name": _TEXT, "arg value": _SCALAR_TYPES,
 }
 # What a message calls each NodeDef field of _CLASSES, in judging order,
 # and for a sequence, what it calls one entry and that entry's row.
@@ -193,6 +195,22 @@ def payload_problem(nd: NodeDef, kind: str | None) -> str | None:
                 return f"a {kind} node requires '{key}'"
         elif key not in takes:
             return f"a {kind or 'templated'} node takes no '{key}'"
+    return None
+
+
+def args_problem(args) -> str | None:
+    """What is wrong with the classes a templated node's ``args`` holds, or
+    None if nothing is."""
+    if type(args) not in _CLASSES["args"]:
+        return f"'args' must be a dict, not {type(args).__name__}"
+    for key, v in (args or {}).items():
+        if type(key) not in _CLASSES["arg name"]:
+            return f"an arg name must be text, not {type(key).__name__}"
+        items = v if type(v) is tuple else (v,)
+        if not {*map(type, items)} <= _CLASSES["arg value"]:
+            item = next(i for i in items if type(i) not in _CLASSES["arg value"])
+            return (f"arg '{key}' must be a scalar or a tuple of scalars, "
+                    f"not {type(item).__name__}")
     return None
 
 

@@ -1,9 +1,9 @@
 """Reading the YAML description format and writing canonical expanded trees.
 
 Parsing makes one pass over PyYAML's parser events (libyaml's when PyYAML
-has it, its pure-Python parser otherwise) and builds the YAML node tree
-itself, so every definition carries a source span, unsupported YAML
-features are caught in the same pass, and nesting is capped without
+has it, its pure-Python parser otherwise) and keeps the events themselves
+as the node tree, so every definition carries a source span, unsupported
+YAML features are caught in the same pass, and nesting is capped without
 recursion. Values that the schema treats as text (names, types, patterns,
 expressions) are taken verbatim from the scalar, so quoting never changes
 meaning; only scalar *arguments* (template args, defaults, scenario memory
@@ -29,7 +29,7 @@ from yaml.events import (
     SequenceEndEvent,
     SequenceStartEvent,
 )
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.nodes import ScalarNode
 
 from .errors import CanonicalizeError, ParseError, SchemaError
 from .model import (
@@ -88,7 +88,6 @@ _DECIMAL_RE = re.compile(rf"[-+]?(?:0|[1-9][0-9]{{0,{MAX_INT_DIGITS - 1}}})")
 # libyaml when PyYAML was built with it; the pure-Python parser otherwise.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 MAX_NESTING = 256  # open collections allowed at once
-_COLLECTIONS = {SequenceStartEvent: SequenceNode, MappingStartEvent: MappingNode}
 _resolve = yaml.resolver.Resolver().resolve
 
 
@@ -101,8 +100,10 @@ def _span(node, source=None) -> SourceSpan:
 
 
 def _compose(text, what):
-    """Build the node tree in one pass over the parser's events. A node keeps
-    the tag its text gave (None for none); only _typed_scalar resolves one.
+    """Make the parser's events the node tree in one pass: a scalar is its
+    ScalarEvent, a collection its start event, given the ``value`` list of
+    its items (a mapping's paired) and the ``end_mark`` of its end. A node
+    keeps the tag its text gave (None for none); only _typed_scalar resolves one.
 
     Anchors, aliases and extra documents are recorded, located, as the
     first schema problem and raised only once the whole stream has parsed,
@@ -126,15 +127,13 @@ def _compose(text, what):
                 elif documents > 1:
                     problem = "multi-document streams are not supported", ev.start_mark
             if kind is ScalarEvent:
-                # libyaml reports plain scalars with style '', PyYAML with None
-                node = ScalarNode(ev.tag, ev.value, ev.start_mark, ev.end_mark,
-                                  style=ev.style or None)
-            elif kind in _COLLECTIONS:
+                node = ev
+            elif kind is SequenceStartEvent or kind is MappingStartEvent:
                 if len(stack) == MAX_NESTING:
                     raise ParseError("PARSE_ERROR", f"{what} is nested too deeply",
                                      span=_mark_span(ev.start_mark))
-                stack.append(_COLLECTIONS[kind](ev.tag, [], ev.start_mark, None,
-                                                flow_style=ev.flow_style))
+                ev.value = []
+                stack.append(ev)
                 continue
             elif kind is SequenceEndEvent or kind is MappingEndEvent:
                 node = stack.pop()
@@ -165,13 +164,13 @@ def _parse_error(exc, what):
 
 
 def _mapping_items(node, what, subject=None):
-    if not isinstance(node, yaml.nodes.MappingNode):
+    if node.__class__ is not MappingStartEvent:
         raise SchemaError("SCHEMA_ERROR", f"{what} must be a mapping",
                           span=_span(node) if node is not None else None, subject=subject)
     items = []
     seen = set()
     for key_node, value_node in node.value:
-        if not isinstance(key_node, yaml.nodes.ScalarNode):
+        if key_node.__class__ is not ScalarEvent:
             raise SchemaError("SCHEMA_ERROR", f"{what} keys must be scalars",
                               span=_span(key_node), subject=subject)
         key = key_node.value
@@ -220,32 +219,32 @@ def _fields(node, what, subject=None):
 
 
 def _text(node, what):
-    if not isinstance(node, yaml.nodes.ScalarNode):
+    if node.__class__ is not ScalarEvent:
         raise SchemaError("SCHEMA_ERROR", f"{what} must be a scalar", span=_span(node))
     return node.value
 
 
 def _text_list(node, what):
-    if not isinstance(node, yaml.nodes.SequenceNode):
+    if node.__class__ is not SequenceStartEvent:
         raise SchemaError("SCHEMA_ERROR", f"{what} must be a list", span=_span(node))
     return [_text(item, f"{what} entry") for item in node.value]
 
 
 def _typed_scalar(node, what):
     """Plain scalars get YAML bool/int/float typing; anything quoted is text."""
-    if not isinstance(node, yaml.nodes.ScalarNode):
+    if node.__class__ is not ScalarEvent:
         raise SchemaError("SCHEMA_ERROR", f"{what} must be a scalar", span=_span(node))
-    tag = node.tag
-    if node.style is None and tag in (None, "!"):  # the resolver decides
-        if _DECIMAL_RE.fullmatch(node.value):
-            return int(node.value)
-        tag = _resolve(ScalarNode, node.value, (True, False))
-    typed = _TYPED.get(tag) if node.style is None else None
+    text, tag = node.value, node.tag
+    if not node.style and tag in (None, "!"):  # plain (libyaml: '', PyYAML: None); resolve
+        if _DECIMAL_RE.fullmatch(text):
+            return int(text)
+        tag = _resolve(ScalarNode, text, (True, False))
+    typed = None if node.style else _TYPED.get(tag)
     if typed is None:
-        return node.value
+        return text
     expected, construct = typed
     try:
-        value = construct(node)
+        value = construct(ScalarNode(tag, text))
     except (ValueError, KeyError):  # "0x_", "!!bool maybe", or past CPython's digit limit
         value = None
     if value is None or type(value) is int and not -_INT_BOUND < value < _INT_BOUND:
@@ -254,7 +253,7 @@ def _typed_scalar(node, what):
 
 
 def _scalar_or_list(node, what):
-    if isinstance(node, yaml.nodes.SequenceNode):
+    if node.__class__ is SequenceStartEvent:
         return tuple(_typed_scalar(item, f"{what} entry") for item in node.value)
     return _typed_scalar(node, what)
 
@@ -312,7 +311,7 @@ def _parse_body(node, owner, source):
     """Template body: node patterns and foreach blocks, in source order."""
     body = {}
     for key, value_node, key_node in _mapping_items(node, f"nodes of {owner}"):
-        entry = value_node.value if isinstance(value_node, yaml.nodes.MappingNode) else ()
+        entry = value_node.value if value_node.__class__ is MappingStartEvent else ()
         if any(k.value == "foreach" for k, _ in entry):
             body[key] = _parse_foreach(key, value_node, key_node, source)
         else:
@@ -352,7 +351,7 @@ def _parse_template(name, node, source):
     fields = _fields(node, "template", name)
     params = []
     if "args" in fields:
-        if not isinstance(fields["args"], yaml.nodes.SequenceNode):
+        if fields["args"].__class__ is not SequenceStartEvent:
             raise SchemaError("SCHEMA_ERROR", "template args must be a list",
                               span=_span(fields["args"]), subject=name)
         for item in fields["args"].value:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 
@@ -520,6 +521,40 @@ def test_a_chain_deeper_than_the_ceiling_exceeds_it(tmp_path, capsys):
     assert err == (f"{doc}:1025:12: DEPTH_EXCEEDED: a: template nesting deeper than 256 "
                    "(while instantiating t0 -> t1 -> t2 -> ... 251 more ... "
                    "-> t254 -> t255 -> t256)\n")
+
+
+def _template_fan(tmp_path, levels):
+    """A document whose templates t0 ... t<levels - 1> each make ten of the
+    next, by a foreach over a ten-element default: 10 ** levels leaves."""
+    lines = ["templates:"]
+    for k in range(levels):
+        leaf = f"t{k + 1}" if k + 1 < levels else "action"
+        lines += [f"  t{k}:", "    args:",
+                  "      - {name: xs, kind: scalar-list, default: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]}",
+                  '    root: "~"', "    nodes:", '      "~": {type: sequence, children: ["$@each"]}',
+                  "      each:", "        foreach: {list: $xs, var: x}", '        emit: "~/c_$i"',
+                  "        nodes:", f'          "~/c_$i": {{type: {leaf}}}']
+    lines += ["root: a", "nodes:", "  a: {type: t0}"]
+    return write(tmp_path, "fan.yaml", "\n".join(lines) + "\n")
+
+
+def test_an_expansion_past_the_node_cap_ends_there(tmp_path, capsys):
+    """2 KB of nested templates ask for 10 ** 7 nodes. The expansion stops
+    at the instance that crosses the cap, within seconds and in bounded
+    memory; without the cap it ended in a MemoryError traceback."""
+    doc = _template_fan(tmp_path, 7)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "expand", doc)
+        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == (f"{doc}:67:21: TOO_MANY_NODES: a/c_0/c_0/c_8/c_9/c_9/c_7: expansion makes "
+                   "more than 100000 nodes "
+                   "(while instantiating t0 -> t1 -> t2 -> t3 -> t4 -> t5 -> t6)\n")
+    assert seconds < 30 and peak < 64 * 2 ** 20, (seconds, peak)
 
 
 @pytest.mark.parametrize("command", ["expand", "validate", "run"])

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -21,9 +25,9 @@ from btt import (
     parse_document,
     serialize_expanded,
 )
-from btt.expander import _INSTANCE, _Text, _Unfilled
+from btt.expander import _INSTANCE, MAX_NODES, _Text, _Unfilled
 from oracles import _reference_class_diagnostics
-from util import (BODY_PAYLOAD_LINE, CORPUS_DOCS, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES, ODD,
+from util import (BODY_PAYLOAD_LINE, CORPUS_DOCS, EXAMPLES, GOLDEN, LEAF_PAYLOAD_VALUES, ODD, REPO,
                   body_payload_doc, expand_path, expand_text)
 
 BUILTINS = builtin_templates()
@@ -638,3 +642,101 @@ nodes:
 """
     got = serialize_expanded(expand_text(inlined))
     assert got == (GOLDEN / "sequence_star_expanded.yaml").read_text()
+
+
+# --- bounds on what an expansion takes and keeps ---------------------------
+
+_TEN = "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"
+
+
+def test_foreach_blocks_nested_in_one_body_count_toward_the_node_cap():
+    """Six blocks nested in one body ask 10 ** 6 nodes of one instance: its
+    blocks stop unrolling past the cap, and the instance is TOO_MANY_NODES."""
+    lines = ["templates:", "  t:", "    args:",
+             f"      - {{name: xs, kind: scalar-list, default: {_TEN}}}",
+             '    root: "~"', "    nodes:", '      "~": {type: sequence, children: ["$@b1"]}']
+    indent = " " * 6
+    for k in range(1, 7):
+        lines += [f"{indent}b{k}:", f"{indent}  foreach: {{list: $xs, var: x{k}, index: i{k}}}",
+                  f"{indent}  emit: e", f"{indent}  nodes:"]
+        indent += " " * 4
+    lines += [f'{indent}"~/n$i1.$i2.$i3.$i4.$i5.$i6": {{type: action}}',
+              "root: a", "nodes:", "  a: {type: t}"]
+    doc = parse_document("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    with pytest.raises(ExpandError) as exc:
+        expand_document(doc)
+    assert time.perf_counter() - start < 10
+    e = exc.value
+    assert (e.code, e.subject, e.message, e.chain, e.span.line) == (
+        "TOO_MANY_NODES", "a", f"expansion makes more than {MAX_NODES} nodes", ("t",), 35)
+
+
+def test_the_node_cap_counts_the_whole_expansion():
+    """Instances that make 60,000 and 40,000 nodes fit the cap with the
+    root beside them, and one node more fails at the second: each instance
+    keeps one place for each node still to come."""
+    doc = parse_document(
+        "templates:\n  t:\n    args:\n      - {name: xs, kind: scalar-list}\n"
+        '    root: "~"\n    nodes:\n      "~": {type: sequence, children: ["$@each"]}\n'
+        '      each:\n        foreach: {list: $xs, var: x}\n        emit: "~/c_$i"\n'
+        '        nodes: {"~/c_$i": {type: action}}\n'
+        "root: s\nnodes:\n  s: {type: sequence, children: [a, b]}\n"
+        "  a: {type: t, args: {xs: [0]}}\n  b: {type: t, args: {xs: [0]}}\n")
+    nodes = doc.nodes
+    nodes["a"] = replace(nodes["a"], args={"xs": tuple(range(59_999))})
+    nodes["b"] = replace(nodes["b"], args={"xs": tuple(range(39_998))})
+    assert len(expand_document(doc).nodes) == MAX_NODES
+    nodes["b"] = replace(nodes["b"], args={"xs": tuple(range(39_999))})
+    with pytest.raises(ExpandError) as exc:
+        expand_document(doc)
+    assert (exc.value.code, exc.value.subject) == ("TOO_MANY_NODES", "b")
+
+
+_MUTATED_LISTS = """
+from btt import Document, Engine, NodeDef, expand_document, serialize_expanded
+kids, lines = ["b"], ["x := 1"]
+tree = expand_document(Document({}, {"a": NodeDef("a", "sequence", children=kids),
+                                     "b": NodeDef("b", "action", script=lines)}, "a"))
+kids.append("a")
+lines.append("x := (")
+print(Engine(tree).tick()[0].name)
+print(serialize_expanded(tree), end="")
+"""
+
+
+def test_a_marked_tree_holds_no_list_of_the_callers():
+    """The tree that expand_document marks valid keeps copies of a
+    hand-built node's lists: with the caller's own, a child appended later
+    made a cycle that Engine.tick and serialize_expanded never left."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _MUTATED_LISTS], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("SUCCESS\nroot: a\nnodes:\n  a:\n    type: sequence\n"
+                           "    children: [b]\n  b:\n    type: action\n    script: ['x := 1']\n")
+
+
+_ARG_N = parse_document(
+    'templates:\n  t:\n    args:\n      - {name: n, kind: scalar}\n    root: "~"\n'
+    '    nodes:\n      "~": {type: condition, if: "x > $n"}\n'
+    "root: a\nnodes:\n  a: {type: t, args: {n: 1}}\n").templates["t"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ({"n": {}}, "arg 'n' must be a scalar or a tuple of scalars, not dict"),
+    ({"n": [1]}, "arg 'n' must be a scalar or a tuple of scalars, not list"),
+    ({"n": (1, [2])}, "arg 'n' must be a scalar or a tuple of scalars, not list"),
+    ([("n", 1)], "'args' must be a dict, not list"),
+    ({1: 2}, "an arg name must be text, not int"),
+], ids=["dict-value", "list-value", "list-in-tuple", "list-of-pairs", "int-name"])
+def test_hand_built_args_are_judged_before_they_are_read(args, message):
+    node = NodeDef("a", "t", args=args)
+    with pytest.raises(ExpandError) as exc:
+        expand_document(Document({"t": _ARG_N}, {"a": node}, "a"))
+    assert (exc.value.code, exc.value.subject, exc.value.message, exc.value.chain) == (
+        "BAD_NODE", "a", message, ("t",))
+    with pytest.raises(ExpandError) as exc:
+        instantiate(_ARG_N, node, {})
+    assert (exc.value.code, exc.value.message) == ("BAD_NODE", message)

@@ -553,13 +553,21 @@ def _parser_for(path):
     return parse_document
 
 
+# The kind of node each event that _compose keeps as a node stands for
+_NODE_KIND = {yaml.ScalarEvent: yaml.ScalarNode, yaml.SequenceStartEvent: yaml.SequenceNode,
+              yaml.MappingStartEvent: yaml.MappingNode}
+
+
 def _node_tree(node, tag=lambda node: node.tag):
-    """Everything yaml.compose records about a node, recursively."""
+    """Everything yaml.compose records about a node, recursively, read from
+    one of its nodes or from the event tree _compose makes. A plain scalar's
+    style is None, as PyYAML gives it (libyaml gives '')."""
+    kind = _NODE_KIND.get(type(node), type(node))
     marks = (node.start_mark.line, node.start_mark.column,
              node.end_mark.line, node.end_mark.column)
-    if isinstance(node, yaml.ScalarNode):
-        return (tag(node), marks, node.style, node.value)
-    if isinstance(node, yaml.SequenceNode):
+    if kind is yaml.ScalarNode:
+        return (tag(node), marks, node.style or None, node.value)
+    if kind is yaml.SequenceNode:
         return (tag(node), marks, node.flow_style, [_node_tree(n, tag) for n in node.value])
     return (tag(node), marks, node.flow_style,
             [(_node_tree(k, tag), _node_tree(v, tag)) for k, v in node.value])
@@ -569,19 +577,19 @@ _RESOLVER = yaml.resolver.Resolver()
 
 
 def _typed_tag(node):
-    """The tag of a node that _compose built, resolved as typing resolves
-    it: a tag the text gave stands; an absent one or "!" is the
+    """The tag of a node of _compose's event tree, resolved as typing
+    resolves it: a tag the text gave stands; an absent one or "!" is the
     resolver's, from the scalar's value when it is plain."""
     if node.tag is not None and node.tag != "!":
         return node.tag
-    plain = getattr(node, "style", None) is None or node.tag == "!"
-    return _RESOLVER.resolve(type(node), node.value, (plain, not plain))
+    plain = not getattr(node, "style", None) or node.tag == "!"
+    return _RESOLVER.resolve(_NODE_KIND[type(node)], node.value, (plain, not plain))
 
 
 @pytest.mark.parametrize("path", SHIPPED_YAML, ids=_shipped_id)
 def test_compose_matches_pyyaml_composer(yaml_loader, path):
-    """_compose leaves tags to typing; with them resolved, its node tree is
-    PyYAML's composer's."""
+    """_compose leaves tags to typing; with them resolved, its event tree
+    records what PyYAML's composer's node tree does."""
     text = path.read_text(encoding="utf-8")
     expected = _node_tree(yaml.compose(text, Loader=yaml.SafeLoader))
     assert _node_tree(textio._compose(text, "document"), _typed_tag) == expected
